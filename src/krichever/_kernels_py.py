@@ -1,53 +1,32 @@
-"""Pure-Python reference kernels.
+"""The polynomial and integer-lattice kernels.
 
 These are the hot inner loops of the whole package: sparse-polynomial
 multiplication (every series operation bottoms out here) and the integer
-column eliminations behind Hermite/Smith normal forms.  A Cython build of
-the same routines lives in ``_kernels_c.pyx``; ``backend`` picks whichever
-is importable.  Both versions must produce bit-identical results.
+column eliminations behind Hermite/Smith normal forms.
 """
 
-from fractions import Fraction
+from operator import add
 
 BACKEND_NAME = "python"
 
 
 def poly_mul_terms(aterms, bterms):
-    """Multiply two sparse term dicts {exponent tuple: Fraction}.
+    """Multiply two sparse term dicts {exponent tuple: int or Fraction}.
 
-    When every coefficient is integral (the b-model and all lattice work)
-    the accumulation runs on plain ints, which is several times faster
-    than Fraction arithmetic.
+    Integral inputs stay on plain ints; a Fraction appears in the result
+    only where an input carries one.
     """
-    if not aterms or not bterms:
-        return {}
     if len(aterms) > len(bterms):
         aterms, bterms = bterms, aterms
-    integral = all(c.denominator == 1 for c in aterms.values()) and all(
-        c.denominator == 1 for c in bterms.values()
-    )
-    out = {}
-    if integral:
-        bitems = [(eb, cb.numerator) for eb, cb in bterms.items()]
-        for ea, ca in aterms.items():
-            na = ca.numerator
-            for eb, nb in bitems:
-                key = tuple(map(sum, zip(ea, eb)))
-                prod = na * nb
-                if key in out:
-                    out[key] += prod
-                else:
-                    out[key] = prod
-        return {e: Fraction(n) for e, n in out.items() if n}
     bitems = list(bterms.items())
+    out = {}
     for ea, ca in aterms.items():
         for eb, cb in bitems:
-            key = tuple(map(sum, zip(ea, eb)))
-            prod = ca * cb
+            key = tuple(map(add, ea, eb))
             if key in out:
-                out[key] += prod
+                out[key] += ca * cb
             else:
-                out[key] = prod
+                out[key] = ca * cb
     return {e: c for e, c in out.items() if c}
 
 
@@ -116,8 +95,7 @@ def hnf_cols(cols, nrows, ucols=None):
 
 
 def _col_submul(col, src, q):
-    for i in range(len(col)):
-        col[i] -= q * src[i]
+    col[:] = [v - q * w for v, w in zip(col, src)]
 
 
 def snf_diag(rows):
@@ -158,8 +136,7 @@ def snf_diag(rows):
                     q = v // piv
                     if q:
                         ri, rt = rows[i], rows[t]
-                        for j in range(t, n):
-                            ri[j] -= q * rt[j]
+                        ri[t:] = [v - q * w for v, w in zip(ri[t:], rt[t:])]
                     if rows[i][t]:
                         rows[t], rows[i] = rows[i], rows[t]
                         again = True

@@ -1,24 +1,5 @@
-"""Kernel backend selection.
+"""The kernel module that ``core`` and ``lattice`` call through."""
 
-The compiled kernels (``_kernels_c``, built from Cython) are preferred when
-importable; otherwise the pure-Python reference kernels are used.  Set
-``KRICHEVER_BACKEND=python`` or ``=c`` to force a choice (``c`` raises if
-the extension is missing).  Both backends are exact and bit-identical;
-see ``benchmarks/bench_backends.py`` for the speed comparison.
-"""
-
-import os
-
-_forced = os.environ.get("KRICHEVER_BACKEND")
-
-if _forced == "python":
-    from . import _kernels_py as kernels
-elif _forced == "c":
-    from . import _kernels_c as kernels
-else:
-    try:
-        from . import _kernels_c as kernels
-    except ImportError:
-        from . import _kernels_py as kernels
+from . import _kernels_py as kernels
 
 BACKEND = kernels.BACKEND_NAME

@@ -20,8 +20,12 @@ from .core import Poly
 def _emit(text, out):
     data = text if text.endswith("\n") else text + "\n"
     if out:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(data)
+        try:
+            with open(out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(data)
+        except OSError as exc:
+            sys.stderr.write(f"krichever: error: cannot write {out}: {exc.strerror}\n")
+            sys.exit(2)
     else:
         sys.stdout.write(data)
 

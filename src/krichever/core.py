@@ -1,7 +1,8 @@
 """Exact rational arithmetic, sparse graded polynomials and truncated series.
 
-Everything is immutable after construction and exact: coefficients are
-``fractions.Fraction`` throughout, there is no floating point anywhere.
+Everything is immutable after construction and exact, with no floating
+point anywhere.  Integral coefficients are plain ``int``; a coefficient is a
+``fractions.Fraction`` only where a denominator really occurs.
 Polynomials are sparse dicts keyed by exponent vectors over a fixed
 ``VarTable``; univariate and bivariate truncated power series carry
 polynomial coefficients.
@@ -16,8 +17,8 @@ from .backend import kernels
 
 Rational = Fraction
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+ZERO = 0
+ONE = 1
 
 
 class VarTable:
@@ -79,20 +80,22 @@ def b_vars(n):
     return VarTable.generators("b", n)
 
 
-def _as_fraction(c):
-    if isinstance(c, Fraction):
-        return c
+def _as_scalar(c):
+    """An exact scalar as ``int`` when integral, else as ``Fraction``."""
     if isinstance(c, int):
-        return Fraction(c)
+        return c
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
     raise TypeError(f"not an exact scalar: {c!r}")
 
 
 class Poly:
-    """Sparse multivariate polynomial with Fraction coefficients.
+    """Sparse multivariate polynomial with exact rational coefficients.
 
     ``terms`` maps exponent tuples (one slot per VarTable entry) to nonzero
-    Fractions.  Canonical ordering of monomials is graded lex descending:
-    higher weight first, ties broken by the exponent vector.
+    ints or, where a denominator occurs, Fractions.  Canonical ordering of
+    monomials is graded lex descending: higher weight first, ties broken by
+    the exponent vector.
     """
 
     __slots__ = ("vars", "terms")
@@ -100,7 +103,7 @@ class Poly:
     def __init__(self, vars, terms=None):
         self.vars = vars
         if terms:
-            self.terms = {e: c for e, c in terms.items() if c}
+            self.terms = {e: _as_scalar(c) for e, c in terms.items() if c}
         else:
             self.terms = {}
 
@@ -110,9 +113,6 @@ class Poly:
 
     @classmethod
     def const(cls, vars, c):
-        c = _as_fraction(c)
-        if not c:
-            return cls(vars)
         return cls(vars, {(0,) * len(vars.names): c})
 
     @classmethod
@@ -123,7 +123,7 @@ class Poly:
     def var(cls, vars, name, power=1, coeff=1):
         e = [0] * len(vars.names)
         e[vars.index[name]] = power
-        return cls(vars, {tuple(e): _as_fraction(coeff)})
+        return cls(vars, {tuple(e): coeff})
 
     def _check(self, other):
         if self.vars != other.vars:
@@ -187,9 +187,12 @@ class Poly:
         return self.__mul__(other)
 
     def scale(self, c):
-        c = _as_fraction(c)
+        """Multiply by a scalar; a fractional ``c`` keeps integral results as int."""
+        c = _as_scalar(c)
         out = Poly(self.vars)
-        if c:
+        if isinstance(c, Fraction):
+            out.terms = {e: _as_scalar(c * v) for e, v in self.terms.items()}
+        elif c:
             out.terms = {e: c * v for e, v in self.terms.items()}
         return out
 
@@ -324,8 +327,7 @@ class Poly:
                 exps[vars.index[m.group(1)]] += int(m.group(2) or 1)
             else:
                 coeff *= Fraction(fac)
-        out = cls(vars, {tuple(exps): coeff})
-        return out
+        return cls(vars, {tuple(exps): coeff})
 
     def to_json(self):
         return [
@@ -336,7 +338,12 @@ class Poly:
     def from_json(cls, data, vars):
         terms = {}
         for item in data:
-            terms[tuple(item["exps"])] = Fraction(item["coeff"])
+            exps = tuple(item["exps"])
+            if len(exps) != len(vars.names):
+                raise ValueError(
+                    f"exponent vector {list(exps)} does not match {len(vars.names)} variables"
+                )
+            terms[exps] = Fraction(item["coeff"])
         return cls(vars, terms)
 
 

@@ -194,7 +194,7 @@ def kappa_map(n=DEFAULT_ORDER, table=None):
 
 
 def _solve_linear(mat, rhs):
-    """Exact solve of a square Fraction system by Gaussian elimination."""
+    """Exact solve of a square rational system by Gaussian elimination."""
     n = len(rhs)
     a = [list(row) + [rhs[i]] for i, row in enumerate(mat)]
     for c in range(n):
@@ -202,7 +202,7 @@ def _solve_linear(mat, rhs):
         if piv is None:
             raise ValueError("singular linear system")
         a[c], a[piv] = a[piv], a[c]
-        inv = 1 / a[c][c]
+        inv = 1 / Fraction(a[c][c])
         a[c] = [v * inv for v in a[c]]
         for r in range(n):
             if r != c and a[r][c]:
@@ -227,15 +227,15 @@ def kappa_inverse_table(n=DEFAULT_ORDER, kappa=None):
         pos = {e: k for k, e in enumerate(basis)}
         cols = []
         for e in basis:
-            img = kmap(Poly(cv, {e: Fraction(1)}))
-            col = [Fraction(0)] * len(basis)
+            img = kmap(Poly(cv, {e: 1}))
+            col = [0] * len(basis)
             for ee, c in img.terms.items():
                 col[pos[ee]] = c
             cols.append(col)
         mat = [[cols[j][i] for j in range(len(basis))] for i in range(len(basis))]
         target = Poly.var(cv, f"CP{w}")
-        rhs = [Fraction(0)] * len(basis)
-        rhs[pos[next(iter(target.terms))]] = Fraction(1)
+        rhs = [0] * len(basis)
+        rhs[pos[next(iter(target.terms))]] = 1
         sol = _solve_linear(mat, rhs)
         entries[w] = Poly(cv, {e: c for e, c in zip(basis, sol) if c})
         if kmap(entries[w]) != target:

@@ -247,10 +247,7 @@ class LazardModel:
         bi = self.basis_index(n)
         out = []
         for col in piece.hnf_basis():
-            terms = {
-                m: Fraction(v) for m, v in zip(bi.monomials, col) if v
-            }
-            out.append(Poly(self.vars, terms))
+            out.append(Poly(self.vars, dict(zip(bi.monomials, col))))
         return out
 
     def lazard_piece(self, n):
@@ -314,17 +311,11 @@ class LazardModel:
         return lat
 
     def quotient_report(self, n):
-        """Invariant factors of ring/ideal and of the indecomposables at weight n."""
-        L = self.lazard_piece(n)
-        I = self.ideal_piece(n)
-        rank_l = L.rank
-        ideal_coords = [L.coordinates(c) for c in I.hnf_basis()]
-        q = InvariantFactors.from_presentation(rank_l, ideal_coords)
-        dec = self.decomposables_piece(n)
-        dec_coords = [L.coordinates(c) for c in dec.hnf_basis()]
-        indec = InvariantFactors.from_presentation(rank_l, ideal_coords + dec_coords)
+        """JSON form of :meth:`quotient_groups`, with the ranks of L_n and I_n."""
+        q, indec = self.quotient_groups(n)
+        rank_l = self.lazard_piece(n).rank
         # independent rational-rank cross-check of the quotient's free rank
-        rank_i = I.rank
+        rank_i = self.ideal_piece(n).rank
         if q.free_rank != rank_l - rank_i:
             raise AssertionError(f"free-rank mismatch at weight {n}")
         return {
@@ -336,7 +327,7 @@ class LazardModel:
         }
 
     def quotient_groups(self, n):
-        """(Q_n, Indec_n) as InvariantFactors."""
+        """(Q_n, Indec_n) as InvariantFactors: ring/ideal and indecomposables."""
         L = self.lazard_piece(n)
         I = self.ideal_piece(n)
         ideal_coords = [L.coordinates(c) for c in I.hnf_basis()]

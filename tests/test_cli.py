@@ -116,6 +116,17 @@ class TestOutFile:
         assert data.endswith(b"\n") and b"\r" not in data
         assert data.decode("utf-8").strip().splitlines()[0] == "psi(CP_1) = -1/2*p1"
 
+    @pytest.mark.parametrize("target", [("missing", "x"), ()])
+    def test_unwritable_out_exits_two(self, target, tmp_path, capsys):
+        path = tmp_path.joinpath(*target)
+        with pytest.raises(SystemExit) as exc:
+            cli.run(["psi", "--order", "2", "--out", str(path)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("krichever: error: ")
+        assert captured.err.count("\n") == 1
+
 
 class TestReproducePaper:
     def test_small_run_passes(self, capsys):

@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from krichever import _kernels_py
 from krichever.core import (
     Poly,
     Series1,
@@ -71,6 +73,43 @@ class TestPoly:
         p = Poly.parse("3/8*p1^2 - 1/2*p2 + 7", pv)
         assert Poly.from_json(p.to_json(), pv) == p
         assert p.to_json()[0]["coeff"] == "3/8"
+
+    def test_json_rejects_wrong_exponent_length(self):
+        pv = p_vars()
+        for exps in ([1, 0, 0], [1, 0, 0, 0, 0]):
+            with pytest.raises(ValueError):
+                Poly.from_json([{"coeff": "1", "exps": exps}], pv)
+
+    def test_integral_product_keeps_int_coefficients(self):
+        bv = b_vars(3)
+        p = (Poly.var(bv, "b1", coeff=3) + Poly.var(bv, "b3") - 2) ** 4
+        assert len(p.terms) > 1
+        assert all(type(c) is int for c in p.terms.values())
+        halved = p.scale(2).scale(Fraction(1, 2))
+        assert halved == p
+        assert all(type(c) is int for c in halved.terms.values())
+
+    def test_mixed_product_matches_all_fraction_product(self):
+        rng = random.Random(7)
+
+        def scalar():
+            if rng.random() < 0.5:
+                return rng.randrange(-9, 10)
+            return Fraction(rng.randrange(-9, 10), rng.randrange(1, 7))
+
+        def terms():
+            return {
+                tuple(rng.randrange(3) for _ in range(3)): scalar()
+                for _ in range(rng.randrange(1, 8))
+            }
+
+        for _ in range(25):
+            a, b = terms(), terms()
+            as_fraction = _kernels_py.poly_mul_terms(
+                {e: Fraction(c) for e, c in a.items()},
+                {e: Fraction(c) for e, c in b.items()},
+            )
+            assert _kernels_py.poly_mul_terms(a, b) == as_fraction
 
     def test_substitute(self):
         cv = cp_vars(2)

@@ -49,6 +49,14 @@ class TestBuild:
         assert rep.passed, rep.first_failure
 
 
+def test_b_model_coefficients_are_int():
+    small = fgl.compute_A(fgl.build_universal_fgl(6))
+    polys = [*small.F.coeffs.values(), *small.A.coeffs.values()]
+    assert polys
+    for poly in polys:
+        assert all(type(c) is int for c in poly.terms.values())
+
+
 class TestA:
     def test_diagonal_vanishes(self, data):
         for i in range(5):
