@@ -30,15 +30,13 @@ def poly_mul_terms(aterms, bterms):
     return {e: c for e, c in out.items() if c}
 
 
-def hnf_cols(cols, nrows, ucols=None):
+def hnf_cols(cols, nrows):
     """Column-style Hermite normal form, in place.
 
     ``cols`` is a list of length-``nrows`` integer columns.  On return the
     first ``rank`` columns are the HNF basis (pivots positive, entries to
     the left of a pivot reduced into [0, pivot)), the remaining columns are
-    zero.  If ``ucols`` is given (identity columns), the same column
-    operations are applied to it, so that  M . U = H.  Returns the list of
-    pivot rows.
+    zero.  Returns the list of pivot rows.
     """
     ncols = len(cols)
     pivot_rows = []
@@ -70,25 +68,17 @@ def hnf_cols(cols, nrows, ucols=None):
                 q = cols[j][r] // pv
                 if q:
                     _col_submul(cols[j], cols[jmin], q)
-                    if ucols is not None:
-                        _col_submul(ucols[j], ucols[jmin], q)
         if jmin < 0:
             continue
         if jmin != c:
             cols[c], cols[jmin] = cols[jmin], cols[c]
-            if ucols is not None:
-                ucols[c], ucols[jmin] = ucols[jmin], ucols[c]
         if cols[c][r] < 0:
             cols[c] = [-v for v in cols[c]]
-            if ucols is not None:
-                ucols[c] = [-v for v in ucols[c]]
         pv = cols[c][r]
         for j in range(c):
             q = cols[j][r] // pv
             if q:
                 _col_submul(cols[j], cols[c], q)
-                if ucols is not None:
-                    _col_submul(ucols[j], ucols[c], q)
         pivot_rows.append(r)
         c += 1
     return pivot_rows

@@ -128,6 +128,25 @@ def golden_table(name):
     ).strip()
 
 
+# Indec_n as (torsion, free rank) for n = 1..WEIGHT_CEILING: Z up to weight 4,
+# then the torsion left by the relations A_ij = 0 (trivial at n = 10 and 12).
+EXPECTED_INDEC = {
+    1: ((), 1),
+    2: ((), 1),
+    3: ((), 1),
+    4: ((), 1),
+    5: ((5,), 0),
+    6: ((2,), 0),
+    7: ((7,), 0),
+    8: ((2,), 0),
+    9: ((3,), 0),
+    10: ((), 0),
+    11: ((11,), 0),
+    12: ((), 0),
+    13: ((13,), 0),
+}
+
+
 def _reproduce_paper(args):
     """Tables against golden files, every identity suite, quotient reports."""
     lines = []
@@ -147,24 +166,17 @@ def _reproduce_paper(args):
         lines.append(f"[{'PASS' if rep.passed else 'FAIL'}] {rep.suite} (order {rep.order})")
 
     model = lattice.LazardModel(args.max_weight)
-    expected_exponent = {5: 5, 6: 2, 7: 7, 8: 2, 9: 3, 10: 1, 11: 11, 12: 1, 13: 13}
     for n in range(1, args.max_weight + 1):
         rep = model.quotient_report(n)
         ind = lattice.InvariantFactors(
             tuple(rep["Indec"]["torsion"]), rep["Indec"]["free"]
         )
-        good = ind.is_cyclic()
-        exp = expected_exponent.get(n)
-        if exp is not None:
-            e = ind.exponent()
-            good &= e is not None and exp % e == 0
-        elif n <= 4:
-            good &= ind.free_rank == 1 and not ind.torsion
+        expected = lattice.InvariantFactors(*EXPECTED_INDEC[n])
+        good = ind == expected
         ok &= good
         lines.append(
             f"[{'PASS' if good else 'FAIL'}] quotient weight {n}: "
-            f"Indec = {ind.describe()}"
-            + (f" (expected exponent divides {exp})" if exp else "")
+            f"Indec = {ind.describe()} (expected {expected.describe()})"
         )
 
     lines.append(f"overall: {'PASS' if ok else 'FAIL'}")

@@ -770,6 +770,33 @@ def weighted_monomials(vars, w):
     return out
 
 
+def gauss_jordan(rows):
+    """Reduced row echelon form over Q, by exact Gauss-Jordan elimination.
+
+    ``rows`` is a list of equal-length rows of ints or Fractions; it is not
+    modified.  Returns (reduced rows, pivot columns): the first
+    ``len(pivots)`` reduced rows are nonzero, each with a 1 in its pivot
+    column and 0 in every other pivot column.
+    """
+    a = [list(row) for row in rows]
+    pivots = []
+    for c in range(len(a[0]) if a else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        # a Fraction pivot, so that 1 / pivot stays exact for an int entry
+        inv = 1 / Fraction(a[r][c])
+        a[r] = [v * inv for v in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [v - f * w for v, w in zip(a[i], a[r])]
+        pivots.append(c)
+    return a, pivots
+
+
 def compose1(f, g2):
     """Univariate f composed with a bivariate argument of valuation >= 1."""
     if (0, 0) in g2.coeffs:

@@ -18,6 +18,7 @@ from .core import (
     Series2,
     compose1,
     cp_vars,
+    gauss_jordan,
     p_vars,
     q_vars,
     weighted_monomials,
@@ -193,24 +194,6 @@ def kappa_map(n=DEFAULT_ORDER, table=None):
     return RingMap.from_table(table, table.vars)
 
 
-def _solve_linear(mat, rhs):
-    """Exact solve of a square rational system by Gaussian elimination."""
-    n = len(rhs)
-    a = [list(row) + [rhs[i]] for i, row in enumerate(mat)]
-    for c in range(n):
-        piv = next((r for r in range(c, n) if a[r][c]), None)
-        if piv is None:
-            raise ValueError("singular linear system")
-        a[c], a[piv] = a[piv], a[c]
-        inv = 1 / Fraction(a[c][c])
-        a[c] = [v * inv for v in a[c]]
-        for r in range(n):
-            if r != c and a[r][c]:
-                f = a[r][c]
-                a[r] = [v - f * w for v, w in zip(a[r], a[c])]
-    return [a[r][n] for r in range(n)]
-
-
 def kappa_inverse_table(n=DEFAULT_ORDER, kappa=None):
     """Preimages kappa^{-1}(CP_i), solved weight by weight over Q.
 
@@ -224,19 +207,24 @@ def kappa_inverse_table(n=DEFAULT_ORDER, kappa=None):
     entries = {}
     for w in range(1, n + 1):
         basis = weighted_monomials(cv, w)
+        size = len(basis)
         pos = {e: k for k, e in enumerate(basis)}
         cols = []
         for e in basis:
             img = kmap(Poly(cv, {e: 1}))
-            col = [0] * len(basis)
+            col = [0] * size
             for ee, c in img.terms.items():
                 col[pos[ee]] = c
             cols.append(col)
-        mat = [[cols[j][i] for j in range(len(basis))] for i in range(len(basis))]
         target = Poly.var(cv, f"CP{w}")
-        rhs = [0] * len(basis)
-        rhs[pos[next(iter(target.terms))]] = 1
-        sol = _solve_linear(mat, rhs)
+        t = pos[next(iter(target.terms))]
+        # the augmented system [kappa | e_t]; its last column becomes the solution
+        reduced, pivots = gauss_jordan(
+            [[col[i] for col in cols] + [int(i == t)] for i in range(size)]
+        )
+        if pivots != list(range(size)):
+            raise ValueError("singular linear system")
+        sol = [row[size] for row in reduced]
         entries[w] = Poly(cv, {e: c for e, c in zip(basis, sol) if c})
         if kmap(entries[w]) != target:
             raise AssertionError(f"kappa o kappa^-1 failed at weight {w}")

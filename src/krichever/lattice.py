@@ -10,45 +10,26 @@ form the invariant factors of the quotients.  All arithmetic is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .backend import kernels
-from .core import Poly, weighted_monomials
+from .core import Poly, gauss_jordan, weighted_monomials
 from .fgl import build_universal_fgl, compute_A
 
 DEFAULT_MAX_WEIGHT = 8
 WEIGHT_CEILING = 13
 
 
-def hnf(matrix):
-    """Column-style Hermite normal form: returns (H, U) with M @ U = H.
-
-    ``matrix`` is a list of rows.  H has positive pivots with the entries
-    to their left reduced into [0, pivot); zero columns are pushed to the
-    right.  U is unimodular.
-    """
-    nrows = len(matrix)
-    ncols = len(matrix[0]) if nrows else 0
-    cols = [[matrix[i][j] for i in range(nrows)] for j in range(ncols)]
-    ucols = [[1 if i == j else 0 for i in range(ncols)] for j in range(ncols)]
-    kernels.hnf_cols(cols, nrows, ucols)
-    H = [[cols[j][i] for j in range(ncols)] for i in range(nrows)]
-    U = [[ucols[j][i] for j in range(ncols)] for i in range(ncols)]
-    return H, U
-
-
 def hnf_columns(cols, nrows):
-    """HNF basis columns only (no transform tracking), for large inputs."""
+    """Column-style Hermite normal form of the span of ``cols``.
+
+    Returns (basis, pivot_rows): the nonzero HNF columns, each with a
+    positive pivot and the entries to the left of its pivot reduced into
+    [0, pivot), and the row of each pivot.  ``cols`` is not modified.
+    """
     cols = [list(c) for c in cols]
     pivot_rows = kernels.hnf_cols(cols, nrows)
     return cols[: len(pivot_rows)], pivot_rows
-
-
-def snf(matrix):
-    """Invariant-factor diagonal d_1 | d_2 | ... of an integer matrix."""
-    rows = [list(r) for r in matrix]
-    return kernels.snf_diag(rows)
 
 
 @dataclass(frozen=True)
@@ -69,28 +50,6 @@ class InvariantFactors:
         diag = kernels.snf_diag(rows)
         torsion = tuple(d for d in diag if d != 1)
         return cls(torsion, ambient_rank - len(diag))
-
-    @property
-    def order(self):
-        """Group order (None when infinite)."""
-        if self.free_rank:
-            return None
-        n = 1
-        for d in self.torsion:
-            n *= d
-        return n
-
-    def is_trivial(self):
-        return not self.torsion and self.free_rank == 0
-
-    def is_cyclic(self):
-        return len(self.torsion) + self.free_rank <= 1
-
-    def exponent(self):
-        """Largest torsion order (None if there is a free part)."""
-        if self.free_rank:
-            return None
-        return self.torsion[-1] if self.torsion else 1
 
     def describe(self):
         parts = ["Z"] * self.free_rank + [f"Z/{d}" for d in self.torsion]
@@ -143,19 +102,6 @@ class Lattice:
     def hnf_basis(self):
         return [list(c) for c in self._reduce()]
 
-    def contains(self, vector):
-        """Exact membership via reduction against the HNF basis."""
-        v = list(vector)
-        cols = self._reduce()
-        for c, r in zip(cols, self._pivots):
-            if v[r] % c[r]:
-                return False
-            q = v[r] // c[r]
-            if q:
-                for i in range(len(v)):
-                    v[i] -= q * c[i]
-        return not any(v)
-
     def coordinates(self, vector):
         """Coordinates in the HNF basis; raises if not a member."""
         v = list(vector)
@@ -194,8 +140,9 @@ class LazardModel:
         self.fgl = fgl
         self.vars = fgl.vars
         self._basis = {}
-        self._law_gens = None
-        self._ideal_gens = None
+        # a_ij (1 <= i <= j) of weight i + j - 1, A_ij (3 <= i <= j) of i + j - 2
+        self._law_gens = _generators(fgl.F, 1, 1, max_weight)
+        self._ideal_gens = _generators(fgl.A, 3, 2, max_weight)
         self._lazard = {}
         self._ideal = {}
         self._square = {}
@@ -204,42 +151,6 @@ class LazardModel:
         if n not in self._basis:
             self._basis[n] = BasisIndex(self.vars, n)
         return self._basis[n]
-
-    def law_generators(self):
-        """a_ij (i <= j, i + j <= W + 1) grouped by weight i + j - 1."""
-        if self._law_gens is None:
-            gens = {}
-            for s in range(2, self.max_weight + 2):
-                ws = s - 1
-                lst = []
-                for i in range(1, s // 2 + 1):
-                    j = s - i
-                    a = self.fgl.F.coefficient(i, j)
-                    if a:
-                        lst.append(((i, j), a))
-                if lst:
-                    gens[ws] = lst
-            self._law_gens = gens
-        return self._law_gens
-
-    def ideal_generators(self):
-        """A_ij (3 <= i <= j, i + j <= W + 2) grouped by weight i + j - 2."""
-        if self._ideal_gens is None:
-            gens = {}
-            for s in range(6, self.max_weight + 3):
-                ws = s - 2
-                lst = []
-                for i in range(3, s // 2 + 1):
-                    j = s - i
-                    if j < i:
-                        continue
-                    a = self.fgl.A.coefficient(i, j)
-                    if a:
-                        lst.append(((i, j), a))
-                if lst:
-                    gens[ws] = lst
-            self._ideal_gens = gens
-        return self._ideal_gens
 
     def _basis_polys(self, n):
         """HNF basis of the weight-n ring piece, as polynomials."""
@@ -250,6 +161,21 @@ class LazardModel:
             out.append(Poly(self.vars, dict(zip(bi.monomials, col))))
         return out
 
+    def _span(self, n, generators):
+        """Z-span of g * v for each generator g of weight k <= n and each
+        HNF basis polynomial v of the weight-(n - k) ring piece."""
+        if n > self.max_weight:
+            raise ValueError(f"weight {n} beyond model truncation {self.max_weight}")
+        bi = self.basis_index(n)
+        cols = []
+        for k, gens in generators.items():
+            if k > n:
+                continue
+            for v in self._basis_polys(n - k):
+                for g in gens:
+                    cols.append(bi.vector(g * v))
+        return Lattice(bi, cols)
+
     def lazard_piece(self, n):
         """Z-span of the weight-n monomials in the a_ij, in b-coordinates.
 
@@ -257,42 +183,18 @@ class LazardModel:
         times (monomial of weight n - k), so the span is accumulated from
         the already-reduced smaller pieces.
         """
-        if n in self._lazard:
-            return self._lazard[n]
-        if n > self.max_weight:
-            raise ValueError(f"weight {n} beyond model truncation {self.max_weight}")
-        bi = self.basis_index(n)
-        if n == 0:
-            lat = Lattice(bi, [[1]])
-        else:
-            cols = []
-            for k, gens in self.law_generators().items():
-                if k > n:
-                    continue
-                for v in self._basis_polys(n - k):
-                    for _, g in gens:
-                        cols.append(bi.vector(g * v))
-            lat = Lattice(bi, cols)
-        self._lazard[n] = lat
-        return lat
+        if n not in self._lazard:
+            if n == 0:
+                self._lazard[n] = Lattice(self.basis_index(0), [[1]])
+            else:
+                self._lazard[n] = self._span(n, self._law_gens)
+        return self._lazard[n]
 
     def ideal_piece(self, n):
         """Weight-n piece of the ideal generated by the A_ij, i, j >= 3."""
-        if n in self._ideal:
-            return self._ideal[n]
-        if n > self.max_weight:
-            raise ValueError(f"weight {n} beyond model truncation {self.max_weight}")
-        bi = self.basis_index(n)
-        cols = []
-        for d, gens in self.ideal_generators().items():
-            if d > n:
-                continue
-            for v in self._basis_polys(n - d):
-                for _, g in gens:
-                    cols.append(bi.vector(g * v))
-        lat = Lattice(bi, cols)
-        self._ideal[n] = lat
-        return lat
+        if n not in self._ideal:
+            self._ideal[n] = self._span(n, self._ideal_gens)
+        return self._ideal[n]
 
     def decomposables_piece(self, n):
         """Span of products of two positive-weight ring elements, weight n."""
@@ -314,7 +216,8 @@ class LazardModel:
         """JSON form of :meth:`quotient_groups`, with the ranks of L_n and I_n."""
         q, indec = self.quotient_groups(n)
         rank_l = self.lazard_piece(n).rank
-        # independent rational-rank cross-check of the quotient's free rank
+        # consistency check of the SNF free rank against the HNF ranks; both
+        # come from the same integer kernels, so it is no independent oracle
         rank_i = self.ideal_piece(n).rank
         if q.free_rank != rank_l - rank_i:
             raise AssertionError(f"free-rank mismatch at weight {n}")
@@ -337,27 +240,24 @@ class LazardModel:
         return q, indec
 
 
+def _generators(series, first, shift, max_weight):
+    """[x^i y^j] series for first <= i <= j, grouped by weight i + j - shift.
+
+    Only weights up to ``max_weight`` are read; zero coefficients are
+    skipped and empty weights left out.
+    """
+    gens = {}
+    for s in range(2 * first, max_weight + shift + 1):
+        lst = [series.coefficient(i, s - i) for i in range(first, s // 2 + 1)]
+        lst = [a for a in lst if a]
+        if lst:
+            gens[s - shift] = lst
+    return gens
+
+
 def rational_rank(columns, nrows):
-    """Rank over Q by fraction-free Gaussian elimination (independent of HNF)."""
-    cols = [[Fraction(v) for v in c] for c in columns]
-    rank = 0
-    row = 0
-    cols = [list(c) for c in cols]
-    mat = [[c[i] for c in cols] for i in range(nrows)]
-    for col in range(len(cols)):
-        piv = next((r for r in range(row, nrows) if mat[r][col]), None)
-        if piv is None:
-            continue
-        mat[row], mat[piv] = mat[piv], mat[row]
-        inv = 1 / mat[row][col]
-        mat[row] = [v * inv for v in mat[row]]
-        for r in range(nrows):
-            if r != row and mat[r][col]:
-                f = mat[r][col]
-                mat[r] = [v - f * w for v, w in zip(mat[r], mat[row])]
-        row += 1
-        rank += 1
-    return rank
+    """Rank over Q by exact Gauss-Jordan elimination (independent of HNF)."""
+    return len(gauss_jordan([[c[i] for c in columns] for i in range(nrows)])[1])
 
 
 @lru_cache(maxsize=None)

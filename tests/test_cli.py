@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from krichever import cli
+from krichever import cli, lattice
 from krichever.core import Poly, VarTable
 
 
@@ -133,3 +133,19 @@ class TestReproducePaper:
         code, out = run(capsys, "reproduce-paper", "--order", "4", "--max-weight", "5")
         assert code == 0
         assert out.strip().endswith("overall: PASS")
+        assert "[PASS] quotient weight 5: Indec = Z/5 (expected Z/5)" in out
+
+    def test_wrong_indecomposables_fail(self, capsys, monkeypatch):
+        real = lattice.LazardModel.quotient_report
+
+        def trivial_indec_5(self, n):
+            rep = real(self, n)
+            if n == 5:
+                rep["Indec"] = {"free": 0, "torsion": []}
+            return rep
+
+        monkeypatch.setattr(lattice.LazardModel, "quotient_report", trivial_indec_5)
+        code, out = run(capsys, "reproduce-paper", "--max-weight", "5", "--order", "2")
+        assert code == 1
+        assert "[FAIL] quotient weight 5: Indec = 0 (expected Z/5)" in out
+        assert out.strip().endswith("overall: FAIL")
