@@ -38,54 +38,56 @@ def hnf_cols(cols, nrows):
     the left of a pivot reduced into [0, pivot)), the remaining columns are
     zero.  Returns the list of pivot rows.
     """
-    ncols = len(cols)
+    basis = []
     pivot_rows = []
-    c = 0
+    # Columns not yet pivots.  When row r is eliminated every one of them
+    # is zero above r, so updates touch rows r.. only, and a column that
+    # falls to zero is dropped for good.
+    live = [col for col in cols if any(col)]
     for r in range(nrows):
-        if c >= ncols:
+        if not live:
             break
-        # gcd-eliminate row r among columns c..end until one survivor
+        # gcd-eliminate row r among the live columns until one survivor
         while True:
             jmin = -1
             vmin = 0
             nonzero = 0
-            for j in range(c, ncols):
-                v = cols[j][r]
+            for j, col in enumerate(live):
+                v = col[r]
                 if v:
                     nonzero += 1
                     if jmin < 0 or abs(v) < vmin:
                         jmin = j
                         vmin = abs(v)
-            if nonzero == 0:
-                jmin = -1
+            if nonzero <= 1:
                 break
-            if nonzero == 1:
-                break
-            pv = cols[jmin][r]
-            for j in range(c, ncols):
-                if j == jmin or not cols[j][r]:
-                    continue
-                q = cols[j][r] // pv
-                if q:
-                    _col_submul(cols[j], cols[jmin], q)
+            src = live[jmin]
+            pv = src[r]
+            for j, col in enumerate(live):
+                if j != jmin and col[r]:
+                    q = col[r] // pv
+                    if q:
+                        _col_submul(col, src, q, r)
         if jmin < 0:
             continue
-        if jmin != c:
-            cols[c], cols[jmin] = cols[jmin], cols[c]
-        if cols[c][r] < 0:
-            cols[c] = [-v for v in cols[c]]
-        pv = cols[c][r]
-        for j in range(c):
-            q = cols[j][r] // pv
+        piv = live.pop(jmin)
+        if piv[r] < 0:
+            piv[r:] = [-v for v in piv[r:]]
+        pv = piv[r]
+        for col in basis:
+            q = col[r] // pv
             if q:
-                _col_submul(cols[j], cols[c], q)
+                _col_submul(col, piv, q, r)
+        basis.append(piv)
         pivot_rows.append(r)
-        c += 1
+        live = [col for col in live if any(col[r + 1 :])]
+    cols[:] = basis + [[0] * nrows for _ in range(len(cols) - len(basis))]
     return pivot_rows
 
 
-def _col_submul(col, src, q):
-    col[:] = [v - q * w for v, w in zip(col, src)]
+def _col_submul(col, src, q, start):
+    """col -= q * src on rows start.. (src is zero above ``start``)."""
+    col[start:] = [v - q * w for v, w in zip(col[start:], src[start:])]
 
 
 def snf_diag(rows):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb, gcd
 
 from .backend import kernels
 from .core import Poly, gauss_jordan, weighted_monomials
@@ -148,6 +149,8 @@ class LazardModel:
         self._square = {}
 
     def basis_index(self, n):
+        if n > self.max_weight:
+            raise ValueError(f"weight {n} beyond model truncation {self.max_weight}")
         if n not in self._basis:
             self._basis[n] = BasisIndex(self.vars, n)
         return self._basis[n]
@@ -164,8 +167,6 @@ class LazardModel:
     def _span(self, n, generators):
         """Z-span of g * v for each generator g of weight k <= n and each
         HNF basis polynomial v of the weight-(n - k) ring piece."""
-        if n > self.max_weight:
-            raise ValueError(f"weight {n} beyond model truncation {self.max_weight}")
         bi = self.basis_index(n)
         cols = []
         for k, gens in generators.items():
@@ -179,15 +180,20 @@ class LazardModel:
     def lazard_piece(self, n):
         """Z-span of the weight-n monomials in the a_ij, in b-coordinates.
 
-        Every monomial of weight n > 0 factors as (generator of weight k)
-        times (monomial of weight n - k), so the span is accumulated from
-        the already-reduced smaller pieces.
+        A monomial of weight n > 0 is either one generator a_ij of weight n
+        or a product of two or more generators, which lies in the
+        decomposables D_n (and D_n lies in L_n).  So L_n is spanned by the
+        HNF basis of D_n, built from the pieces of weight < n, plus the
+        weight-n generators.
         """
         if n not in self._lazard:
+            bi = self.basis_index(n)
             if n == 0:
-                self._lazard[n] = Lattice(self.basis_index(0), [[1]])
+                cols = [[1]]
             else:
-                self._lazard[n] = self._span(n, self._law_gens)
+                cols = self.decomposables_piece(n).hnf_basis()
+                cols += [bi.vector(g) for g in self._law_gens.get(n, [])]
+            self._lazard[n] = Lattice(bi, cols)
         return self._lazard[n]
 
     def ideal_piece(self, n):
@@ -232,11 +238,14 @@ class LazardModel:
     def quotient_groups(self, n):
         """(Q_n, Indec_n) as InvariantFactors: ring/ideal and indecomposables."""
         L = self.lazard_piece(n)
+        # reduce L_n before the first coordinates call, so that a trace
+        # books its HNF under hnf_columns and not under coordinates
+        rank = L.rank
         I = self.ideal_piece(n)
         ideal_coords = [L.coordinates(c) for c in I.hnf_basis()]
-        q = InvariantFactors.from_presentation(L.rank, ideal_coords)
+        q = InvariantFactors.from_presentation(rank, ideal_coords)
         dec_coords = [L.coordinates(c) for c in self.decomposables_piece(n).hnf_basis()]
-        indec = InvariantFactors.from_presentation(L.rank, ideal_coords + dec_coords)
+        indec = InvariantFactors.from_presentation(rank, ideal_coords + dec_coords)
         return q, indec
 
 
@@ -253,6 +262,25 @@ def _generators(series, first, shift, max_weight):
         if lst:
             gens[s - shift] = lst
     return gens
+
+
+def indecomposables_closed_form(n):
+    """Indec_n for n >= 1 from binomial coefficients alone.
+
+    In b-coordinates [b_n] a_ij = C(n+1, i) and, for i, j >= 3,
+    [b_n] A_ij = C(n+1, i-1) - C(n+1, i).  The indecomposables of the
+    coefficient ring embed in Z b_n with image g_a Z, g_a = gcd_i C(n+1, i),
+    and the products A_ij L_{>0} are decomposable, so the weight-n A_ij cut
+    Indec_n down to Z / (g_A / g_a), g_A the gcd of their b_n coefficients.
+    With g_A = 0 (n <= 4) Indec_n is Z.  An oracle for
+    :meth:`LazardModel.quotient_groups` that needs no lattice at all.
+    """
+    g_A = gcd(*(comb(n + 1, i - 1) - comb(n + 1, i) for i in range(3, n)))
+    if g_A == 0:
+        return InvariantFactors((), 1)
+    g_a = gcd(*(comb(n + 1, i) for i in range(1, n + 1)))
+    d = g_A // g_a
+    return InvariantFactors((d,) if d != 1 else (), 0)
 
 
 def rational_rank(columns, nrows):

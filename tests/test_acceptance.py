@@ -111,6 +111,7 @@ def test_criterion_8_quotient_weight_thirteen():
         computed[n] = indec
     for n, group in enumerate(expected, start=1):
         assert (computed[n].torsion, computed[n].free_rank) == group, (n, computed[n])
+        assert computed[n] == lattice.indecomposables_closed_form(n), n
     elapsed = time.perf_counter() - t0
     assert elapsed < 600.0
     lines = ", ".join(f"Indec_{n}={g.describe()}" for n, g in computed.items())

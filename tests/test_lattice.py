@@ -7,10 +7,12 @@ from fractions import Fraction
 import pytest
 
 from krichever.backend import kernels
+from krichever.cli import EXPECTED_INDEC
 from krichever.lattice import (
     InvariantFactors,
     LazardModel,
     hnf_columns,
+    indecomposables_closed_form,
     partition_count,
     rational_rank,
 )
@@ -63,6 +65,11 @@ def check_hnf_certificate(cols, nrows):
         assert all(0 <= left[r] < c[r] for left in basis[:k])
     rank = len(basis)
     assert minor_gcd(basis, nrows, rank) == minor_gcd(cols, nrows, rank) != 0
+    # the kernel's in-place contract: HNF first, then len(cols) - rank zeros
+    work = [list(c) for c in cols]
+    assert kernels.hnf_cols(work, nrows) == pivots
+    assert work[:rank] == basis
+    assert work[rank:] == [[0] * nrows for _ in range(len(cols) - rank)]
     return basis, pivots
 
 
@@ -81,6 +88,28 @@ class TestHnf:
             assert brute_force_member(col, mcols)
         for col in mcols:
             assert brute_force_member(col, hcols)
+
+    @pytest.mark.parametrize(
+        "cols, nrows",
+        [
+            # zero columns interleaved with live ones
+            ([[0, 0, 0], [2, 4, 0], [0, 0, 0], [0, 3, 6], [0, 0, 0]], 3),
+            # duplicate and negated columns
+            ([[1, 2, 3], [1, 2, 3], [-1, -2, -3], [0, 5, 1], [0, -5, -1]], 3),
+            # rank 2 in four rows, and a zero leading row
+            ([[0, 1, 2, 3], [0, 2, 4, 6], [0, 0, 1, 1]], 4),
+            # multiples of one column: all but one fall to zero at row 0
+            ([[2, 4, 6], [3, 6, 9], [-4, -8, -12]], 3),
+            # column 1 falls to zero at row 0, column 3 at row 1
+            ([[2, 1, 0], [4, 2, 0], [6, 4, 1], [4, 3, 1]], 3),
+            # a row with no entry between two pivot rows
+            ([[3, 0, 0, 5], [6, 0, 7, 0], [0, 0, 2, 4]], 4),
+            # more columns than rows, full rank with a nontrivial index
+            ([[4, 6], [6, 9], [10, 4], [-2, 7]], 2),
+        ],
+    )
+    def test_edge_cases(self, cols, nrows):
+        check_hnf_certificate(cols, nrows)
 
     def test_random_properties(self):
         rng = random.Random(3)
@@ -169,6 +198,14 @@ class TestLazardPieces:
         for n in range(9):
             assert model.lazard_piece(n).rank == partition_count(n)
 
+    def test_lazard_piece_matches_all_products_span(self):
+        # the all-products span, L_n by definition: a_ij * v for every
+        # generator a_ij of weight k and every basis vector v of L_{n-k}
+        model9 = LazardModel(9)
+        for n in range(1, 10):
+            old = model9._span(n, model9._law_gens).hnf_basis()
+            assert old == model9.lazard_piece(n).hnf_basis()
+
     def test_rational_rank_cross_check(self, model):
         pieces = (model.lazard_piece, model.ideal_piece, model.decomposables_piece)
         for n in range(9):
@@ -213,6 +250,11 @@ class TestQuotient:
         for n, group in enumerate(expected, start=1):
             _, indec = model.quotient_groups(n)
             assert (indec.torsion, indec.free_rank) == group
+
+    def test_closed_form_matches_table(self):
+        for n, group in EXPECTED_INDEC.items():
+            closed = indecomposables_closed_form(n)
+            assert (closed.torsion, closed.free_rank) == group, n
 
     def test_report_schema_and_determinism(self, model):
         rep1 = model.quotient_report(6)
