@@ -17,6 +17,12 @@ from . import fgl, genus, lattice
 from .core import Poly
 
 
+def _usage_error(message):
+    """One line on stderr and exit code 2, without argparse's usage block."""
+    sys.stderr.write(f"krichever: error: {message}\n")
+    sys.exit(2)
+
+
 def _emit(text, out):
     data = text if text.endswith("\n") else text + "\n"
     if out:
@@ -24,8 +30,7 @@ def _emit(text, out):
             with open(out, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(data)
         except OSError as exc:
-            sys.stderr.write(f"krichever: error: cannot write {out}: {exc.strerror}\n")
-            sys.exit(2)
+            _usage_error(f"cannot write {out}: {exc.strerror}")
     else:
         sys.stdout.write(data)
 
@@ -226,20 +231,30 @@ TABLES = {
 }
 
 
+def _check_order(order, least):
+    if order < least:
+        _usage_error(f"--order must be >= {least}")
+    if order > genus.ORDER_CEILING:
+        _usage_error(f"--order must be <= {genus.ORDER_CEILING}")
+
+
+def _check_max_weight(max_weight):
+    if not 1 <= max_weight <= lattice.WEIGHT_CEILING:
+        _usage_error(f"--max-weight must be between 1 and {lattice.WEIGHT_CEILING}")
+
+
 def run(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
 
     if args.command in TABLES:
-        if args.order < 1:
-            parser.error("--order must be >= 1")
+        _check_order(args.order, 1)
         table = TABLES[args.command](args.order)
         _emit(_table_output(table, args), args.out)
         return 0
 
     if args.command == "verify":
-        if args.order < 2:
-            parser.error("--order must be >= 2")
+        _check_order(args.order, 2)
         reports = _run_verify_suite(args.suite, args.order)
         _emit(
             _report_output(reports, args, {"suite": args.suite, "order": args.order}),
@@ -248,18 +263,13 @@ def run(argv=None):
         return 0 if all(r.passed for r in reports) else 1
 
     if args.command == "quotient":
-        if not 1 <= args.max_weight <= lattice.WEIGHT_CEILING:
-            parser.error(
-                f"--max-weight must be between 1 and {lattice.WEIGHT_CEILING}"
-            )
+        _check_max_weight(args.max_weight)
         _emit(_quotient_output(args.max_weight, args), args.out)
         return 0
 
     if args.command == "reproduce-paper":
-        if not 1 <= args.max_weight <= lattice.WEIGHT_CEILING:
-            parser.error(
-                f"--max-weight must be between 1 and {lattice.WEIGHT_CEILING}"
-            )
+        _check_max_weight(args.max_weight)
+        _check_order(args.order, 2)
         text, ok = _reproduce_paper(args)
         _emit(text, args.out)
         return 0 if ok else 1

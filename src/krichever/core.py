@@ -502,31 +502,59 @@ class Series1:
         return Series1(self.vars, n, inv)
 
     def compose(self, g):
-        """(self o g) for g with zero constant term, by Horner's rule."""
+        """(self o g) for g with zero constant term, as sum_j f_j g^j.
+
+        The powers g^j come from repeated multiplication by g.  Since g^j has
+        valuation j, each power costs less than a Horner step on a dense
+        accumulator would.
+        """
         self._check(g)
         if g.coeffs[0]:
             raise ValueError("composition needs zero constant term")
         n = min(self.order, g.order)
-        acc = Series1(self.vars, n, [self.coeffs[n]] + [Poly.zero(self.vars)] * n)
         gt = g.truncate(n)
-        for k in range(n - 1, -1, -1):
-            acc = acc.mul(gt) + self.coeffs[k]
-        return acc
+        out = [self.coeffs[0]] + [Poly.zero(self.vars)] * n
+        power = gt
+        for j in range(1, n + 1):
+            if j > 1:
+                power = power.mul(gt)
+            fj = self.coeffs[j]
+            if fj:
+                for k in range(j, n + 1):
+                    if power.coeffs[k]:
+                        out[k] = out[k] + fj * power.coeffs[k]
+        return Series1(self.vars, n, out)
 
     def revert(self):
-        """Compositional inverse of f = x + O(x^2), by triangular solve."""
+        """Compositional inverse g of f = x + O(x^2), from a table of powers.
+
+        ``P[j][k]`` is the x^k coefficient of g^j.  Its recurrence
+        ``P[j][k] = sum_{i=1}^{k-j+1} g_i * P[j-1][k-i]`` uses only g_1 ..
+        g_{k-1} for j >= 2, so column k of the table is known before g_k,
+        which then solves [x^k] f(g) = 0 as ``g_k = -sum_{j=2}^k f_j P[j][k]``.
+        That is about n^3/6 products, all in the coefficient ring.
+        """
         if self.coeffs[0] or self.coeffs[1] != Poly.one(self.vars):
             raise ValueError("reversion needs f = x + higher order")
         n = self.order
-        g = [Poly.zero(self.vars), Poly.one(self.vars)] + [Poly.zero(self.vars)] * (
-            n - 1
-        )
+        zero = Poly.zero(self.vars)
+        g = [zero, Poly.one(self.vars)]
+        # P[1] is g itself; row j >= 2 holds zeros below column j
+        P = [None, g]
         for k in range(2, n + 1):
-            fk = self.truncate(k)
-            gk = Series1(self.vars, k, g[: k + 1])
-            # g_k enters [x^k] f(g) linearly with unit coefficient
-            err = fk.compose(gk).coeffs[k]
-            g[k] = -err
+            acc = zero
+            for j in range(2, k + 1):
+                if j == len(P):
+                    P.append([zero] * j)
+                prev = P[j - 1]
+                s = zero
+                for i in range(1, k - j + 2):
+                    if g[i] and prev[k - i]:
+                        s = s + g[i] * prev[k - i]
+                P[j].append(s)
+                if self.coeffs[j] and s:
+                    acc = acc + self.coeffs[j] * s
+            g.append(-acc)
         return Series1(self.vars, n, g)
 
     def inv_sqrt(self):
@@ -798,14 +826,20 @@ def gauss_jordan(rows):
 
 
 def compose1(f, g2):
-    """Univariate f composed with a bivariate argument of valuation >= 1."""
+    """Univariate f composed with a bivariate g2 of valuation >= 1.
+
+    As in Series1.compose, the result is sum_j f_j g2^j with the powers
+    built by repeated multiplication; g2^j has valuation j.
+    """
     if (0, 0) in g2.coeffs:
         raise ValueError("composition needs zero constant term")
     n = min(f.order, g2.order)
     gt = g2.truncate(n)
-    acc = Series2(f.vars, n, {(0, 0): f.coeffs[n]})
-    for k in range(n - 1, -1, -1):
-        acc = acc.mul(gt)
-        if f.coeffs[k]:
-            acc = acc + Series2(f.vars, n, {(0, 0): f.coeffs[k]})
-    return acc
+    out = Series2(f.vars, n, {(0, 0): f.coeffs[0]})
+    power = gt
+    for j in range(1, n + 1):
+        if j > 1:
+            power = power.mul(gt)
+        if f.coeffs[j]:
+            out = out + power.mul_poly(f.coeffs[j])
+    return out

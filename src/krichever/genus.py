@@ -18,13 +18,13 @@ from .core import (
     Series2,
     compose1,
     cp_vars,
-    gauss_jordan,
     p_vars,
     q_vars,
-    weighted_monomials,
 )
 
 DEFAULT_ORDER = 8
+# Largest --order the CLI accepts; README lists the runtimes up to it.
+ORDER_CEILING = 16
 
 
 @dataclass(frozen=True)
@@ -195,10 +195,11 @@ def kappa_map(n=DEFAULT_ORDER, table=None):
 
 
 def kappa_inverse_table(n=DEFAULT_ORDER, kappa=None):
-    """Preimages kappa^{-1}(CP_i), solved weight by weight over Q.
+    """Preimages kappa^{-1}(CP_w), by back-substitution weight by weight.
 
-    kappa sends the weight-w graded piece of Q[CP] to itself; the leading
-    coefficient of kappa(CP_i) at CP_i is -i, so each system is invertible.
+    kappa(CP_w) = c_w*CP_w + R_w(CP_1..CP_{w-1}) with c_w = -w, and kappa is
+    a ring map, so kappa^{-1}(CP_w) = (CP_w - R_w(kappa^{-1}(CP_1), ...)) / c_w:
+    one substitution per weight, into the preimages already found.
     """
     if kappa is None:
         kappa = kappa_table(n)
@@ -206,26 +207,13 @@ def kappa_inverse_table(n=DEFAULT_ORDER, kappa=None):
     kmap = kappa_map(n, kappa)
     entries = {}
     for w in range(1, n + 1):
-        basis = weighted_monomials(cv, w)
-        size = len(basis)
-        pos = {e: k for k, e in enumerate(basis)}
-        cols = []
-        for e in basis:
-            img = kmap(Poly(cv, {e: 1}))
-            col = [0] * size
-            for ee, c in img.terms.items():
-                col[pos[ee]] = c
-            cols.append(col)
         target = Poly.var(cv, f"CP{w}")
-        t = pos[next(iter(target.terms))]
-        # the augmented system [kappa | e_t]; its last column becomes the solution
-        reduced, pivots = gauss_jordan(
-            [[col[i] for col in cols] + [int(i == t)] for i in range(size)]
-        )
-        if pivots != list(range(size)):
-            raise ValueError("singular linear system")
-        sol = [row[size] for row in reduced]
-        entries[w] = Poly(cv, {e: c for e, c in zip(basis, sol) if c})
+        c = kappa[w].coefficient(next(iter(target.terms)))
+        if not c:
+            raise ValueError(f"kappa(CP_{w}) has no CP_{w} term; kappa is not invertible")
+        rest = kappa[w] - target.scale(c)
+        images = {f"CP{i}": entries[i] for i in range(1, w)}
+        entries[w] = (target - rest.substitute(images, cv)).scale(1 / Fraction(c))
         if kmap(entries[w]) != target:
             raise AssertionError(f"kappa o kappa^-1 failed at weight {w}")
     return GenusTable("kappa_inv", n, cv, entries)

@@ -1,8 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
-from krichever import cli, lattice
+from krichever import cli, genus, lattice
 from krichever.core import Poly, VarTable
 
 
@@ -85,6 +86,65 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             cli.run(argv)
         assert exc.value.code == 2
+
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["reproduce-paper", "--order", "1"], "--order must be >= 2"),
+            (["reproduce-paper", "--order", "0"], "--order must be >= 2"),
+            (["reproduce-paper", "--order", "-3"], "--order must be >= 2"),
+            (["verify", "--order", "1"], "--order must be >= 2"),
+            (["psi", "--order", "0"], "--order must be >= 1"),
+            (["quotient", "--max-weight", "0"], "--max-weight must be between 1 and 13"),
+        ]
+        + [
+            (
+                [command, "--order", str(genus.ORDER_CEILING + 1)],
+                f"--order must be <= {genus.ORDER_CEILING}",
+            )
+            for command in (*cli.TABLES, "verify", "reproduce-paper")
+        ],
+    )
+    def test_out_of_range_is_one_line(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.run(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"krichever: error: {message}\n"
+
+    def test_order_ceiling_is_accepted(self, capsys):
+        code, out = run(capsys, "psi", "--order", str(genus.ORDER_CEILING))
+        assert code == 0
+        assert f"psi(CP_{genus.ORDER_CEILING}) = " in out
+
+
+class TestGoldenDigests:
+    # sha256 of stdout as computed with kappa^{-1} from a dense Gauss-Jordan
+    # solve and Horner-rule series composition (the oracles in test_genus and
+    # test_core): a series or kernel change must leave these bytes alone.
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ["kappa-inv", "--order", "10", "--format", "json"],
+                "556e271261af8294ca026e09690992e6425ba51b725997681557488caa0ee6d7",
+            ),
+            (
+                ["phi-kh", "--order", "10", "--format", "json"],
+                "6c315c0706a6b27c4d41740c8663ba26c3f8c428fa307f581dad56ac685ee3fb",
+            ),
+            (
+                ["verify", "--suite", "all", "--order", "8", "--format", "json"],
+                "e6f8873b6ba7533839f4790c9e97a36f7cc7e37e38f78a7e54abe3e2b2f970cf",
+            ),
+        ],
+    )
+    def test_stdout_digest(self, argv, digest, capsys):
+        code, out = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 class TestDeterminism:

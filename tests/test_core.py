@@ -27,6 +27,39 @@ def scalar_series(coeffs, order=None):
     return Series1.from_scalars(SCALARS, order, coeffs)
 
 
+# Reference oracles: composition by Horner's rule, and reversion that
+# recomposes f o g at every step.  Slow, but independent of the sums of
+# powers and the table of powers that compose, compose1 and revert use.
+def horner_compose(f, g):
+    n = min(f.order, g.order)
+    acc = Series1(f.vars, n, [f.coeffs[n]] + [Poly.zero(f.vars)] * n)
+    gt = g.truncate(n)
+    for k in range(n - 1, -1, -1):
+        acc = acc.mul(gt) + f.coeffs[k]
+    return acc
+
+
+def horner_compose1(f, g2):
+    n = min(f.order, g2.order)
+    gt = g2.truncate(n)
+    acc = Series2(f.vars, n, {(0, 0): f.coeffs[n]})
+    for k in range(n - 1, -1, -1):
+        acc = acc.mul(gt)
+        if f.coeffs[k]:
+            acc = acc + Series2(f.vars, n, {(0, 0): f.coeffs[k]})
+    return acc
+
+
+def recompose_revert(f):
+    n = f.order
+    g = [Poly.zero(f.vars), Poly.one(f.vars)] + [Poly.zero(f.vars)] * (n - 1)
+    for k in range(2, n + 1):
+        # g_k enters [x^k] f(g) linearly with unit coefficient
+        err = horner_compose(f.truncate(k), Series1(f.vars, k, g[: k + 1])).coeffs[k]
+        g[k] = -err
+    return Series1(f.vars, n, g)
+
+
 class TestPoly:
     def test_arithmetic(self):
         pv = p_vars()
@@ -256,6 +289,88 @@ class TestRoundTripProperties:
         f = scalar_series(coeffs)
         r = f.inv_sqrt()
         assert r.mul(r).mul(f.truncate(r.order)) == Series1.one(SCALARS, f.order)
+
+
+def polys(vars, scalars):
+    """Small polynomials, not necessarily homogeneous, over ``vars``."""
+    monomials = st.tuples(*[st.integers(0, 2)] * len(vars.names))
+    return st.dictionaries(monomials, scalars, max_size=3).map(
+        lambda terms: Poly(vars, terms)
+    )
+
+
+def series(vars, scalars, head, max_tail=4):
+    """Series with the given leading scalars and random polynomial tail."""
+    return st.lists(polys(vars, scalars), min_size=1, max_size=max_tail).map(
+        lambda tail: Series1(
+            vars, len(head) + len(tail) - 1, [Poly.const(vars, c) for c in head] + tail
+        )
+    )
+
+
+def bivariate(vars, scalars, order=4):
+    """Series2 of valuation >= 1 with a few random polynomial coefficients."""
+    slots = [(i, j) for i in range(order + 1) for j in range(order + 1 - i) if i + j]
+    return st.dictionaries(st.sampled_from(slots), polys(vars, scalars), max_size=4).map(
+        lambda coeffs: Series2(vars, order, coeffs)
+    )
+
+
+RINGS = {
+    "Q[CP1..CP4]": (cp_vars(4), small_fractions),
+    "Z[b1..b5]": (b_vars(5), st.integers(-5, 5)),
+}
+
+
+def _all_int(coeffs):
+    return all(type(c) is int for p in coeffs for c in p.terms.values())
+
+
+class TestSeriesAgainstReference:
+    @pytest.mark.parametrize("ring", RINGS)
+    def test_revert_matches_recompose(self, ring):
+        vars, scalars = RINGS[ring]
+
+        @given(series(vars, scalars, [0, 1]))
+        @settings(max_examples=40, deadline=None)
+        def check(f):
+            g = f.revert()
+            assert g == recompose_revert(f)
+            assert horner_compose(f, g) == Series1.identity(vars, f.order)
+            if ring.startswith("Z"):
+                assert _all_int(g.coeffs)
+
+        check()
+
+    @pytest.mark.parametrize("ring", RINGS)
+    def test_compose_matches_horner(self, ring):
+        vars, scalars = RINGS[ring]
+
+        @given(series(vars, scalars, [], max_tail=6), series(vars, scalars, [0]))
+        @settings(max_examples=40, deadline=None)
+        def check(f, g):
+            h = f.compose(g)
+            assert h == horner_compose(f, g)
+            assert h.order == min(f.order, g.order)
+            if ring.startswith("Z"):
+                assert _all_int(h.coeffs)
+
+        check()
+
+    @pytest.mark.parametrize("ring", RINGS)
+    def test_compose1_matches_horner(self, ring):
+        vars, scalars = RINGS[ring]
+
+        @given(series(vars, scalars, [], max_tail=6), bivariate(vars, scalars))
+        @settings(max_examples=40, deadline=None)
+        def check(f, g2):
+            h = compose1(f, g2)
+            assert h == horner_compose1(f, g2)
+            assert h.order == min(f.order, g2.order)
+            if ring.startswith("Z"):
+                assert _all_int(h.coeffs.values())
+
+        check()
 
 
 class TestSeries2:

@@ -4,7 +4,15 @@ from fractions import Fraction
 import pytest
 
 from krichever import genus
-from krichever.core import Poly, Series1, cp_vars, p_vars, q_vars
+from krichever.core import (
+    Poly,
+    Series1,
+    cp_vars,
+    gauss_jordan,
+    p_vars,
+    q_vars,
+    weighted_monomials,
+)
 
 # values printed in the source tables, entered verbatim
 PSI_VALUES = {
@@ -69,7 +77,64 @@ class TestKappa:
             assert table[i].is_homogeneous(i)
 
 
+def gauss_jordan_kappa_inverse(n):
+    """Reference oracle: kappa^{-1}(CP_w) from the dense weight-w system.
+
+    kappa on every weight-w monomial gives the columns, and Gauss-Jordan on
+    [kappa | e_{CP_w}] leaves the preimage in the last column.
+    """
+    kappa = genus.kappa_table(n)
+    cv = kappa.vars
+    kmap = genus.kappa_map(n, kappa)
+    entries = {}
+    for w in range(1, n + 1):
+        basis = weighted_monomials(cv, w)
+        size = len(basis)
+        pos = {e: k for k, e in enumerate(basis)}
+        cols = []
+        for e in basis:
+            col = [0] * size
+            for ee, c in kmap(Poly(cv, {e: 1})).terms.items():
+                col[pos[ee]] = c
+            cols.append(col)
+        t = pos[next(iter(Poly.var(cv, f"CP{w}").terms))]
+        reduced, pivots = gauss_jordan(
+            [[col[i] for col in cols] + [int(i == t)] for i in range(size)]
+        )
+        assert pivots == list(range(size))
+        entries[w] = Poly(cv, {e: row[size] for e, row in zip(basis, reduced)})
+    return entries
+
+
 class TestKappaInverse:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_matches_gauss_jordan_solve(self, n):
+        kinv = genus.kappa_inverse_table(n)
+        expected = gauss_jordan_kappa_inverse(n)
+        for w in range(1, n + 1):
+            assert kinv[w] == expected[w], f"kappa_inv(CP_{w})"
+            assert kinv[w].text() == expected[w].text()
+
+    def test_leading_coefficient_is_minus_weight(self):
+        table = genus.kappa_table(8)
+        for w in range(1, 9):
+            assert table[w].coefficient([int(i == w) for i in range(1, 9)]) == -w
+
+    def test_missing_linear_term_is_refused(self, monkeypatch):
+        real = genus.kappa_table
+
+        def no_cp2_term(n):
+            table = real(n)
+            cv = table.vars
+            entries = dict(table.entries)
+            entries[2] = table[2] + Poly.var(cv, "CP2", coeff=2)
+            assert entries[2] == Poly.parse("3*CP1^2", cv)
+            return genus.GenusTable("kappa", n, cv, entries)
+
+        monkeypatch.setattr(genus, "kappa_table", no_cp2_term)
+        with pytest.raises(ValueError, match="CP_2"):
+            genus.kappa_inverse_table(3)
+
     def test_low_entries(self):
         table = genus.kappa_inverse_table(4)
         cv = table.vars
@@ -91,8 +156,6 @@ class TestKappaInverse:
         cv = kinv.vars
         kmap = genus.kappa_map(n)
         inv_map = genus.RingMap(cv, {f"CP{i}": kinv[i] for i in range(1, n + 1)}, cv)
-        from krichever.core import weighted_monomials
-
         for w in range(1, n + 1):
             for e in weighted_monomials(cv, w):
                 m = Poly(cv, {e: Fraction(1)})
