@@ -1,10 +1,12 @@
 """The polynomial and integer-lattice kernels.
 
 These are the hot inner loops of the whole package: sparse-polynomial
-multiplication (every series operation bottoms out here) and the integer
-column eliminations behind Hermite/Smith normal forms.
+multiplication (every series operation bottoms out here) and the one
+integer column elimination, the Hermite normal form.  The Smith normal form
+is read off by alternating that elimination on a matrix and its transpose.
 """
 
+from math import gcd
 from operator import add
 
 BACKEND_NAME = "python"
@@ -90,85 +92,29 @@ def _col_submul(col, src, q, start):
     col[start:] = [v - q * w for v, w in zip(col[start:], src[start:])]
 
 
-def snf_diag(rows):
-    """Smith normal form diagonal of an integer matrix (list of rows).
+def snf_diag(cols):
+    """Smith normal form diagonal of the integer matrix with columns ``cols``.
 
-    Destroys ``rows``.  Returns the list of nonzero invariant factors
-    d_1 | d_2 | ... (positive, divisibility chain).
+    A matrix and its transpose have the same Smith form, so rows serve as
+    well as columns; the list and its columns are destroyed.  Column Hermite
+    forms of the matrix and of its transpose alternate until every column
+    has a single nonzero entry (Kannan & Bachem, SIAM J. Comput. 8, 1979):
+    each pass leaves a first pivot that divides the previous one, and a pass
+    that keeps it has cleared its row and column.  Returns the nonzero
+    invariant factors d_1 | d_2 | ... (positive, divisibility chain).
     """
-    if not rows or not rows[0]:
-        return []
-    m = len(rows)
-    n = len(rows[0])
-    diag = []
-    t = 0
-    while t < min(m, n):
-        # locate the smallest nonzero entry in the remaining block
-        pi = pj = -1
-        pv = 0
-        for i in range(t, m):
-            row = rows[i]
-            for j in range(t, n):
-                v = row[j]
-                if v and (pi < 0 or abs(v) < pv):
-                    pi, pj, pv = i, j, abs(v)
-        if pi < 0:
+    while True:
+        pivots = hnf_cols(cols, len(cols[0]) if cols else 0)
+        del cols[len(pivots) :]
+        # columns are zero above their pivots: one nonzero means none below
+        if not any(any(col[r + 1 :]) for col, r in zip(cols, pivots)):
             break
-        rows[t], rows[pi] = rows[pi], rows[t]
-        if pj != t:
-            for row in rows:
-                row[t], row[pj] = row[pj], row[t]
-        while True:
-            # clear column t below the pivot
-            again = False
-            piv = rows[t][t]
-            for i in range(t + 1, m):
-                v = rows[i][t]
-                if v:
-                    q = v // piv
-                    if q:
-                        ri, rt = rows[i], rows[t]
-                        ri[t:] = [v - q * w for v, w in zip(ri[t:], rt[t:])]
-                    if rows[i][t]:
-                        rows[t], rows[i] = rows[i], rows[t]
-                        again = True
-                        break
-            if again:
-                continue
-            # clear row t right of the pivot
-            piv = rows[t][t]
-            rt = rows[t]
-            for j in range(t + 1, n):
-                v = rt[j]
-                if v:
-                    q = v // piv
-                    if q:
-                        for row in rows:
-                            row[j] -= q * row[t]
-                    if rt[j]:
-                        for row in rows:
-                            row[t], row[j] = row[j], row[t]
-                        again = True
-                        break
-            if again:
-                continue
-            # pivot must divide every remaining entry
-            piv = rows[t][t]
-            fix = False
-            for i in range(t + 1, m):
-                row = rows[i]
-                for j in range(t + 1, n):
-                    if row[j] % piv:
-                        rt = rows[t]
-                        for k in range(t, n):
-                            rt[k] += row[k]
-                        fix = True
-                        break
-                if fix:
-                    break
-            if not fix:
-                break
-        piv = rows[t][t]
-        diag.append(piv if piv > 0 else -piv)
-        t += 1
+        cols = [list(row) for row in zip(*cols)]
+    diag = [col[r] for col, r in zip(cols, pivots)]
+    # (gcd, lcm) on every pair in order sorts each prime's exponents
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            a, b = diag[i], diag[j]
+            g = gcd(a, b)
+            diag[i], diag[j] = g, a // g * b
     return diag

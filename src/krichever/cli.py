@@ -115,10 +115,8 @@ def _quotient_output(max_weight, args):
         )
     lines = []
     for rep in reports:
-        q = lattice.InvariantFactors(tuple(rep["Q"]["torsion"]), rep["Q"]["free"])
-        ind = lattice.InvariantFactors(
-            tuple(rep["Indec"]["torsion"]), rep["Indec"]["free"]
-        )
+        q = lattice.InvariantFactors.from_json(rep["Q"])
+        ind = lattice.InvariantFactors.from_json(rep["Indec"])
         lines.append(
             f"n={rep['n']:>2}  rank L={rep['rank_L']:>3}  rank I={rep['rank_I']:>3}  "
             f"Q = {q.describe():<24} Indec = {ind.describe()}"
@@ -173,9 +171,7 @@ def _reproduce_paper(args):
     model = lattice.LazardModel(args.max_weight)
     for n in range(1, args.max_weight + 1):
         rep = model.quotient_report(n)
-        ind = lattice.InvariantFactors(
-            tuple(rep["Indec"]["torsion"]), rep["Indec"]["free"]
-        )
+        ind = lattice.InvariantFactors.from_json(rep["Indec"])
         expected = lattice.InvariantFactors(*EXPECTED_INDEC[n])
         good = ind == expected
         ok &= good

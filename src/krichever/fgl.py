@@ -10,7 +10,7 @@ residual form of the quotient law.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import Poly, Series1, Series2, b_vars, compose1
@@ -31,11 +31,6 @@ class FglData:
     omega: Series1
     omega_hat: Series1 | None = None
     A: Series2 | None = None
-    A_coeffs: dict = field(default_factory=dict)
-
-    def a_coefficient(self, i, j):
-        """a_ij = [x^i y^j] F (symmetric)."""
-        return self.F.coefficient(i, j)
 
 
 def build_universal_fgl(w=DEFAULT_WEIGHT):
@@ -93,10 +88,10 @@ def _xwy_ywx(fgl):
 
 
 def compute_A(fgl):
-    """Fill A = F * (x omega(y) - y omega(x)) and the table of A_ij.
+    """Fill A = F * (x omega(y) - y omega(x)), whose coefficients are the A_ij.
 
     The product is valid to total degree W+2 because the second factor has
-    no constant term.  A_ij is stored for every i + j <= W+2; antisymmetry,
+    no constant term, so it holds A_ij for every i + j <= W+2; antisymmetry,
     integrality and homogeneity (weight i + j - 2) are asserted.
     """
     w, bv = fgl.weight, fgl.vars
@@ -109,9 +104,6 @@ def compute_A(fgl):
     if not A.is_graded(-2):
         raise AssertionError("A is not graded")
     fgl.A = A
-    fgl.A_coeffs = {
-        (i, j): c for (i, j), c in A.coeffs.items()
-    }
     return fgl
 
 

@@ -42,13 +42,9 @@ class InvariantFactors:
 
     @classmethod
     def from_presentation(cls, ambient_rank, relation_columns):
-        """Invariant factors of Z^r / column-span."""
-        if not relation_columns:
-            return cls((), ambient_rank)
-        rows = [
-            [col[i] for col in relation_columns] for i in range(ambient_rank)
-        ]
-        diag = kernels.snf_diag(rows)
+        """Invariant factors of Z^r / column-span.  ``relation_columns`` is
+        not modified."""
+        diag = kernels.snf_diag([list(c) for c in relation_columns])
         torsion = tuple(d for d in diag if d != 1)
         return cls(torsion, ambient_rank - len(diag))
 
@@ -58,6 +54,11 @@ class InvariantFactors:
 
     def to_json(self):
         return {"free": self.free_rank, "torsion": list(self.torsion)}
+
+    @classmethod
+    def from_json(cls, data):
+        """Inverse of :meth:`to_json`."""
+        return cls(tuple(data["torsion"]), data["free"])
 
 
 class BasisIndex:

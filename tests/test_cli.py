@@ -123,7 +123,10 @@ class TestUsageErrors:
 class TestGoldenDigests:
     # sha256 of stdout as computed with kappa^{-1} from a dense Gauss-Jordan
     # solve and Horner-rule series composition (the oracles in test_genus and
-    # test_core): a series or kernel change must leave these bytes alone.
+    # test_core), and the quotient with a Smith elimination of its own that
+    # cleared rows and columns pivot by pivot: a series or kernel change must
+    # leave these bytes alone.  The quotient pin covers the printed torsion of
+    # Q_n (Z/2 at n = 6, 8 and (Z/2)^2 at n = 10).
     @pytest.mark.parametrize(
         "argv, digest",
         [
@@ -138,6 +141,10 @@ class TestGoldenDigests:
             (
                 ["verify", "--suite", "all", "--order", "8", "--format", "json"],
                 "e6f8873b6ba7533839f4790c9e97a36f7cc7e37e38f78a7e54abe3e2b2f970cf",
+            ),
+            (
+                ["quotient", "--max-weight", "11", "--format", "json"],
+                "8d35de9cd20dab50ffd29670a8ff14c6b2f89653d68ea1acea31e8f90a113d86",
             ),
         ],
     )

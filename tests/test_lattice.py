@@ -169,6 +169,35 @@ class TestSnf:
             for a, b in zip(diag, diag[1:]):
                 assert b % a == 0
 
+    @pytest.mark.parametrize(
+        "rows, expected",
+        [
+            # diagonal but not a divisibility chain: needs the gcd/lcm step
+            ([[4, 0], [0, 6]], [2, 12]),
+            ([[6, 4], [4, 6]], [2, 10]),
+            # five alternating passes when read as rows, two as columns
+            ([[3, 4, 9], [9, 0, -9], [8, -5, 4]], [1, 1, 972]),
+            # as columns, the only entry below a pivot is in the last column
+            ([[1, 0, 0], [0, 2, 0], [0, 1, 2]], [1, 1, 4]),
+            # wide, and (as columns) tall
+            ([[2, 4, 6, 8, 10], [3, 6, 9, 12, 16]], [1, 2]),
+            # zero columns between nonzero ones
+            ([[0, 6, 0, 4, 0], [0, 0, 0, 10, 0], [0, 9, 0, 0, 0]], [1, 6]),
+            # negative entries
+            ([[-3, 0], [0, -5]], [1, 15]),
+            ([[-2, -4], [-6, -8]], [2, 4]),
+            # rank-deficient
+            ([[1, 2, 3], [2, 4, 6], [3, 6, 9]], [1]),
+            ([[2, 4], [4, 8]], [2]),
+        ],
+    )
+    def test_edge_shapes(self, rows, expected):
+        cols = [list(c) for c in zip(*rows)]
+        for k in range(1, len(expected) + 1):
+            assert math.prod(expected[:k]) == minor_gcd(cols, len(rows), k)
+        assert kernels.snf_diag([list(r) for r in rows]) == expected
+        assert kernels.snf_diag(cols) == expected
+
 
 class TestInvariantFactors:
     def test_cokernel(self):
@@ -182,6 +211,64 @@ class TestInvariantFactors:
         inv = InvariantFactors.from_presentation(3, [[1, 0, 0]])
         assert (inv.torsion, inv.free_rank) == ((), 2)
         assert inv.describe() == "Z + Z"
+
+    def test_json_round_trip(self):
+        for inv in (InvariantFactors((2, 4), 3), InvariantFactors((), 0)):
+            data = json.loads(json.dumps(inv.to_json()))
+            assert InvariantFactors.from_json(data) == inv
+
+
+def rank_mod_p(columns, p):
+    """Rank over F_p by Gaussian elimination (independent of HNF and SNF).
+
+    Eliminates on the transpose: each column becomes a row.
+    """
+    rows = [[v % p for v in col] for col in columns]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        top = rows[rank]
+        inv = pow(top[c], -1, p)
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c] * inv % p
+            if f:
+                rows[i] = [(v - f * w) % p for v, w in zip(rows[i], top)]
+        rank += 1
+    return rank
+
+
+class TestSmithOracle:
+    def test_invariant_factors_against_ranks(self, monkeypatch):
+        # For a relation matrix R with Smith diagonal d_1 | d_2 | ...,
+        # rank_Q R is the number of d_i, and rank_Fp R drops by one for
+        # every d_i divisible by p.
+        presentations = []
+        real = vars(InvariantFactors)["from_presentation"].__func__
+
+        def record(cls, ambient_rank, relation_columns):
+            presentations.append((ambient_rank, [list(c) for c in relation_columns]))
+            return real(cls, ambient_rank, relation_columns)
+
+        monkeypatch.setattr(InvariantFactors, "from_presentation", classmethod(record))
+        model10 = LazardModel(10)
+        groups = [g for n in range(1, 11) for g in model10.quotient_groups(n)]
+        assert len(presentations) == len(groups) == 20
+        torsion_seen = set()
+        for (r, cols), group in zip(presentations, groups):
+            diag = kernels.snf_diag([list(c) for c in cols])
+            torsion = tuple(d for d in diag if d != 1)
+            assert group == InvariantFactors(torsion, r - len(diag))
+            rank = rational_rank(cols, r)
+            assert rank == len(diag)
+            for p in (2, 3, 5, 7, 11, 13):
+                divisible = sum(1 for d in diag if d % p == 0)
+                assert divisible == rank - rank_mod_p(cols, p)
+                if divisible:
+                    torsion_seen.add(p)
+        assert torsion_seen == {2, 3, 5, 7}
 
 
 @pytest.fixture(scope="module")
