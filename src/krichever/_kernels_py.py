@@ -2,10 +2,14 @@
 
 These are the hot inner loops of the whole package: sparse-polynomial
 multiplication (every series operation bottoms out here) and the one
-integer column elimination, the Hermite normal form.  The Smith normal form
-is read off by alternating that elimination on a matrix and its transpose.
+integer column elimination, the Hermite normal form, built by inserting
+one column at a time into a reduced echelon basis (Kannan & Bachem 1979;
+Cohen, GTM 138, section 2.4), which holds down the growth of intermediate
+entries.  The Smith normal form is read off by alternating that
+elimination on a matrix and its transpose.
 """
 
+from bisect import bisect_right, insort
 from math import gcd
 from operator import add
 
@@ -39,52 +43,85 @@ def hnf_cols(cols, nrows):
     first ``rank`` columns are the HNF basis (pivots positive, entries to
     the left of a pivot reduced into [0, pivot)), the remaining columns are
     zero.  Returns the list of pivot rows.
+
+    The basis is built by column insertion with full reduction (Kannan &
+    Bachem, SIAM J. Comput. 8, 1979; Cohen, GTM 138, section 2.4).  Columns
+    go in lowest first nonzero row first, so the bottom of the basis fills
+    in before the columns that walk through it.  A column v walks down from
+    its first nonzero row r.  With no pivot at r it becomes the pivot column
+    there, sign normalised.  Otherwise it is reduced modulo the pivot a of
+    the pivot column h, and a nonzero remainder b takes an extended-gcd step
+    g = s a + t b: h becomes s h + t v, and (a/g) v - (b/g) h, zero at r,
+    walks on.  Every new or changed pivot column is reduced at the pivot
+    rows below its own, and the walking column at each pivot row it reaches;
+    this is what keeps the entries small.  A last pass reduces each column
+    at the pivots to its right, which makes the basis canonical.
     """
-    basis = []
-    pivot_rows = []
-    # Columns not yet pivots.  When row r is eliminated every one of them
-    # is zero above r, so updates touch rows r.. only, and a column that
-    # falls to zero is dropped for good.
-    live = [col for col in cols if any(col)]
-    for r in range(nrows):
-        if not live:
-            break
-        # gcd-eliminate row r among the live columns until one survivor
-        while True:
-            jmin = -1
-            vmin = 0
-            nonzero = 0
-            for j, col in enumerate(live):
-                v = col[r]
-                if v:
-                    nonzero += 1
-                    if jmin < 0 or abs(v) < vmin:
-                        jmin = j
-                        vmin = abs(v)
-            if nonzero <= 1:
+    basis = {}  # pivot row -> the column whose pivot is there
+    rows = []  # the pivot rows, ascending
+    starts = [(_next_nonzero(v, 0, nrows), v) for v in cols]
+    # stable: columns that start on the same row keep their order
+    starts.sort(key=lambda pair: pair[0], reverse=True)
+    for r, v in starts:
+        while r < nrows:
+            h = basis.get(r)
+            if h is None:
+                if v[r] < 0:
+                    v[r:] = [-x for x in v[r:]]
+                _reduce_below(v, r, basis, rows)
+                basis[r] = v
+                insort(rows, r)
                 break
-            src = live[jmin]
-            pv = src[r]
-            for j, col in enumerate(live):
-                if j != jmin and col[r]:
-                    q = col[r] // pv
-                    if q:
-                        _col_submul(col, src, q, r)
-        if jmin < 0:
-            continue
-        piv = live.pop(jmin)
-        if piv[r] < 0:
-            piv[r:] = [-v for v in piv[r:]]
-        pv = piv[r]
-        for col in basis:
-            q = col[r] // pv
+            a = h[r]
+            q = v[r] // a
             if q:
-                _col_submul(col, piv, q, r)
-        basis.append(piv)
-        pivot_rows.append(r)
-        live = [col for col in live if any(col[r + 1 :])]
-    cols[:] = basis + [[0] * nrows for _ in range(len(cols) - len(basis))]
-    return pivot_rows
+                _col_submul(v, h, q, r)
+            b = v[r]
+            if b:
+                g, s, t = _xgcd(a, b)
+                ag, bg = a // g, b // g
+                hs, vs = h[r:], v[r:]
+                h[r:] = [s * x + t * y for x, y in zip(hs, vs)]
+                v[r:] = [ag * y - bg * x for x, y in zip(hs, vs)]
+                _reduce_below(h, r, basis, rows)
+            r = _next_nonzero(v, r + 1, nrows)
+    out = [basis[r] for r in rows]
+    for j, r in enumerate(rows):
+        h = out[j]
+        p = h[r]
+        for col in out[:j]:
+            q = col[r] // p
+            if q:
+                _col_submul(col, h, q, r)
+    cols[:] = out + [[0] * nrows for _ in range(len(cols) - len(out))]
+    return rows
+
+
+def _next_nonzero(col, r, nrows):
+    while r < nrows and not col[r]:
+        r += 1
+    return r
+
+
+def _reduce_below(col, r, basis, rows):
+    """Reduce ``col`` at every pivot row below ``r``, top down."""
+    for rr in rows[bisect_right(rows, r) :]:
+        if col[rr]:
+            h = basis[rr]
+            q = col[rr] // h[rr]
+            if q:
+                _col_submul(col, h, q, rr)
+
+
+def _xgcd(a, b):
+    """(g, s, t) with g = gcd(a, b) = s a + t b, for a > b > 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, rem = divmod(a, b)
+        a, b = b, rem
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return a, s0, t0
 
 
 def _col_submul(col, src, q, start):

@@ -132,7 +132,7 @@ def golden_table(name):
 
 
 # Indec_n as (torsion, free rank) for n = 1..WEIGHT_CEILING: Z up to weight 4,
-# then the torsion left by the relations A_ij = 0 (trivial at n = 10 and 12).
+# then the torsion left by the relations A_ij = 0 (trivial at n = 10, 12 and 15).
 EXPECTED_INDEC = {
     1: ((), 1),
     2: ((), 1),
@@ -147,6 +147,8 @@ EXPECTED_INDEC = {
     11: ((11,), 0),
     12: ((), 0),
     13: ((13,), 0),
+    14: ((2,), 0),
+    15: ((), 0),
 }
 
 

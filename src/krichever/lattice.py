@@ -18,7 +18,7 @@ from .core import Poly, gauss_jordan, weighted_monomials
 from .fgl import build_universal_fgl, compute_A
 
 DEFAULT_MAX_WEIGHT = 8
-WEIGHT_CEILING = 13
+WEIGHT_CEILING = 15
 
 
 def hnf_columns(cols, nrows):
@@ -110,13 +110,13 @@ class Lattice:
         cols = self._reduce()
         out = [0] * len(cols)
         for k, (c, r) in enumerate(zip(cols, self._pivots)):
-            if v[r] % c[r]:
+            q, rem = divmod(v[r], c[r])
+            if rem:
                 raise ValueError("vector not in lattice")
-            q = v[r] // c[r]
             out[k] = q
             if q:
-                for i in range(len(v)):
-                    v[i] -= q * c[i]
+                # c is zero above its pivot row r
+                v[r:] = [a - q * b for a, b in zip(v[r:], c[r:])]
         if any(v):
             raise ValueError("vector not in lattice")
         return out

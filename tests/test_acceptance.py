@@ -91,9 +91,31 @@ def test_criterion_7_A_expansion_and_residual(fgl10):
     _done("7. A_ij expansion on min(i,j) <= 2 and residual supported on i,j >= 3")
 
 
-def test_criterion_8_quotient_weight_thirteen():
+@pytest.fixture(scope="module")
+def quotients13():
+    """{n: (Q_n, Indec_n)} for n = 1..13, and the seconds it took."""
     t0 = time.perf_counter()
     model = lattice.LazardModel(13)
+    groups = {n: model.quotient_groups(n) for n in range(1, 14)}
+    return groups, time.perf_counter() - t0
+
+
+def partitions_at_most_four_parts(n):
+    """p(n; parts <= 4), the number of partitions of n into parts 1..4.
+
+    A partition with at most four parts is conjugate to one with parts of
+    size at most four, so this counts the monomials of weight n in four
+    generators of weights 1, 2, 3, 4: the ranks of Z[q1..q4] by weight.
+    """
+    counts = [1] + [0] * n
+    for part in (1, 2, 3, 4):
+        for m in range(part, n + 1):
+            counts[m] += counts[m - part]
+    return counts[n]
+
+
+def test_criterion_8_quotient_weight_thirteen(quotients13):
+    groups, elapsed = quotients13
     expected = [((), 1)] * 4 + [
         ((5,), 0),
         ((2,), 0),
@@ -105,18 +127,27 @@ def test_criterion_8_quotient_weight_thirteen():
         ((), 0),
         ((13,), 0),
     ]
-    computed = {}
-    for n in range(1, 14):
-        _, indec = model.quotient_groups(n)
-        computed[n] = indec
+    computed = {n: indec for n, (_, indec) in groups.items()}
     for n, group in enumerate(expected, start=1):
         assert (computed[n].torsion, computed[n].free_rank) == group, (n, computed[n])
         assert computed[n] == lattice.indecomposables_closed_form(n), n
-    elapsed = time.perf_counter() - t0
     assert elapsed < 600.0
     lines = ", ".join(f"Indec_{n}={g.describe()}" for n, g in computed.items())
     print(f"    computed: {lines}")
-    _done("8. quotient structure at weight <= 13 matches the relation list", t0)
+    _done(f"8. quotient structure at weight <= 13 matches the relation list ({elapsed:.2f}s)")
+
+
+def test_criterion_8_quotient_rings(quotients13):
+    # Q_n = L_n / I_n has the free rank of Z[q1..q4] in weight n, and its
+    # torsion is (Z/2)^k with k = 1, 1, 2, 3 at n = 6, 8, 10, 12.
+    groups, _ = quotients13
+    ranks = [partitions_at_most_four_parts(n) for n in range(1, 14)]
+    assert ranks == [1, 2, 3, 5, 6, 9, 11, 15, 18, 23, 27, 34, 39]
+    two_torsion = {6: 1, 8: 1, 10: 2, 12: 3}
+    for n, (q, _) in groups.items():
+        assert q.free_rank == ranks[n - 1], (n, q)
+        assert q.torsion == (2,) * two_torsion.get(n, 0), (n, q)
+    _done("8. Q_n = Z^p(n; parts <= 4) + (Z/2)^k for n <= 13")
 
 
 def test_criterion_9_property_suites(fgl10):

@@ -7,6 +7,9 @@ from krichever import cli, genus, lattice
 from krichever.core import Poly, VarTable
 
 
+MAX_WEIGHT_MESSAGE = f"--max-weight must be between 1 and {lattice.WEIGHT_CEILING}"
+
+
 def run(capsys, *argv):
     code = cli.run(list(argv))
     return code, capsys.readouterr().out
@@ -96,7 +99,7 @@ class TestUsageErrors:
             (["reproduce-paper", "--order", "-3"], "--order must be >= 2"),
             (["verify", "--order", "1"], "--order must be >= 2"),
             (["psi", "--order", "0"], "--order must be >= 1"),
-            (["quotient", "--max-weight", "0"], "--max-weight must be between 1 and 13"),
+            (["quotient", "--max-weight", "0"], MAX_WEIGHT_MESSAGE),
         ]
         + [
             (
@@ -104,7 +107,8 @@ class TestUsageErrors:
                 f"--order must be <= {genus.ORDER_CEILING}",
             )
             for command in (*cli.TABLES, "verify", "reproduce-paper")
-        ],
+        ]
+        + [(["quotient", "--max-weight", str(lattice.WEIGHT_CEILING + 1)], MAX_WEIGHT_MESSAGE)],
     )
     def test_out_of_range_is_one_line(self, argv, message, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -5,11 +5,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from krichever import _kernels_py
 from krichever.backend import kernels
 from krichever.cli import EXPECTED_INDEC
 from krichever.lattice import (
     InvariantFactors,
+    WEIGHT_CEILING,
     LazardModel,
     hnf_columns,
     indecomposables_closed_form,
@@ -73,6 +77,93 @@ def check_hnf_certificate(cols, nrows):
     return basis, pivots
 
 
+def reference_hnf_cols(cols, nrows):
+    """The minimum-pivot column HNF, an oracle for ``kernels.hnf_cols``.
+
+    Same contract as the kernel.  Row by row, the live column with the
+    smallest nonzero entry reduces the others there until one is left,
+    which becomes the pivot and reduces the pivot columns to its left.
+    """
+
+    def submul(col, src, q, start):
+        col[start:] = [v - q * w for v, w in zip(col[start:], src[start:])]
+
+    basis = []
+    pivot_rows = []
+    live = [col for col in cols if any(col)]
+    for r in range(nrows):
+        if not live:
+            break
+        while True:
+            jmin = -1
+            vmin = 0
+            nonzero = 0
+            for j, col in enumerate(live):
+                v = col[r]
+                if v:
+                    nonzero += 1
+                    if jmin < 0 or abs(v) < vmin:
+                        jmin = j
+                        vmin = abs(v)
+            if nonzero <= 1:
+                break
+            src = live[jmin]
+            pv = src[r]
+            for j, col in enumerate(live):
+                if j != jmin and col[r]:
+                    q = col[r] // pv
+                    if q:
+                        submul(col, src, q, r)
+        if jmin < 0:
+            continue
+        piv = live.pop(jmin)
+        if piv[r] < 0:
+            piv[r:] = [-v for v in piv[r:]]
+        pv = piv[r]
+        for col in basis:
+            q = col[r] // pv
+            if q:
+                submul(col, piv, q, r)
+        basis.append(piv)
+        pivot_rows.append(r)
+        live = [col for col in live if any(col[r + 1 :])]
+    cols[:] = basis + [[0] * nrows for _ in range(len(cols) - len(basis))]
+    return pivot_rows
+
+
+@st.composite
+def integer_matrices(draw):
+    """(columns, nrows) with zero, duplicate, negated and dependent columns.
+
+    Entries run up to 2^40; shapes are wide, tall and square.
+    """
+    nrows = draw(st.integers(0, 5))
+    bound = 2 ** draw(st.sampled_from([2, 8, 40]))
+    entry = st.integers(-bound, bound)
+    cols = []
+    for _ in range(draw(st.integers(0, 7))):
+        kind = draw(st.sampled_from(["random", "sparse", "zero", "copy", "combination"]))
+        if kind == "random" or (kind in ("copy", "combination") and not cols):
+            col = draw(st.lists(entry, min_size=nrows, max_size=nrows))
+        elif kind == "sparse":
+            col = [0] * nrows
+            if nrows:
+                for i in draw(st.lists(st.integers(0, nrows - 1), max_size=2)):
+                    col[i] = draw(entry)
+        elif kind == "zero":
+            col = [0] * nrows
+        elif kind == "copy":
+            sign = draw(st.sampled_from([1, -1]))
+            col = [sign * v for v in draw(st.sampled_from(cols))]
+        else:
+            # an integer combination of earlier columns: the rank stays put
+            picks = draw(st.lists(st.sampled_from(cols), min_size=1, max_size=3))
+            coeffs = [draw(st.integers(-3, 3)) for _ in picks]
+            col = [sum(c * p[i] for c, p in zip(coeffs, picks)) for i in range(nrows)]
+        cols.append(col)
+    return cols, nrows
+
+
 class TestHnf:
     def test_identity(self):
         assert hnf_columns([[1, 0], [0, 1]], 2) == ([[1, 0], [0, 1]], [0, 1])
@@ -117,6 +208,49 @@ class TestHnf:
             m, n = rng.randrange(1, 5), rng.randrange(1, 6)
             cols = [[rng.randrange(-9, 10) for _ in range(m)] for _ in range(n)]
             check_hnf_certificate(cols, m)
+
+    @given(integer_matrices())
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    def test_matches_reference_kernel(self, matrix):
+        cols, nrows = matrix
+        expected = [list(c) for c in cols]
+        expected_pivots = reference_hnf_cols(expected, nrows)
+        work = [list(c) for c in cols]
+        assert kernels.hnf_cols(work, nrows) == expected_pivots
+        # the HNF columns first, then len(cols) - rank zero columns
+        assert work == expected
+        check_hnf_certificate(cols, nrows)
+
+    def test_entries_stay_small_on_lattice_pieces(self, monkeypatch):
+        # The pivot columns are reduced at the pivot rows below their own
+        # after every change, and a walking column at each pivot row it
+        # reaches.  Without that the pieces of weight 9 and 10 reach
+        # thousands of bits; with it, no entry written by a row operation,
+        # and no entry handed to an extended-gcd step, exceeds
+        # 4 * (input bits) + 40 in any HNF call, SNF passes included.
+        hnf, submul, xgcd = _kernels_py.hnf_cols, _kernels_py._col_submul, _kernels_py._xgcd
+        bound = []
+
+        def checked_hnf(cols, nrows):
+            bits = max((abs(v).bit_length() for c in cols for v in c), default=0)
+            bound.append(4 * bits + 40)
+            return hnf(cols, nrows)
+
+        def checked_submul(col, src, q, start):
+            submul(col, src, q, start)
+            assert max(abs(v) for v in col[start:]).bit_length() <= bound[-1]
+
+        def checked_xgcd(a, b):
+            assert max(a.bit_length(), abs(b).bit_length()) <= bound[-1]
+            return xgcd(a, b)
+
+        monkeypatch.setattr(_kernels_py, "hnf_cols", checked_hnf)
+        monkeypatch.setattr(_kernels_py, "_col_submul", checked_submul)
+        monkeypatch.setattr(_kernels_py, "_xgcd", checked_xgcd)
+        model10 = LazardModel(10)
+        for n in range(1, 11):
+            model10.quotient_groups(n)
+        assert len(bound) > 50
 
 
 def _det(m):
@@ -312,6 +446,25 @@ class TestLazardPieces:
             for col in model.ideal_piece(n).hnf_basis():
                 assert len(L.coordinates(col)) == L.rank
 
+    def test_coordinates_rebuild_members_and_reject_others(self, model):
+        for n in range(5, 9):
+            L, I = model.lazard_piece(n), model.ideal_piece(n)
+            basis = L.hnf_basis()
+            for col in I.hnf_basis():
+                coords = L.coordinates(col)
+                rebuilt = [sum(c * b[i] for c, b in zip(coords, basis)) for i in range(len(col))]
+                assert rebuilt == col
+            # the first nonzero row of a member of I_n is a pivot row, and its
+            # entry there a multiple of the pivot
+            pivots = {next(i for i, v in enumerate(b) if v): b for b in I.hnf_basis()}
+            for r in range(len(I.basis)):
+                if r in pivots and pivots[r][r] == 1:
+                    continue
+                unit = [0] * len(I.basis)
+                unit[r] = 1
+                with pytest.raises(ValueError):
+                    I.coordinates(unit)
+
     def test_decomposables_inside_lazard(self, model):
         for n in range(2, 9):
             L = model.lazard_piece(n)
@@ -351,6 +504,6 @@ class TestQuotient:
 
     def test_weight_ceiling_guard(self):
         with pytest.raises(ValueError):
-            LazardModel(14)
+            LazardModel(WEIGHT_CEILING + 1)
         with pytest.raises(ValueError):
             LazardModel(4).lazard_piece(5)
