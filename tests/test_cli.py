@@ -220,3 +220,51 @@ class TestReproducePaper:
         assert code == 1
         assert "[FAIL] quotient weight 5: Indec = 0 (expected Z/5)" in out
         assert out.strip().endswith("overall: FAIL")
+
+
+class TestFailurePath:
+    @pytest.fixture(autouse=True)
+    def perturbed_phi_kh(self, monkeypatch):
+        real = genus.phi_kh_table
+
+        def perturbed(n):
+            table = real(n)
+            entries = dict(table.entries)
+            entries[1] = entries[1] + Poly.var(table.vars, "q1")
+            return genus.GenusTable(table.name, table.max_index, table.vars, entries)
+
+        monkeypatch.setattr(genus, "phi_kh_table", perturbed)
+
+    def test_text_report(self, capsys):
+        code, out = run(capsys, "verify", "--suite", "krichever-ode", "--order", "4")
+        assert code == 1
+        assert out == (
+            "[FAIL] krichever-ode (order 4)\n"
+            "    first failure at x^1:\n"
+            "      lhs = 3*q1\n"
+            "      rhs = q1\n"
+        )
+
+    def test_json_report(self, capsys):
+        code, out = run(
+            capsys, "verify", "--suite", "krichever-ode", "--order", "4", "--format", "json"
+        )
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["pass"] is False
+        assert payload["reports"] == [
+            {
+                "suite": "krichever-ode",
+                "order": 4,
+                "pass": False,
+                "first_failure": {"monomial": "x^1", "lhs": "3*q1", "rhs": "q1"},
+            }
+        ]
+
+    def test_reproduce_paper_fails(self, capsys):
+        code, out = run(capsys, "reproduce-paper", "--order", "4", "--max-weight", "2")
+        assert code == 1
+        lines = out.strip().splitlines()
+        assert "[FAIL] krichever-ode (order 4)" in lines
+        assert "[FAIL] lemma2-quartic (order 4)" in lines
+        assert lines[-1] == "overall: FAIL"

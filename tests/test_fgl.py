@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -150,3 +151,80 @@ class TestKricheverForm:
         residual = data.A - numerator
         for c in residual.coeffs.values():
             assert specialize_b_zero(c).is_zero
+
+
+def _bump(coeffs, slots, var):
+    """A copy of a {slot: Poly} map with ``var`` added at each slot."""
+    out = dict(coeffs)
+    for k in slots:
+        out[k] = out.get(k, Poly.zero(var.vars)) + var
+    return out
+
+
+def _odd_omega_prime(data):
+    # omega'_2 = 3 * omega_3, so adding b3 to omega_3 makes it odd
+    bv = data.vars
+    coeffs = _bump(dict(enumerate(data.omega.coeffs)), [3], Poly.var(bv, "b3"))
+    omega = Series1(bv, data.omega.order, [coeffs[k] for k in sorted(coeffs)])
+    return fgl.verify_proposition_i(replace(data, omega=omega, omega_hat=None))
+
+
+def _bad_A(data):
+    A = data.A
+    coeffs = _bump(A.coeffs, [(2, 3)], Poly.var(A.vars, "b3"))
+    return replace(data, A=Series2(A.vars, A.order, coeffs))
+
+
+def _bad_F_pair(data):
+    F = data.F
+    coeffs = _bump(F.coeffs, [(1, 2), (2, 1)], Poly.var(F.vars, "b2"))
+    return fgl.verify_associativity(replace(data, F=Series2(F.vars, F.order, coeffs)))
+
+
+# The full report of each suite under one injected fault, as printed before
+# the suites shared one mismatch reporter.
+FAILURE_PINS = {
+    "proposition-i": (
+        _odd_omega_prime,
+        {
+            "suite": "proposition-i",
+            "order": 5,
+            "pass": False,
+            "first_failure": {"monomial": "x^2", "lhs": "12*b1^3 - 24*b1*b2 + 15*b3", "rhs": "even coefficients"},
+        },
+    ),
+    "proposition-ii": (
+        lambda data: fgl.verify_proposition_ii(_bad_A(data)),
+        {
+            "suite": "proposition-ii",
+            "order": 5,
+            "pass": False,
+            "first_failure": {"monomial": "x^2*y^3", "lhs": "2*b1^3 - 4*b1*b2 + 3*b3", "rhs": "2*b1^3 - 4*b1*b2 + 2*b3"},
+        },
+    ),
+    "krichever-form": (
+        lambda data: fgl.verify_krichever_form(_bad_A(data)),
+        {
+            "suite": "krichever-form",
+            "order": 5,
+            "pass": False,
+            "first_failure": {"monomial": "x^2*y^3", "lhs": "b3", "rhs": "0 (support must have i,j >= 3)"},
+        },
+    ),
+    "associativity": (
+        _bad_F_pair,
+        {
+            "suite": "associativity",
+            "order": 5,
+            "pass": False,
+            "first_failure": {"monomial": "x^1*y^1*z^2", "lhs": "-4*b1*b2 + 12*b3", "rhs": "12*b3"},
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("suite", FAILURE_PINS)
+def test_failure_report_is_pinned(suite):
+    fault, expected = FAILURE_PINS[suite]
+    data = fgl.compute_A(fgl.build_universal_fgl(5))
+    assert fault(data).to_json() == expected

@@ -244,3 +244,89 @@ class TestLemma2Theorem1:
         assert sq.coeffs[5].is_zero and sq.coeffs[6].is_zero
         assert sq.coeffs[1] == Poly.var(qv, "q1")
         assert sq.coeffs[4] == Poly.var(qv, "q4")
+
+
+def _perturbed(table, i, name):
+    """The table with the variable ``name`` added to entry i (weights kept)."""
+    entries = dict(table.entries)
+    entries[i] = entries[i] + Poly.var(table.vars, name)
+    return genus.GenusTable(table.name, table.max_index, table.vars, entries)
+
+
+def _bad_phi(monkeypatch):
+    real = genus.phi_kh_table
+    monkeypatch.setattr(genus, "phi_kh_table", lambda n: _perturbed(real(n), 1, "q1"))
+
+
+def _bad_t_psi(monkeypatch):
+    # part (a) of lemma 2 determines phi_1..phi_n, so any change to phi fails
+    # there first; the strict isomorphism of part (b) is reached through t o psi
+    real = genus.t_psi_table
+    monkeypatch.setattr(genus, "t_psi_table", lambda n: _perturbed(real(n), 2, "q2"))
+
+
+def _ode_fault(monkeypatch):
+    _bad_phi(monkeypatch)
+    return genus.verify_krichever_ode(4)
+
+
+def _lemma1_fault(monkeypatch):
+    return genus.verify_lemma1(4, nu=Series1.identity(cp_vars(4), 5))
+
+
+def _quartic_fault(monkeypatch):
+    _bad_phi(monkeypatch)
+    return genus.verify_lemma2_theorem1(4)
+
+
+def _strict_iso_fault(monkeypatch):
+    _bad_t_psi(monkeypatch)
+    return genus.verify_lemma2_theorem1(4)
+
+
+# The full report of each suite under one injected fault, as printed before
+# the suites shared one mismatch reporter.
+FAILURE_PINS = {
+    "krichever-ode": (
+        _ode_fault,
+        {
+            "suite": "krichever-ode",
+            "order": 4,
+            "pass": False,
+            "first_failure": {"monomial": "x^1", "lhs": "3*q1", "rhs": "q1"},
+        },
+    ),
+    "lemma1": (
+        _lemma1_fault,
+        {
+            "suite": "lemma1",
+            "order": 4,
+            "pass": False,
+            "first_failure": {"monomial": "x^2", "lhs": "-1/2*CP1", "rhs": "1/2*CP1"},
+        },
+    ),
+    "lemma2-quartic": (
+        _quartic_fault,
+        {
+            "suite": "lemma2-quartic",
+            "order": 4,
+            "pass": False,
+            "first_failure": {"monomial": "x^1", "lhs": "3*q1", "rhs": "q1"},
+        },
+    ),
+    "theorem1-strict-iso": (
+        _strict_iso_fault,
+        {
+            "suite": "theorem1-strict-iso",
+            "order": 4,
+            "pass": False,
+            "first_failure": {"monomial": "x^1*y^2", "lhs": "1/8*q1^2 + 1/2*q2", "rhs": "1/8*q1^2 - 1/2*q2"},
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("suite", FAILURE_PINS)
+def test_failure_report_is_pinned(suite, monkeypatch):
+    fault, expected = FAILURE_PINS[suite]
+    assert fault(monkeypatch).to_json() == expected
