@@ -69,40 +69,31 @@ def _report_output(reports, args, params):
     return "\n".join(lines)
 
 
-VERIFY_SUITES = (
-    "krichever-ode",
-    "lemma1",
-    "lemma2-theorem1",
-    "proposition-i",
-    "proposition-ii",
-    "krichever-form",
-    "associativity",
-    "all",
-)
+# Verification suites in report order.  A genus suite takes the series order;
+# the FGL suites take one universal law built at that weight and shared.
+GENUS_SUITES = {
+    "krichever-ode": genus.verify_krichever_ode,
+    "lemma1": genus.verify_lemma1,
+    "lemma2-theorem1": genus.verify_lemma2_theorem1,
+}
+FGL_SUITES = {
+    "proposition-i": fgl.verify_proposition_i,
+    "proposition-ii": fgl.verify_proposition_ii,
+    "krichever-form": fgl.verify_krichever_form,
+    "associativity": fgl.verify_associativity,
+}
+VERIFY_SUITES = (*GENUS_SUITES, *FGL_SUITES, "all")
 
 
 def _run_verify_suite(suite, order):
-    reports = []
-    genus_suites = {"krichever-ode", "lemma1", "lemma2-theorem1"}
-    fgl_suites = {"proposition-i", "proposition-ii", "krichever-form", "associativity"}
-    wanted = set(VERIFY_SUITES[:-1]) if suite == "all" else {suite}
-    if wanted & genus_suites:
-        if "krichever-ode" in wanted:
-            reports.append(genus.verify_krichever_ode(order))
-        if "lemma1" in wanted:
-            reports.append(genus.verify_lemma1(order))
-        if "lemma2-theorem1" in wanted:
-            reports.append(genus.verify_lemma2_theorem1(order))
-    if wanted & fgl_suites:
+    def wanted(suites):
+        return [verify for name, verify in suites.items() if suite in (name, "all")]
+
+    reports = [verify(order) for verify in wanted(GENUS_SUITES)]
+    fgl_suites = wanted(FGL_SUITES)
+    if fgl_suites:
         data = fgl.compute_A(fgl.build_universal_fgl(order))
-        if "proposition-i" in wanted:
-            reports.append(fgl.verify_proposition_i(data))
-        if "proposition-ii" in wanted:
-            reports.append(fgl.verify_proposition_ii(data))
-        if "krichever-form" in wanted:
-            reports.append(fgl.verify_krichever_form(data))
-        if "associativity" in wanted:
-            reports.append(fgl.verify_associativity(data))
+        reports += [verify(data) for verify in fgl_suites]
     return reports
 
 

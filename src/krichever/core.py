@@ -843,3 +843,13 @@ def compose1(f, g2):
         if f.coeffs[j]:
             out = out + power.mul_poly(f.coeffs[j])
     return out
+
+
+def formal_group_law(exp, log):
+    """F(x, y) = exp(log(x) + log(y)) for a logarithm and its inverse series.
+
+    Both series are taken to the same order; F is truncated there.
+    """
+    lx = Series2.from_series1(log, exp.order, 0)
+    ly = Series2.from_series1(log, exp.order, 1)
+    return compose1(exp, lx + ly)

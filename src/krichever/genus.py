@@ -3,8 +3,11 @@
 Computes the square-root genus (values in Q[p1..p4]), the twist genus
 kappa attached to the strict isomorphism x*CP(x), its inverse, and the
 four-parameter complex elliptic genus obtained as the composite
-rename(p->q) o psi o kappa^{-1}.  The verifiers re-derive each identity
-from scratch so they can serve as independent oracles for the tables.
+rename(p->q) o psi o kappa^{-1}.  A genus table is applied as a ring map by
+``Poly.substitute`` on ``GenusTable.images()``.  The verifiers re-derive each
+identity from scratch so they can serve as independent oracles for the
+tables; these suites and the ones in ``fgl`` all report through
+``compare_slots``.
 """
 
 from __future__ import annotations
@@ -15,9 +18,9 @@ from fractions import Fraction
 from .core import (
     Poly,
     Series1,
-    Series2,
     compose1,
     cp_vars,
+    formal_group_law,
     p_vars,
     q_vars,
 )
@@ -53,24 +56,9 @@ class GenusTable:
     def to_json(self):
         return {f"CP_{i}": self.entries[i].to_json() for i in range(1, self.max_index + 1)}
 
-
-class RingMap:
-    """Weight-preserving ring map given by images of the generators."""
-
-    def __init__(self, src, images, target):
-        self.src = src
-        self.images = dict(images)
-        self.target = target
-
-    @classmethod
-    def from_table(cls, table, src):
-        return cls(src, {f"CP{i}": table[i] for i in table.entries}, table.vars)
-
-    def __call__(self, poly):
-        return poly.substitute(self.images, self.target)
-
-    def apply_series(self, s):
-        return Series1(self.target, s.order, [self(c) for c in s.coeffs])
+    def images(self):
+        """The genus as a ring map CP_i -> entry i, in the form Poly.substitute takes."""
+        return {f"CP{i}": v for i, v in self.entries.items()}
 
 
 @dataclass(frozen=True)
@@ -91,36 +79,30 @@ class Report:
         }
 
 
-def _compare_series(suite, order, lhs, rhs, varname="x"):
-    for k in range(min(lhs.order, rhs.order) + 1):
-        if lhs.coeffs[k] != rhs.coeffs[k]:
-            return Report(
-                suite,
-                order,
-                False,
-                {
-                    "monomial": f"{varname}^{k}",
-                    "lhs": lhs.coeffs[k].text(),
-                    "rhs": rhs.coeffs[k].text(),
-                },
-            )
-    return Report(suite, order, True)
+def compare_slots(suite, order, lhs, rhs):
+    """Report on two coefficient maps, failing at their first differing slot.
 
-
-def _compare_series2(suite, order, lhs, rhs):
-    keys = sorted(set(lhs.coeffs) | set(rhs.coeffs))
-    for i, j in keys:
-        if i + j > min(lhs.order, rhs.order):
-            continue
-        a = lhs.coefficient(i, j)
-        b = rhs.coefficient(i, j)
+    ``lhs`` and ``rhs`` map slots to Poly: a coefficient list is read as
+    {k: coeffs[k]}, and a slot missing from one side reads as 0 there.  The
+    slots of both are compared in sorted order and the first mismatch is
+    reported as a monomial in x, y, z (slot k is x^k, (i, j) is x^i*y^j).
+    An rhs value may instead be a str naming the condition that the lhs
+    value must meet; such a slot always fails and prints that text.  Series
+    compared this way must share one truncation order.
+    """
+    lhs, rhs = (m if isinstance(m, dict) else dict(enumerate(m)) for m in (lhs, rhs))
+    for slot in sorted(set(lhs) | set(rhs)):
+        a, b = lhs.get(slot), rhs.get(slot)
+        a = Poly.zero(b.vars) if a is None else a
+        b = Poly.zero(a.vars) if b is None else b
         if a != b:
-            return Report(
-                suite,
-                order,
-                False,
-                {"monomial": f"x^{i}*y^{j}", "lhs": a.text(), "rhs": b.text()},
-            )
+            exps = slot if isinstance(slot, tuple) else (slot,)
+            failure = {
+                "monomial": "*".join(f"{v}^{e}" for v, e in zip("xyz", exps)),
+                "lhs": a.text(),
+                "rhs": b if isinstance(b, str) else b.text(),
+            }
+            return Report(suite, order, False, failure)
     return Report(suite, order, True)
 
 
@@ -147,24 +129,23 @@ def psi_table(n=DEFAULT_ORDER):
 
 
 def cp_series(vars, order):
-    """CP(x) = 1 + sum CP_i x^i over Q[CP_1..]."""
-    coeffs = [Poly.one(vars)]
-    for i in range(1, order + 1):
-        name = f"CP{i}"
-        coeffs.append(Poly.var(vars, name) if name in vars.index else Poly.zero(vars))
-    return Series1(vars, order, coeffs)
+    """CP(x) = 1 + sum CP_i x^i over Q[CP_1..CP_order]."""
+    cps = [Poly.var(vars, f"CP{i}") for i in range(1, order + 1)]
+    return Series1(vars, order, [Poly.one(vars)] + cps)
 
 
 def mishchenko_log(vars, order):
-    """log(x) = x + sum CP_i x^(i+1) / (i+1)."""
-    coeffs = [Poly.zero(vars), Poly.one(vars)]
-    for k in range(2, order + 1):
-        name = f"CP{k - 1}"
-        if name in vars.index:
-            coeffs.append(Poly.var(vars, name, coeff=Fraction(1, k)))
-        else:
-            coeffs.append(Poly.zero(vars))
-    return Series1(vars, order, coeffs)
+    """log(x) = x + sum CP_i x^(i+1) / (i+1), the logarithm of the table CP_i -> CP_i."""
+    cps = {i: Poly.var(vars, f"CP{i}") for i in range(1, order)}
+    return _log_from_table(GenusTable("CP", order - 1, vars, cps), order)
+
+
+def _log_from_table(table, order):
+    """x + sum table[i] x^(i+1)/(i+1) over the table's variables."""
+    if order - 1 > table.max_index:
+        raise ValueError("table too short for requested order")
+    tail = [table[k - 1].scale(Fraction(1, k)) for k in range(2, order + 1)]
+    return Series1(table.vars, order, [Poly.zero(table.vars), Poly.one(table.vars)] + tail)
 
 
 def nu_series(vars, order):
@@ -188,12 +169,6 @@ def kappa_table(n=DEFAULT_ORDER):
     )
 
 
-def kappa_map(n=DEFAULT_ORDER, table=None):
-    if table is None:
-        table = kappa_table(n)
-    return RingMap.from_table(table, table.vars)
-
-
 def kappa_inverse_table(n=DEFAULT_ORDER, kappa=None):
     """Preimages kappa^{-1}(CP_w), by back-substitution weight by weight.
 
@@ -204,7 +179,7 @@ def kappa_inverse_table(n=DEFAULT_ORDER, kappa=None):
     if kappa is None:
         kappa = kappa_table(n)
     cv = kappa.vars
-    kmap = kappa_map(n, kappa)
+    kappa_images = kappa.images()
     entries = {}
     for w in range(1, n + 1):
         target = Poly.var(cv, f"CP{w}")
@@ -214,7 +189,7 @@ def kappa_inverse_table(n=DEFAULT_ORDER, kappa=None):
         rest = kappa[w] - target.scale(c)
         images = {f"CP{i}": entries[i] for i in range(1, w)}
         entries[w] = (target - rest.substitute(images, cv)).scale(1 / Fraction(c))
-        if kmap(entries[w]) != target:
+        if entries[w].substitute(kappa_images, cv) != target:
             raise AssertionError(f"kappa o kappa^-1 failed at weight {w}")
     return GenusTable("kappa_inv", n, cv, entries)
 
@@ -222,33 +197,22 @@ def kappa_inverse_table(n=DEFAULT_ORDER, kappa=None):
 def phi_kh_table(n=DEFAULT_ORDER):
     """The four-parameter elliptic genus via rename o psi o kappa^{-1}."""
     kinv = kappa_inverse_table(n)
-    psi = psi_table(n)
-    pv, qv = p_vars(), q_vars()
-    psi_map = RingMap(kinv.vars, {f"CP{i}": psi[i] for i in range(1, n + 1)}, pv)
-    rename = RingMap(pv, {f"p{i}": Poly.var(qv, f"q{i}") for i in range(1, 5)}, qv)
-    return GenusTable(
-        "phi_kh", n, qv, {i: rename(psi_map(kinv[i])) for i in range(1, n + 1)}
-    )
+    psi = psi_table(n).images()
+    pv = p_vars()
+    entries = {i: _p_to_q(kinv[i].substitute(psi, pv)) for i in range(1, n + 1)}
+    return GenusTable("phi_kh", n, q_vars(), entries)
+
+
+def _p_to_q(poly):
+    """The rename p_i -> q_i from Q[p1..p4] to Q[q1..q4]."""
+    qv = q_vars()
+    return poly.substitute({f"p{i}": Poly.var(qv, f"q{i}") for i in range(1, 5)}, qv)
 
 
 def t_psi_table(n=DEFAULT_ORDER):
     """psi with p_i renamed to q_i (the classifying isomorphism's target)."""
     psi = psi_table(n)
-    pv, qv = p_vars(), q_vars()
-    rename = RingMap(pv, {f"p{i}": Poly.var(qv, f"q{i}") for i in range(1, 5)}, qv)
-    return GenusTable("t_psi", n, qv, {i: rename(psi[i]) for i in range(1, n + 1)})
-
-
-def _log_from_table(table, order):
-    """x + sum table[i] x^(i+1)/(i+1) over the table's variables."""
-    coeffs = [Poly.zero(table.vars), Poly.one(table.vars)]
-    for k in range(2, order + 1):
-        i = k - 1
-        if i <= table.max_index:
-            coeffs.append(table[i].scale(Fraction(1, k)))
-        else:
-            raise ValueError("table too short for requested order")
-    return Series1(table.vars, order, coeffs)
+    return GenusTable("t_psi", n, q_vars(), {i: _p_to_q(psi[i]) for i in range(1, n + 1)})
 
 
 def verify_krichever_ode(n=DEFAULT_ORDER, table=None):
@@ -271,7 +235,7 @@ def verify_krichever_ode(n=DEFAULT_ORDER, table=None):
     for i in range(1, 5):
         upow = upow.mul(u.truncate(n - 1))
         rhs = rhs + upow.mul_poly(Poly.var(qv, f"q{i}"))
-    return _compare_series("krichever-ode", n, lhs, rhs)
+    return compare_slots("krichever-ode", n, lhs.coeffs, rhs.coeffs)
 
 
 def verify_lemma1(n=DEFAULT_ORDER, nu=None):
@@ -284,7 +248,7 @@ def verify_lemma1(n=DEFAULT_ORDER, nu=None):
     if nu is None:
         nu = nu_series(cv, n + 1)
     rhs = log.compose(nu.revert()).truncate(n)
-    return _compare_series("lemma1", n, lhs, rhs)
+    return compare_slots("lemma1", n, lhs.coeffs, rhs.coeffs)
 
 
 def verify_lemma2_theorem1(n=DEFAULT_ORDER, iso_degree=None):
@@ -302,17 +266,19 @@ def verify_lemma2_theorem1(n=DEFAULT_ORDER, iso_degree=None):
     phi = phi_kh_table(n)
     # (a)
     omega_t = mog_series(cv, n + 1).derivative().reciprocal()
-    push = RingMap(cv, {f"CP{i}": phi[i] for i in range(1, n + 1)}, qv)
-    pushed = push.apply_series(omega_t)
+    images = phi.images()
+    pushed = Series1(qv, omega_t.order, [c.substitute(images, qv) for c in omega_t.coeffs])
     lhs = pushed.mul(pushed)
     rhs = quartic_series(qv, n)
-    rep = _compare_series("lemma2-quartic", n, lhs, rhs)
+    rep = compare_slots("lemma2-quartic", n, lhs.coeffs, rhs.coeffs)
     if not rep.passed:
         return rep
     # (b)
-    tpsi = t_psi_table(n)
-    f_phi = _fgl_from_table(phi, iso_degree + 1)
-    f_tpsi = _fgl_from_table(tpsi, iso_degree + 1)
+    laws = []
+    for table in (phi, t_psi_table(n)):
+        log = _log_from_table(table, iso_degree + 1)
+        laws.append(formal_group_law(log.revert(), log))
+    f_phi, f_tpsi = laws
     s = Series1(
         qv,
         iso_degree + 1,
@@ -321,16 +287,7 @@ def verify_lemma2_theorem1(n=DEFAULT_ORDER, iso_degree=None):
     )
     lhs2 = compose1(s, f_phi)
     rhs2 = f_tpsi.subs_xy(s, s)
-    rep2 = _compare_series2("theorem1-strict-iso", iso_degree, lhs2, rhs2)
+    rep2 = compare_slots("theorem1-strict-iso", iso_degree, lhs2.coeffs, rhs2.coeffs)
     if not rep2.passed:
         return rep2
     return Report("lemma2-theorem1", n, True)
-
-
-def _fgl_from_table(table, order):
-    """Formal group law exp(log x + log y) of the logarithm from a table."""
-    log = _log_from_table(table, order)
-    exp = log.revert()
-    lx = Series2.from_series1(log, order, 0)
-    ly = Series2.from_series1(log, order, 1)
-    return compose1(exp, lx + ly)
