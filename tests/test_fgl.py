@@ -181,8 +181,7 @@ def _bad_F_pair(data):
     return fgl.verify_associativity(replace(data, F=Series2(F.vars, F.order, coeffs)))
 
 
-# The full report of each suite under one injected fault, as printed before
-# the suites shared one mismatch reporter.
+# The full report of each suite under one injected fault, pinned field by field.
 FAILURE_PINS = {
     "proposition-i": (
         _odd_omega_prime,

@@ -282,8 +282,7 @@ def _strict_iso_fault(monkeypatch):
     return genus.verify_lemma2_theorem1(4)
 
 
-# The full report of each suite under one injected fault, as printed before
-# the suites shared one mismatch reporter.
+# The full report of each suite under one injected fault, pinned field by field.
 FAILURE_PINS = {
     "krichever-ode": (
         _ode_fault,
