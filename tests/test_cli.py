@@ -150,6 +150,15 @@ class TestGoldenDigests:
                 ["quotient", "--max-weight", "11", "--format", "json"],
                 "8d35de9cd20dab50ffd29670a8ff14c6b2f89653d68ea1acea31e8f90a113d86",
             ),
+            (
+                ["verify", "--suite", "all", "--order", "12", "--format", "json"],
+                "81596a8343a1b4edf959dc6149000c834bb027cf7cc826c373b150e36d04a1d2",
+            ),
+            # psi carries the largest denominators, powers of 2 up to 2^31 here
+            (
+                ["psi", "--order", "16", "--format", "json"],
+                "8447e0f5cdbaf20b418e0c464e1f2d4c897997c992427645b89184c8c9eee82b",
+            ),
         ],
     )
     def test_stdout_digest(self, argv, digest, capsys):
