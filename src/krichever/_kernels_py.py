@@ -11,16 +11,15 @@ elimination on a matrix and its transpose.
 
 from bisect import bisect_right, insort
 from math import gcd
-from operator import add
 
 BACKEND_NAME = "python"
 
 
 def poly_mul_terms(aterms, bterms):
-    """Multiply two sparse term dicts {exponent tuple: int or Fraction}.
+    """Multiply two sparse term dicts {packed exponent key: int}.
 
-    Integral inputs stay on plain ints; a Fraction appears in the result
-    only where an input carries one.
+    With packed keys (``core.VarTable.pack``) the key of a monomial product
+    is the sum of the keys, so the loop does int arithmetic only.
     """
     if len(aterms) > len(bterms):
         aterms, bterms = bterms, aterms
@@ -28,7 +27,7 @@ def poly_mul_terms(aterms, bterms):
     out = {}
     for ea, ca in aterms.items():
         for eb, cb in bitems:
-            key = tuple(map(add, ea, eb))
+            key = ea + eb
             if key in out:
                 out[key] += ca * cb
             else:

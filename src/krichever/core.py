@@ -1,24 +1,32 @@
 """Exact rational arithmetic, sparse graded polynomials and truncated series.
 
 Everything is immutable after construction and exact, with no floating
-point anywhere.  Integral coefficients are plain ``int``; a coefficient is a
-``fractions.Fraction`` only where a denominator really occurs.
-Polynomials are sparse dicts keyed by exponent vectors over a fixed
-``VarTable``; univariate and bivariate truncated power series carry
-polynomial coefficients.
+point anywhere.  A polynomial is an integer numerator polynomial over one
+positive denominator, so every coefficient operation is on plain ``int``;
+a ``fractions.Fraction`` appears only where a coefficient is read out
+(``coefficient``, ``sorted_terms`` and the text and JSON built on it).
+Monomials are packed exponent vectors over a fixed ``VarTable``; univariate
+and bivariate truncated power series carry polynomial coefficients.
 """
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
+from functools import reduce
+from math import gcd, lcm
+from operator import mul, or_
 
 from .backend import kernels
 
 Rational = Fraction
 
-ZERO = 0
-ONE = 1
+# Packed monomial keys (Monagan & Pearce, CASC 2007).  The exponent of each
+# variable takes one byte of an int, variable 0 most significant, so integer
+# order on keys is lex order on exponent vectors and the key of a monomial
+# product is the sum of the keys.  The top bit of each byte is a guard:
+# exponents stay at or below MAX_EXPONENT, so a sum of two of them that
+# passes it sets the guard bit and never carries into the next byte.
+MAX_EXPONENT = 127
 
 
 class VarTable:
@@ -26,10 +34,11 @@ class VarTable:
 
     The weight of a monomial is the weight-sum of its factors; series in the
     logarithm family are graded with the coefficient of x^k homogeneous of
-    weight k.
+    weight k.  ``pack`` and ``unpack`` convert between exponent vectors and
+    the packed keys that ``Poly`` stores.
     """
 
-    __slots__ = ("names", "weights", "index")
+    __slots__ = ("names", "weights", "index", "guard")
 
     def __init__(self, names, weights):
         names = tuple(names)
@@ -41,6 +50,7 @@ class VarTable:
         self.names = names
         self.weights = weights
         self.index = {n: i for i, n in enumerate(names)}
+        self.guard = int.from_bytes(b"\x80" * len(names), "big")
 
     @classmethod
     def generators(cls, prefix, n):
@@ -48,7 +58,24 @@ class VarTable:
         return cls([f"{prefix}{i}" for i in range(1, n + 1)], range(1, n + 1))
 
     def monomial_weight(self, exps):
-        return sum(e * w for e, w in zip(exps, self.weights))
+        return sum(map(mul, exps, self.weights))
+
+    def pack(self, exps):
+        """The packed key of an exponent vector with one entry per variable."""
+        exps = tuple(exps)
+        if len(exps) != len(self.names):
+            raise ValueError(
+                f"exponent vector {list(exps)} does not match {len(self.names)} variables"
+            )
+        if min(exps, default=0) < 0:
+            raise ValueError(f"negative exponent in {list(exps)}")
+        if max(exps, default=0) > MAX_EXPONENT:
+            raise OverflowError(f"exponent in {list(exps)} above the maximum {MAX_EXPONENT}")
+        return int.from_bytes(bytes(exps), "big")
+
+    def unpack(self, key):
+        """The exponent vector of a packed key."""
+        return tuple(key.to_bytes(len(self.names), "big"))
 
     def __eq__(self, other):
         return (
@@ -80,40 +107,55 @@ def b_vars(n):
     return VarTable.generators("b", n)
 
 
-def _as_scalar(c):
-    """An exact scalar as ``int`` when integral, else as ``Fraction``."""
-    if isinstance(c, int):
-        return c
-    if isinstance(c, Fraction):
-        return c.numerator if c.denominator == 1 else c
-    raise TypeError(f"not an exact scalar: {c!r}")
-
-
 class Poly:
     """Sparse multivariate polynomial with exact rational coefficients.
 
-    ``terms`` maps exponent tuples (one slot per VarTable entry) to nonzero
-    ints or, where a denominator occurs, Fractions.  Canonical ordering of
-    monomials is graded lex descending: higher weight first, ties broken by
-    the exponent vector.
+    The value is ``sum(c * x^vars.unpack(k) for k, c in terms.items()) / den``:
+    ``terms`` maps packed exponent keys (see ``VarTable.pack``) to nonzero
+    ints, and ``den`` is a positive int coprime to the gcd of the numerators,
+    with ``den == 1`` for zero.  That form is unique, so equal polynomials
+    have equal ``(den, terms)``.  The constructor takes exponent vectors and
+    exact scalars (int or Fraction).  Canonical ordering of monomials is
+    graded lex descending: higher weight first, ties broken by the exponent
+    vector.
     """
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "terms", "den")
 
     def __init__(self, vars, terms=None):
+        terms = terms or {}
+        # the lcm of reduced denominators leaves the numerators coprime to it
+        den = lcm(*(c.denominator for c in terms.values()))
         self.vars = vars
-        if terms:
-            self.terms = {e: _as_scalar(c) for e, c in terms.items() if c}
-        else:
-            self.terms = {}
+        self.terms = {
+            vars.pack(e): c.numerator * (den // c.denominator)
+            for e, c in terms.items()
+            if c
+        }
+        self.den = den
+
+    @classmethod
+    def _canonical(cls, vars, terms, den):
+        """A Poly from packed ``terms`` over ``den > 0``, reduced to lowest terms."""
+        if den != 1:
+            g = gcd(den, *terms.values())
+            if g != 1:
+                den //= g
+                terms = {k: c // g for k, c in terms.items()}
+        out = cls.__new__(cls)
+        out.vars = vars
+        out.terms = terms
+        out.den = den
+        return out
 
     @classmethod
     def zero(cls, vars):
-        return cls(vars)
+        return cls._canonical(vars, {}, 1)
 
     @classmethod
     def const(cls, vars, c):
-        return cls(vars, {(0,) * len(vars.names): c})
+        # key 0 is the zero exponent vector
+        return cls._canonical(vars, {0: c.numerator} if c else {}, c.denominator)
 
     @classmethod
     def one(cls, vars):
@@ -126,7 +168,7 @@ class Poly:
         return cls(vars, {tuple(e): coeff})
 
     def _check(self, other):
-        if self.vars != other.vars:
+        if self.vars is not other.vars and self.vars != other.vars:
             raise ValueError("mismatched variable tables")
 
     def __bool__(self):
@@ -137,38 +179,41 @@ class Poly:
         return not self.terms
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Poly):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = Poly.const(self.vars, other)
         return (
-            isinstance(other, Poly)
-            and self.vars == other.vars
+            self.vars == other.vars
+            and self.den == other.den
             and self.terms == other.terms
         )
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Poly):
             other = Poly.const(self.vars, other)
         self._check(other)
-        terms = dict(self.terms)
+        den = lcm(self.den, other.den)
+        sa, sb = den // self.den, den // other.den
+        if sa == 1:
+            terms = dict(self.terms)
+        else:
+            terms = {e: sa * c for e, c in self.terms.items()}
         for e, c in other.terms.items():
-            s = terms.get(e, ZERO) + c
+            s = terms.get(e, 0) + sb * c
             if s:
                 terms[e] = s
             elif e in terms:
                 del terms[e]
-        out = Poly(self.vars)
-        out.terms = terms
-        return out
+        return Poly._canonical(self.vars, terms, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = Poly(self.vars)
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
+        return Poly._canonical(self.vars, {e: -c for e, c in self.terms.items()}, self.den)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Poly):
             other = Poly.const(self.vars, other)
         return self + (-other)
 
@@ -176,25 +221,24 @@ class Poly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Poly):
             return self.scale(other)
         self._check(other)
-        out = Poly(self.vars)
-        out.terms = kernels.poly_mul_terms(self.terms, other.terms)
-        return out
+        terms = kernels.poly_mul_terms(self.terms, other.terms)
+        # the degree in each variable of a product is the sum of the degrees,
+        # so an exponent past MAX_EXPONENT survives into a guard bit here
+        if reduce(or_, terms, 0) & self.vars.guard:
+            raise OverflowError(f"exponent in a product above the maximum {MAX_EXPONENT}")
+        return Poly._canonical(self.vars, terms, self.den * other.den)
 
     def __rmul__(self, other):
         return self.__mul__(other)
 
     def scale(self, c):
-        """Multiply by a scalar; a fractional ``c`` keeps integral results as int."""
-        c = _as_scalar(c)
-        out = Poly(self.vars)
-        if isinstance(c, Fraction):
-            out.terms = {e: _as_scalar(c * v) for e, v in self.terms.items()}
-        elif c:
-            out.terms = {e: c * v for e, v in self.terms.items()}
-        return out
+        """Multiply by an exact scalar (int or Fraction)."""
+        num = c.numerator
+        terms = {e: num * v for e, v in self.terms.items()} if num else {}
+        return Poly._canonical(self.vars, terms, self.den * c.denominator)
 
     def __pow__(self, n):
         if n < 0:
@@ -209,28 +253,22 @@ class Poly:
         return result
 
     def coefficient(self, exps):
-        return self.terms.get(tuple(exps), ZERO)
+        return Fraction(self.terms.get(self.vars.pack(exps), 0), self.den)
 
     def constant_term(self):
-        return self.terms.get((0,) * len(self.vars.names), ZERO)
+        return Fraction(self.terms.get(0, 0), self.den)
 
     def is_homogeneous(self, weight=None):
-        ws = {self.vars.monomial_weight(e) for e in self.terms}
+        unpack, w = self.vars.unpack, self.vars.monomial_weight
+        ws = {w(unpack(e)) for e in self.terms}
         if not ws:
             return True
         if len(ws) > 1:
             return False
         return weight is None or ws == {weight}
 
-    def weight(self):
-        """Weight of a nonzero homogeneous polynomial."""
-        ws = {self.vars.monomial_weight(e) for e in self.terms}
-        if len(ws) != 1:
-            raise ValueError("weight of zero or inhomogeneous polynomial")
-        return ws.pop()
-
     def is_integral(self):
-        return all(c.denominator == 1 for c in self.terms.values())
+        return self.den == 1
 
     def substitute(self, images, target):
         """Ring-map application: every variable gets an image polynomial.
@@ -243,7 +281,7 @@ class Poly:
         cache = {}
         for e, c in self.terms.items():
             m = Poly.const(target, c)
-            for i, p in enumerate(e):
+            for i, p in enumerate(self.vars.unpack(e)):
                 if not p:
                     continue
                 key = (i, p)
@@ -254,11 +292,13 @@ class Poly:
                     cache[key] = img**p
                 m = m * cache[key]
             out = out + m
-        return out
+        return out.scale(Fraction(1, self.den))
 
     def sorted_terms(self):
+        """(exponent vector, Fraction coefficient) pairs in canonical order."""
         w = self.vars.monomial_weight
-        return sorted(self.terms.items(), key=lambda t: (w(t[0]), t[0]), reverse=True)
+        terms = [(self.vars.unpack(e), Fraction(c, self.den)) for e, c in self.terms.items()]
+        return sorted(terms, key=lambda t: (w(t[0]), t[0]), reverse=True)
 
     def text(self):
         """Canonical text form, e.g. ``3/8*p1^2 - 1/2*p2``."""
@@ -287,64 +327,10 @@ class Poly:
 
     __repr__ = text
 
-    @classmethod
-    def parse(cls, text, vars):
-        """Inverse of :meth:`text` (also accepts unnormalized input)."""
-        s = text.strip()
-        if s == "0":
-            return cls.zero(vars)
-        s = s.replace("**", "^")
-        tokens = re.findall(r"[+-]|[^+\-\s]+", s)
-        out = cls.zero(vars)
-        sign = 1
-        pending = None
-        for tok in tokens:
-            if tok == "+" or tok == "-":
-                if pending is not None:
-                    out = out + pending
-                    pending = None
-                sign = 1 if tok == "+" else -1
-                continue
-            term = cls._parse_term(tok, vars, sign)
-            if pending is not None:
-                out = out + pending
-            pending = term
-            sign = 1
-        if pending is not None:
-            out = out + pending
-        return out
-
-    @classmethod
-    def _parse_term(cls, tok, vars, sign):
-        coeff = Fraction(sign)
-        exps = [0] * len(vars.names)
-        for fac in tok.split("*"):
-            fac = fac.strip()
-            if not fac:
-                continue
-            m = re.fullmatch(r"([A-Za-z][A-Za-z0-9]*?)(?:\^(\d+))?", fac)
-            if m and m.group(1) in vars.index:
-                exps[vars.index[m.group(1)]] += int(m.group(2) or 1)
-            else:
-                coeff *= Fraction(fac)
-        return cls(vars, {tuple(exps): coeff})
-
     def to_json(self):
         return [
             {"coeff": str(c), "exps": list(e)} for e, c in self.sorted_terms()
         ]
-
-    @classmethod
-    def from_json(cls, data, vars):
-        terms = {}
-        for item in data:
-            exps = tuple(item["exps"])
-            if len(exps) != len(vars.names):
-                raise ValueError(
-                    f"exponent vector {list(exps)} does not match {len(vars.names)} variables"
-                )
-            terms[exps] = Fraction(item["coeff"])
-        return cls(vars, terms)
 
 
 class Series1:
@@ -796,33 +782,6 @@ def weighted_monomials(vars, w):
     rec(0, w, [])
     out.sort(reverse=True)
     return out
-
-
-def gauss_jordan(rows):
-    """Reduced row echelon form over Q, by exact Gauss-Jordan elimination.
-
-    ``rows`` is a list of equal-length rows of ints or Fractions; it is not
-    modified.  Returns (reduced rows, pivot columns): the first
-    ``len(pivots)`` reduced rows are nonzero, each with a 1 in its pivot
-    column and 0 in every other pivot column.
-    """
-    a = [list(row) for row in rows]
-    pivots = []
-    for c in range(len(a[0]) if a else 0):
-        r = len(pivots)
-        piv = next((i for i in range(r, len(a)) if a[i][c]), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        # a Fraction pivot, so that 1 / pivot stays exact for an int entry
-        inv = 1 / Fraction(a[r][c])
-        a[r] = [v * inv for v in a[r]]
-        for i in range(len(a)):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [v - f * w for v, w in zip(a[i], a[r])]
-        pivots.append(c)
-    return a, pivots
 
 
 def compose1(f, g2):

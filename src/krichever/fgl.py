@@ -132,7 +132,7 @@ def verify_proposition_i(fgl):
     odd = {
         k: c
         for k, c in enumerate(centered.coeffs)
-        if any(v.denominator != 1 or v.numerator % 2 for v in c.terms.values())
+        if c.den != 1 or any(v % 2 for v in c.terms.values())
     }
     rep = compare_slots("proposition-i", w, odd, dict.fromkeys(odd, "even coefficients"))
     if not rep.passed:

@@ -27,7 +27,7 @@ from .core import (
 
 DEFAULT_ORDER = 8
 # Largest --order the CLI accepts; README lists the runtimes up to it.
-ORDER_CEILING = 16
+ORDER_CEILING = 18
 
 
 @dataclass(frozen=True)
@@ -183,12 +183,13 @@ def kappa_inverse_table(n=DEFAULT_ORDER, kappa=None):
     entries = {}
     for w in range(1, n + 1):
         target = Poly.var(cv, f"CP{w}")
-        c = kappa[w].coefficient(next(iter(target.terms)))
+        (key,) = target.terms
+        c = Fraction(kappa[w].terms.get(key, 0), kappa[w].den)
         if not c:
             raise ValueError(f"kappa(CP_{w}) has no CP_{w} term; kappa is not invertible")
         rest = kappa[w] - target.scale(c)
         images = {f"CP{i}": entries[i] for i in range(1, w)}
-        entries[w] = (target - rest.substitute(images, cv)).scale(1 / Fraction(c))
+        entries[w] = (target - rest.substitute(images, cv)).scale(1 / c)
         if entries[w].substitute(kappa_images, cv) != target:
             raise AssertionError(f"kappa o kappa^-1 failed at weight {w}")
     return GenusTable("kappa_inv", n, cv, entries)

@@ -10,11 +10,10 @@ form the invariant factors of the quotients.  All arithmetic is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb, gcd
 
 from .backend import kernels
-from .core import Poly, gauss_jordan, weighted_monomials
+from .core import Poly, weighted_monomials
 from .fgl import build_universal_fgl, compute_A
 
 DEFAULT_MAX_WEIGHT = 8
@@ -68,18 +67,18 @@ class BasisIndex:
         self.vars = vars
         self.weight = weight
         self.monomials = weighted_monomials(vars, weight)
-        self.pos = {m: i for i, m in enumerate(self.monomials)}
+        self.pos = {vars.pack(m): i for i, m in enumerate(self.monomials)}
 
     def __len__(self):
         return len(self.monomials)
 
     def vector(self, poly):
         """Integer coordinates of a homogeneous integral polynomial."""
+        if poly.den != 1:
+            raise ValueError("non-integral coefficient in lattice vector")
         v = [0] * len(self.monomials)
         for e, c in poly.terms.items():
-            if c.denominator != 1:
-                raise ValueError("non-integral coefficient in lattice vector")
-            v[self.pos[e]] = c.numerator
+            v[self.pos[e]] = c
         return v
 
 
@@ -282,28 +281,3 @@ def indecomposables_closed_form(n):
     g_a = gcd(*(comb(n + 1, i) for i in range(1, n + 1)))
     d = g_A // g_a
     return InvariantFactors((d,) if d != 1 else (), 0)
-
-
-def rational_rank(columns, nrows):
-    """Rank over Q by exact Gauss-Jordan elimination (independent of HNF)."""
-    return len(gauss_jordan([[c[i] for c in columns] for i in range(nrows)])[1])
-
-
-@lru_cache(maxsize=None)
-def partition_count(n):
-    """p(n), by Euler's pentagonal recurrence."""
-    if n < 0:
-        return 0
-    if n == 0:
-        return 1
-    total = 0
-    k = 1
-    while True:
-        g1 = k * (3 * k - 1) // 2
-        g2 = k * (3 * k + 1) // 2
-        if g1 > n and g2 > n:
-            break
-        sign = -1 if k % 2 == 0 else 1
-        total += sign * (partition_count(n - g1) + partition_count(n - g2))
-        k += 1
-    return total

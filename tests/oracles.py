@@ -1,0 +1,116 @@
+"""Test-only helpers: a polynomial parser, JSON reader, weight and the
+independent rank and partition oracles the tests check the package against.
+"""
+
+import re
+from fractions import Fraction
+from functools import lru_cache
+
+from krichever.core import Poly
+
+
+def parse_poly(text, vars):
+    """Inverse of ``Poly.text`` (also accepts unnormalized input)."""
+    s = text.strip()
+    if s == "0":
+        return Poly.zero(vars)
+    s = s.replace("**", "^")
+    tokens = re.findall(r"[+-]|[^+\-\s]+", s)
+    out = Poly.zero(vars)
+    sign = 1
+    pending = None
+    for tok in tokens:
+        if tok == "+" or tok == "-":
+            if pending is not None:
+                out = out + pending
+                pending = None
+            sign = 1 if tok == "+" else -1
+            continue
+        term = _parse_term(tok, vars, sign)
+        if pending is not None:
+            out = out + pending
+        pending = term
+        sign = 1
+    if pending is not None:
+        out = out + pending
+    return out
+
+
+def _parse_term(tok, vars, sign):
+    coeff = Fraction(sign)
+    exps = [0] * len(vars.names)
+    for fac in tok.split("*"):
+        fac = fac.strip()
+        if not fac:
+            continue
+        m = re.fullmatch(r"([A-Za-z][A-Za-z0-9]*?)(?:\^(\d+))?", fac)
+        if m and m.group(1) in vars.index:
+            exps[vars.index[m.group(1)]] += int(m.group(2) or 1)
+        else:
+            coeff *= Fraction(fac)
+    return Poly(vars, {tuple(exps): coeff})
+
+
+def poly_from_json(data, vars):
+    """Inverse of ``Poly.to_json``; ``Poly`` rejects a wrong exponent length."""
+    return Poly(vars, {tuple(item["exps"]): Fraction(item["coeff"]) for item in data})
+
+
+def poly_weight(poly):
+    """Weight of a nonzero homogeneous polynomial."""
+    ws = {poly.vars.monomial_weight(e) for e, _ in poly.sorted_terms()}
+    if len(ws) != 1:
+        raise ValueError("weight of zero or inhomogeneous polynomial")
+    return ws.pop()
+
+
+def gauss_jordan(rows):
+    """Reduced row echelon form over Q, by exact Gauss-Jordan elimination.
+
+    ``rows`` is a list of equal-length rows of ints or Fractions; it is not
+    modified.  Returns (reduced rows, pivot columns): the first
+    ``len(pivots)`` reduced rows are nonzero, each with a 1 in its pivot
+    column and 0 in every other pivot column.
+    """
+    a = [list(row) for row in rows]
+    pivots = []
+    for c in range(len(a[0]) if a else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        # a Fraction pivot, so that 1 / pivot stays exact for an int entry
+        inv = 1 / Fraction(a[r][c])
+        a[r] = [v * inv for v in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [v - f * w for v, w in zip(a[i], a[r])]
+        pivots.append(c)
+    return a, pivots
+
+
+def rational_rank(columns, nrows):
+    """Rank over Q by exact Gauss-Jordan elimination (independent of HNF)."""
+    return len(gauss_jordan([[c[i] for c in columns] for i in range(nrows)])[1])
+
+
+@lru_cache(maxsize=None)
+def partition_count(n):
+    """p(n), by Euler's pentagonal recurrence."""
+    if n < 0:
+        return 0
+    if n == 0:
+        return 1
+    total = 0
+    k = 1
+    while True:
+        g1 = k * (3 * k - 1) // 2
+        g2 = k * (3 * k + 1) // 2
+        if g1 > n and g2 > n:
+            break
+        sign = -1 if k % 2 == 0 else 1
+        total += sign * (partition_count(n - g1) + partition_count(n - g2))
+        k += 1
+    return total

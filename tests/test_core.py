@@ -1,12 +1,13 @@
-import random
+import math
 from fractions import Fraction
+from operator import add
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from krichever import _kernels_py
 from krichever.core import (
+    MAX_EXPONENT,
     Poly,
     Series1,
     Series2,
@@ -17,6 +18,7 @@ from krichever.core import (
     p_vars,
     weighted_monomials,
 )
+from oracles import parse_poly, partition_count, poly_from_json, poly_weight
 
 SCALARS = VarTable([], [])
 
@@ -59,6 +61,84 @@ def recompose_revert(f):
         g[k] = -err
     return Series1(f.vars, n, g)
 
+# Reference for Poly: tuple exponent keys and int-or-Fraction coefficients,
+# with the multiply (the kernel's loop) and the add loop of the earlier
+# representation copied verbatim, and the other operations built on them.
+def _as_scalar(c):
+    """An exact scalar as ``int`` when integral, else as ``Fraction``."""
+    if isinstance(c, int):
+        return c
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    raise TypeError(f"not an exact scalar: {c!r}")
+
+
+def ref_mul(aterms, bterms):
+    if len(aterms) > len(bterms):
+        aterms, bterms = bterms, aterms
+    bitems = list(bterms.items())
+    out = {}
+    for ea, ca in aterms.items():
+        for eb, cb in bitems:
+            key = tuple(map(add, ea, eb))
+            if key in out:
+                out[key] += ca * cb
+            else:
+                out[key] = ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def ref_add(aterms, bterms):
+    terms = dict(aterms)
+    for e, c in bterms.items():
+        s = terms.get(e, 0) + c
+        if s:
+            terms[e] = s
+        elif e in terms:
+            del terms[e]
+    return terms
+
+
+def ref_terms(terms):
+    return {e: _as_scalar(c) for e, c in terms.items() if c}
+
+
+def ref_neg(terms):
+    return {e: -c for e, c in terms.items()}
+
+
+def ref_scale(terms, c):
+    return ref_terms({e: c * v for e, v in terms.items()})
+
+
+def ref_pow(terms, n, nvars):
+    out = {(0,) * nvars: 1}
+    for _ in range(n):
+        out = ref_mul(out, terms)
+    return out
+
+
+def ref_substitute(terms, images, nvars):
+    out = {}
+    for e, c in terms.items():
+        m = {(0,) * nvars: c}
+        for img, p in zip(images, e):
+            m = ref_mul(m, ref_pow(img, p, nvars))
+        out = ref_add(out, m)
+    return out
+
+
+exact_scalars = st.one_of(
+    st.integers(-9, 9), st.fractions(min_value=-9, max_value=9, max_denominator=12)
+)
+
+
+def exact_terms(nvars):
+    """Term dicts {exponent tuple: int or Fraction}, zero values included."""
+    monomials = st.tuples(*[st.integers(0, 3)] * nvars)
+    return st.dictionaries(monomials, exact_scalars, max_size=4)
+
+
 
 class TestPoly:
     def test_arithmetic(self):
@@ -84,34 +164,34 @@ class TestPoly:
     def test_weight(self):
         pv = p_vars()
         m = Poly.var(pv, "p1", power=2) * Poly.var(pv, "p2")
-        assert m.weight() == 4
+        assert poly_weight(m) == 4
         assert m.is_homogeneous(4)
         assert not (m + Poly.var(pv, "p1")).is_homogeneous()
 
     def test_text_round_trip(self):
         pv = p_vars()
-        p = Poly.parse("35/128*p1^4 - 15/16*p1^2*p2 + 3/8*p2^2 + 3/4*p1*p3 - 1/2*p4", pv)
-        assert Poly.parse(p.text(), pv) == p
-        assert Poly.parse("0", pv).is_zero
+        p = parse_poly("35/128*p1^4 - 15/16*p1^2*p2 + 3/8*p2^2 + 3/4*p1*p3 - 1/2*p4", pv)
+        assert parse_poly(p.text(), pv) == p
+        assert parse_poly("0", pv).is_zero
         assert Poly.zero(pv).text() == "0"
-        assert Poly.parse("-CP1", cp_vars(1)) == -Poly.var(cp_vars(1), "CP1")
+        assert parse_poly("-CP1", cp_vars(1)) == -Poly.var(cp_vars(1), "CP1")
 
     def test_text_canonical_order(self):
         pv = p_vars()
-        p = Poly.parse("3/8*p1^2 - 1/2*p2", pv)
+        p = parse_poly("3/8*p1^2 - 1/2*p2", pv)
         assert p.text() == "3/8*p1^2 - 1/2*p2"
 
     def test_json_round_trip(self):
         pv = p_vars()
-        p = Poly.parse("3/8*p1^2 - 1/2*p2 + 7", pv)
-        assert Poly.from_json(p.to_json(), pv) == p
+        p = parse_poly("3/8*p1^2 - 1/2*p2 + 7", pv)
+        assert poly_from_json(p.to_json(), pv) == p
         assert p.to_json()[0]["coeff"] == "3/8"
 
     def test_json_rejects_wrong_exponent_length(self):
         pv = p_vars()
         for exps in ([1, 0, 0], [1, 0, 0, 0, 0]):
             with pytest.raises(ValueError):
-                Poly.from_json([{"coeff": "1", "exps": exps}], pv)
+                poly_from_json([{"coeff": "1", "exps": exps}], pv)
 
     def test_integral_product_keeps_int_coefficients(self):
         bv = b_vars(3)
@@ -122,27 +202,70 @@ class TestPoly:
         assert halved == p
         assert all(type(c) is int for c in halved.terms.values())
 
-    def test_mixed_product_matches_all_fraction_product(self):
-        rng = random.Random(7)
+    @given(
+        exact_terms(3),
+        exact_terms(3),
+        exact_scalars,
+        st.integers(0, 3),
+        st.lists(exact_terms(2), min_size=3, max_size=3),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_arithmetic_matches_tuple_key_reference(self, a, b, c, k, images):
+        cv, bv = cp_vars(3), b_vars(2)
+        pa, pb = Poly(cv, a), Poly(cv, b)
+        pimages = {name: Poly(bv, img) for name, img in zip(cv.names, images)}
+        ra, rb = (ref_terms(t) for t in (a, b))
+        rimages = [ref_terms(img) for img in images]
+        cases = [
+            (pa, ra),
+            (pa + pb, ref_add(ra, rb)),
+            (pa - pb, ref_add(ra, ref_neg(rb))),
+            (pa * pb, ref_mul(ra, rb)),
+            (pa.scale(c), ref_scale(ra, c)),
+            (pa**k, ref_pow(ra, k, 3)),
+            (pa.substitute(pimages, bv), ref_substitute(ra, rimages, 2)),
+        ]
+        for got, want in cases:
+            assert got.den > 0
+            assert all(type(v) is int for v in got.terms.values())
+            assert math.gcd(got.den, *got.terms.values()) == 1
+            assert got.terms or got.den == 1
+            assert {e: v for e, v in got.sorted_terms()} == want
 
-        def scalar():
-            if rng.random() < 0.5:
-                return rng.randrange(-9, 10)
-            return Fraction(rng.randrange(-9, 10), rng.randrange(1, 7))
+    def test_product_reaching_a_guard_bit_raises(self):
+        pv = p_vars()
+        top = Poly.var(pv, "p2", power=MAX_EXPONENT)
+        assert (top * Poly.var(pv, "p1", power=MAX_EXPONENT)).coefficient(
+            (MAX_EXPONENT, MAX_EXPONENT, 0, 0)
+        ) == 1
+        with pytest.raises(OverflowError):
+            top * Poly.var(pv, "p2")
+        half = Poly.var(pv, "p1", power=64)
+        with pytest.raises(OverflowError):
+            half * half
+        # p1^128 cancels, but the degree p1^129 of the product survives
+        with pytest.raises(OverflowError):
+            (half + Poly.var(pv, "p1", power=65)) * (half - Poly.var(pv, "p1", power=63))
+        with pytest.raises(OverflowError):
+            Poly.var(pv, "p1", power=MAX_EXPONENT + 1)
 
-        def terms():
-            return {
-                tuple(rng.randrange(3) for _ in range(3)): scalar()
-                for _ in range(rng.randrange(1, 8))
-            }
+    def test_negative_exponent_raises(self):
+        pv = p_vars()
+        with pytest.raises(ValueError):
+            Poly(pv, {(0, -1, 0, 0): 1})
+        with pytest.raises(ValueError):
+            Poly.var(pv, "p3", power=-1)
+        with pytest.raises(ValueError):
+            Poly.var(pv, "p1").coefficient((-1, 0, 0, 0))
 
-        for _ in range(25):
-            a, b = terms(), terms()
-            as_fraction = _kernels_py.poly_mul_terms(
-                {e: Fraction(c) for e, c in a.items()},
-                {e: Fraction(c) for e, c in b.items()},
-            )
-            assert _kernels_py.poly_mul_terms(a, b) == as_fraction
+    def test_wrong_exponent_length_raises(self):
+        pv = p_vars()
+        p1 = Poly.var(pv, "p1")
+        for exps in ((1, 0, 0), (1, 0, 0, 0, 0), (0, 0, 0, 0, 1)):
+            with pytest.raises(ValueError):
+                Poly(pv, {exps: 1})
+            with pytest.raises(ValueError):
+                p1.coefficient(exps)
 
     def test_substitute(self):
         cv = cp_vars(2)
@@ -406,8 +529,6 @@ class TestSeries2:
 
 
 def test_weighted_monomials_are_partitions():
-    from krichever.lattice import partition_count
-
     for n in range(9):
         ms = weighted_monomials(b_vars(n if n else 1), n)
         assert len(ms) == partition_count(n)

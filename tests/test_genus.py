@@ -8,11 +8,11 @@ from krichever.core import (
     Poly,
     Series1,
     cp_vars,
-    gauss_jordan,
     p_vars,
     q_vars,
     weighted_monomials,
 )
+from oracles import gauss_jordan, parse_poly
 
 # values printed in the source tables, entered verbatim
 PSI_VALUES = {
@@ -34,7 +34,7 @@ class TestPsi:
         table = genus.psi_table(4)
         pv = table.vars
         for i, text in PSI_VALUES.items():
-            assert table[i] == Poly.parse(text, pv), f"psi(CP_{i})"
+            assert table[i] == parse_poly(text, pv), f"psi(CP_{i})"
 
     def test_homogeneity(self):
         table = genus.psi_table(8)
@@ -56,7 +56,7 @@ class TestKappa:
         table = genus.kappa_table(4)
         cv = table.vars
         for i, text in KAPPA_VALUES.items():
-            assert table[i] == Poly.parse(text, cv), f"kappa(CP_{i})"
+            assert table[i] == parse_poly(text, cv), f"kappa(CP_{i})"
 
     def test_linear_term_from_composition(self):
         # mog = log o nu^{-1} has kappa(CP_1)/2 at x^2
@@ -93,10 +93,10 @@ def gauss_jordan_kappa_inverse(n):
         cols = []
         for e in basis:
             col = [0] * size
-            for ee, c in Poly(cv, {e: 1}).substitute(images, cv).terms.items():
+            for ee, c in Poly(cv, {e: 1}).substitute(images, cv).sorted_terms():
                 col[pos[ee]] = c
             cols.append(col)
-        t = pos[next(iter(Poly.var(cv, f"CP{w}").terms))]
+        t = pos[tuple(int(i == w) for i in range(1, n + 1))]
         reduced, pivots = gauss_jordan(
             [[col[i] for col in cols] + [int(i == t)] for i in range(size)]
         )
@@ -127,7 +127,7 @@ class TestKappaInverse:
             cv = table.vars
             entries = dict(table.entries)
             entries[2] = table[2] + Poly.var(cv, "CP2", coeff=2)
-            assert entries[2] == Poly.parse("3*CP1^2", cv)
+            assert entries[2] == parse_poly("3*CP1^2", cv)
             return genus.GenusTable("kappa", n, cv, entries)
 
         monkeypatch.setattr(genus, "kappa_table", no_cp2_term)
@@ -137,8 +137,8 @@ class TestKappaInverse:
     def test_low_entries(self):
         table = genus.kappa_inverse_table(4)
         cv = table.vars
-        assert table[1] == Poly.parse("-CP1", cv)
-        assert table[2] == Poly.parse("3/2*CP1^2 - 1/2*CP2", cv)
+        assert table[1] == parse_poly("-CP1", cv)
+        assert table[2] == parse_poly("3/2*CP1^2 - 1/2*CP2", cv)
 
     def test_round_trip_on_generators(self):
         n = 6

@@ -17,9 +17,8 @@ from krichever.lattice import (
     LazardModel,
     hnf_columns,
     indecomposables_closed_form,
-    partition_count,
-    rational_rank,
 )
+from oracles import partition_count, rational_rank
 
 
 def brute_force_member(vector, columns, bound=6):
