@@ -9,7 +9,6 @@ import time
 import pytest
 
 from krichever import fgl, genus, lattice
-from krichever.core import Poly
 from oracles import parse_poly
 
 

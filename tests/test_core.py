@@ -61,6 +61,7 @@ def recompose_revert(f):
         g[k] = -err
     return Series1(f.vars, n, g)
 
+
 # Reference for Poly: tuple exponent keys and int-or-Fraction coefficients,
 # with the multiply (the kernel's loop) and the add loop of the earlier
 # representation copied verbatim, and the other operations built on them.
@@ -137,7 +138,6 @@ def exact_terms(nvars):
     """Term dicts {exponent tuple: int or Fraction}, zero values included."""
     monomials = st.tuples(*[st.integers(0, 3)] * nvars)
     return st.dictionaries(monomials, exact_scalars, max_size=4)
-
 
 
 class TestPoly:
@@ -230,7 +230,7 @@ class TestPoly:
             assert all(type(v) is int for v in got.terms.values())
             assert math.gcd(got.den, *got.terms.values()) == 1
             assert got.terms or got.den == 1
-            assert {e: v for e, v in got.sorted_terms()} == want
+            assert dict(got.sorted_terms()) == want
 
     def test_product_reaching_a_guard_bit_raises(self):
         pv = p_vars()
