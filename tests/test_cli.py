@@ -160,6 +160,11 @@ class TestGoldenDigests:
                 ["psi", "--order", "16", "--format", "json"],
                 "8447e0f5cdbaf20b418e0c464e1f2d4c897997c992427645b89184c8c9eee82b",
             ),
+            # the ceiling before weight 16: Q_14 = Z^47 + (Z/2)^5, Q_15 = Z^54
+            (
+                ["quotient", "--max-weight", "15", "--format", "json"],
+                "b577fad8f52f8c03b69f88c3e660c97246ff5e1424fb773e6dfc08e175e65850",
+            ),
         ],
     )
     def test_stdout_digest(self, argv, digest, capsys):
