@@ -140,6 +140,7 @@ EXPECTED_INDEC = {
     13: ((13,), 0),
     14: ((2,), 0),
     15: ((), 0),
+    16: ((2,), 0),
 }
 
 

@@ -17,7 +17,7 @@ from .core import Poly, weighted_monomials
 from .fgl import build_universal_fgl, compute_A
 
 DEFAULT_MAX_WEIGHT = 8
-WEIGHT_CEILING = 15
+WEIGHT_CEILING = 16
 
 
 def hnf_columns(cols, nrows):
@@ -61,12 +61,23 @@ class InvariantFactors:
 
 
 class BasisIndex:
-    """Monomial basis of the weight-n piece of Z[b], canonical order."""
+    """Monomial basis of the weight-n piece of Z[b], fewest b-factors first.
+
+    Row i of every lattice matrix is the coefficient of ``monomials[i]``.
+    The monomials are sorted by their number of b-factors, ascending, and
+    lex-descending within one count, so row 0 is b_n and the last row
+    b_1^n.  A weight-k generator is C(k+1, i) b_k plus products of two or
+    more b's, so a product of generators has its first nonzero entry on its
+    coarsest monomial, and most columns of the insertion HNF find a pivot
+    row of their own.  Put b_1^n first, where nearly every product is
+    nonzero, and each column walks through almost every pivot.  Ranks and
+    invariant factors do not depend on the row order.
+    """
 
     def __init__(self, vars, weight):
         self.vars = vars
         self.weight = weight
-        self.monomials = weighted_monomials(vars, weight)
+        self.monomials = sorted(weighted_monomials(vars, weight), key=sum)
         self.pos = {vars.pack(m): i for i, m in enumerate(self.monomials)}
 
     def __len__(self):

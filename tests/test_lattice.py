@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from krichever import _kernels_py
+from krichever import _kernels_py, lattice
 from krichever.backend import kernels
 from krichever.cli import EXPECTED_INDEC
+from krichever.core import Poly, b_vars, weighted_monomials
 from krichever.lattice import (
+    BasisIndex,
     InvariantFactors,
     WEIGHT_CEILING,
     LazardModel,
@@ -251,6 +253,23 @@ class TestHnf:
             model10.quotient_groups(n)
         assert len(bound) > 50
 
+    def test_work_on_lattice_pieces(self, monkeypatch):
+        # With the fewest-factors-first row order most product columns find
+        # a pivot row of their own: 3312 row operations here, where the
+        # lex-descending order (b_1^n first) took 15587.
+        submul = _kernels_py._col_submul
+        calls = [0]
+
+        def counted_submul(col, src, q, start):
+            calls[0] += 1
+            submul(col, src, q, start)
+
+        monkeypatch.setattr(_kernels_py, "_col_submul", counted_submul)
+        model10 = LazardModel(10)
+        for n in range(1, 11):
+            model10.quotient_groups(n)
+        assert 0 < calls[0] <= 6000
+
 
 def _det(m):
     n = len(m)
@@ -409,6 +428,45 @@ def model():
     return LazardModel(8)
 
 
+class LexBasisIndex(BasisIndex):
+    """The lex-descending row order, b_1^n first: an oracle for the default."""
+
+    def __init__(self, vars, weight):
+        super().__init__(vars, weight)
+        self.monomials = weighted_monomials(vars, weight)
+        self.pos = {vars.pack(m): i for i, m in enumerate(self.monomials)}
+
+
+class TestRowOrder:
+    def test_fewest_factors_first(self):
+        for n in range(1, 11):
+            monomials = BasisIndex(b_vars(n), n).monomials
+            lex = weighted_monomials(b_vars(n), n)
+            assert sorted(monomials, reverse=True) == lex
+            factors = [sum(m) for m in monomials]
+            assert factors == sorted(factors)
+            assert monomials[0] == (0,) * (n - 1) + (1,) and monomials[-1] == (n,) + (0,) * (n - 1)
+
+    def test_lex_order_gives_the_same_groups_and_lattices(self, monkeypatch):
+        pieces = ("lazard_piece", "ideal_piece", "decomposables_piece")
+        model10 = LazardModel(10)
+        ours = [model10.quotient_groups(n) for n in range(1, 11)]
+        ours_pieces = [[getattr(model10, p)(n) for p in pieces] for n in range(1, 11)]
+        monkeypatch.setattr(lattice, "BasisIndex", LexBasisIndex)
+        lex10 = LazardModel(10, fgl=model10.fgl)
+        for n in range(1, 11):
+            assert lex10.basis_index(n).monomials[0] == (n,) + (0,) * 9
+            assert lex10.quotient_groups(n) == ours[n - 1]
+            for a, piece in zip(ours_pieces[n - 1], pieces):
+                b = getattr(lex10, piece)(n)
+                assert a.rank == b.rank
+                # the same lattice: each HNF basis lies in the other piece
+                for x, y in ((a, b), (b, a)):
+                    for col in x.hnf_basis():
+                        poly = Poly(model10.vars, dict(zip(x.basis.monomials, col)))
+                        assert len(y.coordinates(y.basis.vector(poly))) == y.rank
+
+
 class TestLazardPieces:
     def test_rank_zero_and_one(self, model):
         assert model.lazard_piece(0).rank == 1
@@ -489,6 +547,9 @@ class TestQuotient:
         for n, group in enumerate(expected, start=1):
             _, indec = model.quotient_groups(n)
             assert (indec.torsion, indec.free_rank) == group
+
+    def test_table_covers_every_weight_up_to_the_ceiling(self):
+        assert sorted(EXPECTED_INDEC) == list(range(1, WEIGHT_CEILING + 1))
 
     def test_closed_form_matches_table(self):
         for n, group in EXPECTED_INDEC.items():
