@@ -92,24 +92,47 @@ class TestUsageErrors:
         assert exc.value.code == 2
 
 
+    # explicit ids name the command and the case, never a ceiling, so that
+    # raising a ceiling does not rename the tests
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["reproduce-paper", "--order", "1"], "--order must be >= 2"),
-            (["reproduce-paper", "--order", "0"], "--order must be >= 2"),
-            (["reproduce-paper", "--order", "-3"], "--order must be >= 2"),
-            (["verify", "--order", "1"], "--order must be >= 2"),
-            (["psi", "--order", "0"], "--order must be >= 1"),
-            (["quotient", "--max-weight", "0"], MAX_WEIGHT_MESSAGE),
+            pytest.param(
+                ["reproduce-paper", "--order", "1"],
+                "--order must be >= 2",
+                id="reproduce-paper-order-1",
+            ),
+            pytest.param(
+                ["reproduce-paper", "--order", "0"],
+                "--order must be >= 2",
+                id="reproduce-paper-order-0",
+            ),
+            pytest.param(
+                ["reproduce-paper", "--order", "-3"],
+                "--order must be >= 2",
+                id="reproduce-paper-order-negative",
+            ),
+            pytest.param(["verify", "--order", "1"], "--order must be >= 2", id="verify-order-1"),
+            pytest.param(["psi", "--order", "0"], "--order must be >= 1", id="psi-order-0"),
+            pytest.param(
+                ["quotient", "--max-weight", "0"], MAX_WEIGHT_MESSAGE, id="quotient-max-weight-0"
+            ),
         ]
         + [
-            (
+            pytest.param(
                 [command, "--order", str(genus.ORDER_CEILING + 1)],
                 f"--order must be <= {genus.ORDER_CEILING}",
+                id=f"{command}-order-above-ceiling",
             )
             for command in (*cli.TABLES, "verify", "reproduce-paper")
         ]
-        + [(["quotient", "--max-weight", str(lattice.WEIGHT_CEILING + 1)], MAX_WEIGHT_MESSAGE)],
+        + [
+            pytest.param(
+                ["quotient", "--max-weight", str(lattice.WEIGHT_CEILING + 1)],
+                MAX_WEIGHT_MESSAGE,
+                id="quotient-max-weight-above-ceiling",
+            )
+        ],
     )
     def test_out_of_range_is_one_line(self, argv, message, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -130,8 +153,9 @@ class TestGoldenDigests:
     # solve and Horner-rule series composition (the oracles in test_genus and
     # test_core), and the quotient with a Smith elimination of its own that
     # cleared rows and columns pivot by pivot: a series or kernel change must
-    # leave these bytes alone.  The quotient pin covers the printed torsion of
-    # Q_n (Z/2 at n = 6, 8 and (Z/2)^2 at n = 10).
+    # leave these bytes alone, and so must a change of the lattice row order.
+    # The quotient pins cover the printed torsion of Q_n (Z/2 at n = 6, 8 and
+    # (Z/2)^2 at n = 10; (Z/2)^5 at n = 14).
     @pytest.mark.parametrize(
         "argv, digest",
         [
