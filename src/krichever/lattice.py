@@ -69,8 +69,8 @@ class BasisIndex:
     b_1^n.  A weight-k generator is C(k+1, i) b_k plus products of two or
     more b's, so a product of generators has its first nonzero entry on its
     coarsest monomial, and most columns of the insertion HNF find a pivot
-    row of their own.  Put b_1^n first, where nearly every product is
-    nonzero, and each column walks through almost every pivot.  Ranks and
+    row of their own.  With b_1^n first, where nearly every product is
+    nonzero, each column would walk through almost every pivot.  Ranks and
     invariant factors do not depend on the row order.
     """
 
