@@ -92,47 +92,24 @@ class TestUsageErrors:
         assert exc.value.code == 2
 
 
-    # explicit ids name the command and the case, never a ceiling, so that
-    # raising a ceiling does not rename the tests
     @pytest.mark.parametrize(
         "argv, message",
         [
-            pytest.param(
-                ["reproduce-paper", "--order", "1"],
-                "--order must be >= 2",
-                id="reproduce-paper-order-1",
-            ),
-            pytest.param(
-                ["reproduce-paper", "--order", "0"],
-                "--order must be >= 2",
-                id="reproduce-paper-order-0",
-            ),
-            pytest.param(
-                ["reproduce-paper", "--order", "-3"],
-                "--order must be >= 2",
-                id="reproduce-paper-order-negative",
-            ),
-            pytest.param(["verify", "--order", "1"], "--order must be >= 2", id="verify-order-1"),
-            pytest.param(["psi", "--order", "0"], "--order must be >= 1", id="psi-order-0"),
-            pytest.param(
-                ["quotient", "--max-weight", "0"], MAX_WEIGHT_MESSAGE, id="quotient-max-weight-0"
-            ),
+            (["reproduce-paper", "--order", "1"], "--order must be >= 2"),
+            (["reproduce-paper", "--order", "0"], "--order must be >= 2"),
+            (["reproduce-paper", "--order", "-3"], "--order must be >= 2"),
+            (["verify", "--order", "1"], "--order must be >= 2"),
+            (["psi", "--order", "0"], "--order must be >= 1"),
+            (["quotient", "--max-weight", "0"], MAX_WEIGHT_MESSAGE),
         ]
         + [
-            pytest.param(
+            (
                 [command, "--order", str(genus.ORDER_CEILING + 1)],
                 f"--order must be <= {genus.ORDER_CEILING}",
-                id=f"{command}-order-above-ceiling",
             )
             for command in (*cli.TABLES, "verify", "reproduce-paper")
         ]
-        + [
-            pytest.param(
-                ["quotient", "--max-weight", str(lattice.WEIGHT_CEILING + 1)],
-                MAX_WEIGHT_MESSAGE,
-                id="quotient-max-weight-above-ceiling",
-            )
-        ],
+        + [(["quotient", "--max-weight", str(lattice.WEIGHT_CEILING + 1)], MAX_WEIGHT_MESSAGE)],
     )
     def test_out_of_range_is_one_line(self, argv, message, capsys):
         with pytest.raises(SystemExit) as exc:
