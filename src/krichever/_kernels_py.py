@@ -1,38 +1,55 @@
 """The polynomial and integer-lattice kernels.
 
-These are the hot inner loops of the whole package: sparse-polynomial
-multiplication (every series operation bottoms out here) and the one
-integer column elimination, the Hermite normal form, built by inserting
-one column at a time into a reduced echelon basis (Kannan & Bachem 1979;
-Cohen, GTM 138, section 2.4), which holds down the growth of intermediate
-entries.  The Smith normal form is read off by alternating that
-elimination on a matrix and its transpose.
+These are the hot inner loops of the whole package: the sparse-polynomial
+sum of products, with one product as its one-pair case (every series
+operation bottoms out here), and the one integer column elimination, the
+Hermite normal form, built by inserting one column at a time into a
+reduced echelon basis (Kannan & Bachem 1979; Cohen, GTM 138, section 2.4),
+which holds down the growth of intermediate entries.  The Smith normal
+form is read off by alternating that elimination on a matrix and its
+transpose.
 """
 
 from bisect import bisect_right, insort
+from functools import reduce
 from math import gcd
+from operator import or_
 
 BACKEND_NAME = "python"
 
 
-def poly_mul_terms(aterms, bterms):
-    """Multiply two sparse term dicts {packed exponent key: int}.
+def poly_dot_terms(pairs, guard=0):
+    """Sum of the products of the term-dict pairs {packed exponent key: int}.
 
+    Every product of every pair goes into one dict, so each coefficient is
+    written once, after all its like terms are summed (the rule of Monagan
+    & Pearce, CASC 2007), and the zero sums are dropped once at the end.
     With packed keys (``core.VarTable.pack``) the key of a monomial product
-    is the sum of the keys, so the loop does int arithmetic only.
+    is the sum of the keys, so the loop does int arithmetic only.  Raises
+    OverflowError if a product key has a bit of ``guard`` set; the keys are
+    checked before zero sums are dropped, since two products can cancel on
+    a monomial past the guard.
     """
-    if len(aterms) > len(bterms):
-        aterms, bterms = bterms, aterms
-    bitems = list(bterms.items())
     out = {}
-    for ea, ca in aterms.items():
-        for eb, cb in bitems:
-            key = ea + eb
-            if key in out:
-                out[key] += ca * cb
-            else:
-                out[key] = ca * cb
+    for aterms, bterms in pairs:
+        if len(aterms) > len(bterms):
+            aterms, bterms = bterms, aterms
+        bitems = list(bterms.items())
+        for ea, ca in aterms.items():
+            for eb, cb in bitems:
+                key = ea + eb
+                if key in out:
+                    out[key] += ca * cb
+                else:
+                    out[key] = ca * cb
+    if guard and reduce(or_, out, 0) & guard:
+        raise OverflowError("exponent in a product past its guard bit")
     return {e: c for e, c in out.items() if c}
+
+
+def poly_mul_terms(aterms, bterms):
+    """The product of two sparse term dicts: the one-pair ``poly_dot_terms``."""
+    return poly_dot_terms(((aterms, bterms),))
 
 
 def hnf_cols(cols, nrows):

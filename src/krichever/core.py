@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from operator import mul, or_
 
 from .backend import kernels
@@ -231,6 +231,28 @@ class Poly:
             raise OverflowError(f"exponent in a product above the maximum {MAX_EXPONENT}")
         return Poly._canonical(self.vars, terms, self.den * other.den)
 
+    @classmethod
+    def dot(cls, vars, pairs):
+        """sum(a * b for a, b in pairs) over ``vars``, each coefficient written once.
+
+        The kernel sums every product over one common denominator, the lcm
+        of the pairs' ``a.den * b.den``: the shorter factor of a pair with a
+        smaller denominator is scaled up first.  Raises OverflowError when
+        one of the products would under ``*``, even if it cancels in the sum.
+        """
+        dens = [a.den * b.den for a, b in pairs]
+        den = lcm(*dens)
+        tpairs = []
+        for (a, b), d in zip(pairs, dens):
+            a, b = a.terms, b.terms
+            if d != den:
+                if len(a) > len(b):
+                    a, b = b, a
+                s = den // d
+                a = {e: s * c for e, c in a.items()}
+            tpairs.append((a, b))
+        return cls._canonical(vars, kernels.poly_dot_terms(tpairs, vars.guard), den)
+
     def __rmul__(self, other):
         return self.__mul__(other)
 
@@ -444,16 +466,13 @@ class Series1:
                 ):
                     raise ValueError("requested order not determined by truncations")
             n = order
-        zero = Poly.zero(self.vars)
-        out = [zero] * (n + 1)
-        for i, a in enumerate(self.coeffs):
-            if not a or i > n:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if i + j > n:
-                    break
-                if b:
-                    out[i + j] = out[i + j] + a * b
+        a = [(i, c) for i, c in enumerate(self.coeffs) if c]
+        b = other.coeffs
+        top = other.order
+        out = [
+            Poly.dot(self.vars, [(c, b[k - i]) for i, c in a if 0 <= k - i <= top and b[k - i]])
+            for k in range(n + 1)
+        ]
         return Series1(self.vars, n, out)
 
     __mul__ = mul
@@ -522,26 +541,14 @@ class Series1:
         """
         if self.coeffs[0] or self.coeffs[1] != Poly.one(self.vars):
             raise ValueError("reversion needs f = x + higher order")
-        n = self.order
-        zero = Poly.zero(self.vars)
-        g = [zero, Poly.one(self.vars)]
-        # P[1] is g itself; row j >= 2 holds zeros below column j
+        f = self.coeffs
+        g = [Poly.zero(self.vars), Poly.one(self.vars)]
         P = [None, g]
-        for k in range(2, n + 1):
-            acc = zero
-            for j in range(2, k + 1):
-                if j == len(P):
-                    P.append([zero] * j)
-                prev = P[j - 1]
-                s = zero
-                for i in range(1, k - j + 2):
-                    if g[i] and prev[k - i]:
-                        s = s + g[i] * prev[k - i]
-                P[j].append(s)
-                if self.coeffs[j] and s:
-                    acc = acc + self.coeffs[j] * s
-            g.append(-acc)
-        return Series1(self.vars, n, g)
+        for k in range(2, self.order + 1):
+            _power_column(self.vars, P, k)
+            pairs = [(f[j], P[j][k]) for j in range(2, k + 1) if f[j] and P[j][k]]
+            g.append(-Poly.dot(self.vars, pairs))
+        return Series1(self.vars, self.order, g)
 
     def inv_sqrt(self):
         """Series r with r^2 * f = 1, for f with constant coefficient 1."""
@@ -670,19 +677,13 @@ class Series2:
                 ):
                     raise ValueError("requested order not determined by truncations")
             n = order
-        out = {}
+        pairs = {}
         for (i1, j1), a in self.coeffs.items():
             for (i2, j2), b in other.coeffs.items():
                 i, j = i1 + i2, j1 + j2
-                if i + j > n:
-                    continue
-                key = (i, j)
-                prod = a * b
-                if key in out:
-                    out[key] = out[key] + prod
-                else:
-                    out[key] = prod
-        return Series2(self.vars, n, out)
+                if i + j <= n:
+                    pairs.setdefault((i, j), []).append((a, b))
+        return Series2(self.vars, n, {k: Poly.dot(self.vars, v) for k, v in pairs.items()})
 
     __mul__ = mul
 
@@ -784,6 +785,22 @@ def weighted_monomials(vars, w):
     return out
 
 
+def _power_column(vars, P, k):
+    """Append column k to rows 2..k of the table of powers of g = P[1].
+
+    ``P[j][k]`` is the x^k coefficient of g^j, for a g of valuation >= 1,
+    by the recurrence of ``Series1.revert``; it reads only g_1 .. g_{k-1}.
+    Row j >= 2 holds zeros below column j.
+    """
+    g = P[1]
+    for j in range(2, k + 1):
+        if j == len(P):
+            P.append([Poly.zero(vars)] * j)
+        prev = P[j - 1]
+        pairs = [(g[i], prev[k - i]) for i in range(1, k - j + 2) if g[i] and prev[k - i]]
+        P[j].append(Poly.dot(vars, pairs))
+
+
 def compose1(f, g2):
     """Univariate f composed with a bivariate g2 of valuation >= 1.
 
@@ -805,10 +822,40 @@ def compose1(f, g2):
 
 
 def formal_group_law(exp, log):
-    """F(x, y) = exp(log(x) + log(y)) for a logarithm and its inverse series.
+    """F(x, y) = exp(log(x) + log(y)), by a Taylor split of exp at log(y).
 
-    Both series are taken to the same order; F is truncated there.
+    With e_n the coefficients of exp and P[k][i] = [x^i] log^k,
+        F(x, y) = sum_k log(x)^k G_k(y),
+        G_k(y) = exp^(k)(log y) / k! = sum_l C(k+l, k) e_{k+l} log(y)^l,
+    so [x^i y^m] F = sum_{k <= i} P[k][i] [y^m] G_k.  One table of the
+    powers of the univariate log, the kind ``Series1.revert`` fills, gives
+    both factors in about n^3 coefficient products; composing exp with the
+    bivariate log(x) + log(y) (``compose1``) takes every power of it, about
+    n^5.  F is symmetric, so only i <= m is computed and the rest mirrored.
+    Each coefficient goes to the kernel as one ``Poly.dot``, and over Z[b]
+    every step is integral.  Both series are taken to the lower of their
+    orders; F is truncated there.
     """
-    lx = Series2.from_series1(log, exp.order, 0)
-    ly = Series2.from_series1(log, exp.order, 1)
-    return compose1(exp, lx + ly)
+    if log.coeffs[0]:
+        raise ValueError("composition needs zero constant term")
+    vars, e = exp.vars, exp.coeffs
+    n = min(exp.order, log.order)
+    P = [[Poly.one(vars)] + [Poly.zero(vars)] * n, log.coeffs[: n + 1]]
+    for k in range(2, n + 1):
+        _power_column(vars, P, k)
+    # G[k][m] = [y^m] G_k, for the k <= i <= m with i + m <= n that F needs
+    G = []
+    for k in range(n // 2 + 1):
+        c = [e[k + l].scale(comb(k + l, k)) for l in range(n - k + 1)]
+        G.append(
+            {
+                m: Poly.dot(vars, [(c[l], P[l][m]) for l in range(m + 1) if c[l] and P[l][m]])
+                for m in range(k, n - k + 1)
+            }
+        )
+    coeffs = {}
+    for i in range(n // 2 + 1):
+        for m in range(i, n - i + 1):
+            pairs = [(P[k][i], G[k][m]) for k in range(i + 1) if P[k][i] and G[k][m]]
+            coeffs[i, m] = coeffs[m, i] = Poly.dot(vars, pairs)
+    return Series2(vars, n, coeffs)

@@ -152,6 +152,7 @@ class LazardModel:
         self.fgl = fgl
         self.vars = fgl.vars
         self._basis = {}
+        self._polys = {}
         # a_ij (1 <= i <= j) of weight i + j - 1, A_ij (3 <= i <= j) of i + j - 2
         self._law_gens = _generators(fgl.F, 1, 1, max_weight)
         self._ideal_gens = _generators(fgl.A, 3, 2, max_weight)
@@ -167,13 +168,14 @@ class LazardModel:
         return self._basis[n]
 
     def _basis_polys(self, n):
-        """HNF basis of the weight-n ring piece, as polynomials."""
-        piece = self.lazard_piece(n)
-        bi = self.basis_index(n)
-        out = []
-        for col in piece.hnf_basis():
-            out.append(Poly(self.vars, dict(zip(bi.monomials, col))))
-        return out
+        """HNF basis of the weight-n ring piece, as polynomials (built once)."""
+        if n not in self._polys:
+            monomials = self.basis_index(n).monomials
+            self._polys[n] = [
+                Poly(self.vars, dict(zip(monomials, col)))
+                for col in self.lazard_piece(n).hnf_basis()
+            ]
+        return self._polys[n]
 
     def _span(self, n, generators):
         """Z-span of g * v for each generator g of weight k <= n and each

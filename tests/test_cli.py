@@ -166,6 +166,11 @@ class TestGoldenDigests:
                 ["quotient", "--max-weight", "15", "--format", "json"],
                 "b577fad8f52f8c03b69f88c3e660c97246ff5e1424fb773e6dfc08e175e65850",
             ),
+            # both ceilings at once: the only pin at weight 16 and order 18
+            (
+                ["reproduce-paper", "--max-weight", "16", "--order", "18"],
+                "5a947ff9cbf3f8a8e45186eda9b729136c92c56e5d2fbc432cb21f22d4c91e91",
+            ),
         ],
     )
     def test_stdout_digest(self, argv, digest, capsys):

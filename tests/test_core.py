@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from krichever import _kernels_py
 from krichever.core import (
     MAX_EXPONENT,
     Poly,
@@ -15,6 +16,7 @@ from krichever.core import (
     b_vars,
     compose1,
     cp_vars,
+    formal_group_law,
     p_vars,
     weighted_monomials,
 )
@@ -31,7 +33,8 @@ def scalar_series(coeffs, order=None):
 
 # Reference oracles: composition by Horner's rule, and reversion that
 # recomposes f o g at every step.  Slow, but independent of the sums of
-# powers and the table of powers that compose, compose1 and revert use.
+# powers and the table of powers that compose, compose1, revert and
+# formal_group_law use.
 def horner_compose(f, g):
     n = min(f.order, g.order)
     acc = Series1(f.vars, n, [f.coeffs[n]] + [Poly.zero(f.vars)] * n)
@@ -248,6 +251,15 @@ class TestPoly:
             (half + Poly.var(pv, "p1", power=65)) * (half - Poly.var(pv, "p1", power=63))
         with pytest.raises(OverflowError):
             Poly.var(pv, "p1", power=MAX_EXPONENT + 1)
+        # the two products of p1^128 cancel in the sum, but each one alone
+        # raises, so their dot product does too, in the kernel and in Poly
+        with pytest.raises(OverflowError):
+            Poly.dot(pv, [(half, half), (-half, half)])
+        dot_terms = _kernels_py.poly_dot_terms
+        with pytest.raises(OverflowError):
+            dot_terms([(half.terms, half.terms), ((-half).terms, half.terms)], pv.guard)
+        # a sum that cancels below the guard is zero, not an error
+        assert dot_terms([(top.terms, half.terms), ((-top).terms, half.terms)], pv.guard) == {}
 
     def test_negative_exponent_raises(self):
         pv = p_vars()
@@ -492,6 +504,44 @@ class TestSeriesAgainstReference:
             assert h.order == min(f.order, g2.order)
             if ring.startswith("Z"):
                 assert _all_int(h.coeffs.values())
+
+        check()
+
+
+    @pytest.mark.parametrize("ring", RINGS)
+    def test_formal_group_law_matches_horner(self, ring):
+        vars, scalars = RINGS[ring]
+
+        @given(series(vars, scalars, [], max_tail=6), series(vars, scalars, [0]))
+        @settings(max_examples=40, deadline=None)
+        def check(exp, log):
+            n = min(exp.order, log.order)
+            lx, ly = (Series2.from_series1(log, n, slot) for slot in (0, 1))
+            F = formal_group_law(exp, log)
+            assert F == horner_compose1(exp, lx + ly)
+            assert F.order == n
+            if ring.startswith("Z"):
+                assert _all_int(F.coeffs.values())
+
+        check()
+        with pytest.raises(ValueError):
+            formal_group_law(Series1.identity(vars, 2), Series1.one(vars, 2))
+
+    @pytest.mark.parametrize("ring", RINGS)
+    def test_dot_is_the_sum_of_its_products(self, ring):
+        vars, scalars = RINGS[ring]
+        pairs = st.lists(st.tuples(polys(vars, scalars), polys(vars, scalars)), max_size=5)
+
+        @given(pairs)
+        @settings(max_examples=40, deadline=None)
+        def check(pairs):
+            want = {}
+            for a, b in pairs:
+                for e, c in _kernels_py.poly_mul_terms(a.terms, b.terms).items():
+                    want[e] = want.get(e, 0) + c
+            terms = [(a.terms, b.terms) for a, b in pairs]
+            assert _kernels_py.poly_dot_terms(terms) == {e: c for e, c in want.items() if c}
+            assert Poly.dot(vars, pairs) == sum((a * b for a, b in pairs), Poly.zero(vars))
 
         check()
 

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from krichever import fgl
-from krichever.core import Poly, Series1, Series2, b_vars
+from krichever import _kernels_py, fgl
+from krichever.core import Poly, Series1, Series2, b_vars, formal_group_law
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +48,26 @@ class TestBuild:
     def test_associativity_degree_six(self, data):
         rep = fgl.verify_associativity(data, 6)
         assert rep.passed, rep.first_failure
+
+    def test_work_of_the_law_build(self, monkeypatch):
+        # The Taylor split at log y feeds the kernel 18,190 term products at
+        # W = 13; composing exp_b with log x + log y took 100,909.
+        w = 13
+        bv = b_vars(w)
+        bs = [Poly.var(bv, f"b{i}") for i in range(1, w + 1)]
+        exp_b = Series1(bv, w + 1, [Poly.zero(bv), Poly.one(bv), *bs])
+        log_b = exp_b.revert()
+        dot = _kernels_py.poly_dot_terms
+        products = [0]
+
+        def counted_dot(pairs, guard=0):
+            products[0] += sum(len(a) * len(b) for a, b in pairs)
+            return dot(pairs, guard)
+
+        monkeypatch.setattr(_kernels_py, "poly_dot_terms", counted_dot)
+        F = formal_group_law(exp_b, log_b)
+        assert F.order == w + 1
+        assert 0 < products[0] <= 25_000
 
 
 def test_b_model_coefficients_are_int():
