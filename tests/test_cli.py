@@ -171,6 +171,11 @@ class TestGoldenDigests:
                 ["reproduce-paper", "--max-weight", "16", "--order", "18"],
                 "5a947ff9cbf3f8a8e45186eda9b729136c92c56e5d2fbc432cb21f22d4c91e91",
             ),
+            # the weight ceiling in full: Q_16 = Z^64 + (Z/2)^6 and every rank_I
+            (
+                ["quotient", "--max-weight", "16", "--format", "json"],
+                "6d7c52164e3813d69e54eb275d179d1b8cbac625bbc4aca47b08da7a5273e1ba",
+            ),
         ],
     )
     def test_stdout_digest(self, argv, digest, capsys):
