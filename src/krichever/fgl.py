@@ -61,8 +61,6 @@ def build_universal_fgl(w=DEFAULT_WEIGHT):
 
 def _sanity(fgl):
     w, bv = fgl.weight, fgl.vars
-    if not fgl.F.is_symmetric():
-        raise AssertionError("F is not symmetric")
     if fgl.F.at_y_zero() != Series1.identity(bv, w + 1):
         raise AssertionError("F(x,0) != x")
     if fgl.F.dy_at_zero().truncate(w) != fgl.omega:

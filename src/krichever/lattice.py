@@ -1,10 +1,24 @@
 """Graded integer lattices: pieces of the coefficient ring and its quotient.
 
-Inside Z[b_1, b_2, ...] the weight-n piece of the universal law's
-coefficient ring is the Z-span of monomials in the a_ij; the ideal cut out
-by the A_ij (i, j >= 3) and the decomposables are sublattices of it.
-Hermite normal form supplies canonical bases and membership, Smith normal
-form the invariant factors of the quotients.  All arithmetic is exact.
+Inside Z[b_1, b_2, ...] the weight-n piece L_n of the universal law's
+coefficient ring is the Z-span of the monomials in the a_ij.  By Lazard's
+theorem the ring is a polynomial ring Z[g_1, g_2, ...], and the model works
+in that basis.  g_k is the Z-combination of the weight-k a_ij whose b_k
+coefficient is their gcd c_k.  The only weight-k monomial with one factor is
+b_k, so g_k = c_k b_k + (products of two or more b's), and a g-monomial
+g_lambda = g_lambda_1 g_lambda_2 ... is (prod c_lambda_i) b_lambda plus
+monomials with more factors.  The g-monomials are therefore triangular
+against the b-monomials: a polynomial solves into g-coordinates by
+elimination, fewest factors first, with no Hermite form.  Every weight-n
+a_ij must solve integrally, which proves L_n = Z[g]_n, and every A_ij is
+solved once, which proves that it lies in the ring.
+
+In g-coordinates the rest is reindexing.  The ideal piece I_n is spanned by
+the shifts A_ij g_mu, and a shift only moves coordinates; the decomposables
+D_n are spanned by the g-monomials with two or more parts.  One Hermite
+normal form of I_n and one Smith normal form give Q_n = L_n / I_n, and
+Indec_n = L_n / (I_n + D_n) is Z g_n modulo the g_n coefficients of the
+weight-n A_ij.  All arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -27,6 +41,8 @@ def hnf_columns(cols, nrows):
     positive pivot and the entries to the left of its pivot reduced into
     [0, pivot), and the row of each pivot.  ``cols`` is not modified.
     """
+    if not cols:
+        return [], []
     cols = [list(c) for c in cols]
     pivot_rows = kernels.hnf_cols(cols, nrows)
     return cols[: len(pivot_rows)], pivot_rows
@@ -43,7 +59,8 @@ class InvariantFactors:
     def from_presentation(cls, ambient_rank, relation_columns):
         """Invariant factors of Z^r / column-span.  ``relation_columns`` is
         not modified."""
-        diag = kernels.snf_diag([list(c) for c in relation_columns])
+        cols = [list(c) for c in relation_columns]
+        diag = kernels.snf_diag(cols) if cols else []
         torsion = tuple(d for d in diag if d != 1)
         return cls(torsion, ambient_rank - len(diag))
 
@@ -63,15 +80,13 @@ class InvariantFactors:
 class BasisIndex:
     """Monomial basis of the weight-n piece of Z[b], fewest b-factors first.
 
-    Row i of every lattice matrix is the coefficient of ``monomials[i]``.
-    The monomials are sorted by their number of b-factors, ascending, and
-    lex-descending within one count, so row 0 is b_n and the last row
-    b_1^n.  A weight-k generator is C(k+1, i) b_k plus products of two or
-    more b's, so a product of generators has its first nonzero entry on its
-    coarsest monomial, and most columns of the insertion HNF find a pivot
-    row of their own.  With b_1^n first, where nearly every product is
-    nonzero, each column would walk through almost every pivot.  Ranks and
-    invariant factors do not depend on the row order.
+    Row i of every lattice matrix is the coefficient of ``monomials[i]``:
+    of the b-monomial in b-coordinates, of the g-monomial with the same
+    exponents in g-coordinates.  The monomials are sorted by their number
+    of factors, ascending, and lex-descending within one count, so row 0 is
+    b_n and the last row b_1^n.  The HNF of the ideal's columns takes fewer
+    row operations in this order.  Ranks, invariant factors and the
+    g-coordinate solve do not depend on the row order.
     """
 
     def __init__(self, vars, weight):
@@ -94,51 +109,76 @@ class BasisIndex:
 
 
 class Lattice:
-    """Sublattice of Z^(ambient dim) spanned by integer generator columns."""
+    """Sublattice of Z^(ambient dim) spanned by integer generator columns.
 
-    def __init__(self, basis_index, columns):
+    Membership and coordinates come from one elimination in a basis of the
+    lattice: the HNF basis, or the columns themselves when ``steps`` says
+    that they already form a triangular basis.  ``steps`` lists (column
+    index, pivot row) pairs in the order of elimination; each column is
+    nonzero on its own pivot row and zero on the pivot rows eliminated
+    before it.
+    """
+
+    def __init__(self, basis_index, columns, steps=None):
         self.basis = basis_index
         self.columns = [list(c) for c in columns]
         self._hnf = None
-        self._pivots = None
+        self._solver = None if steps is None else _solver(self.columns, steps)
 
     def _reduce(self):
         if self._hnf is None:
-            self._hnf, self._pivots = hnf_columns(self.columns, len(self.basis))
+            self._hnf = hnf_columns(self.columns, len(self.basis))
         return self._hnf
+
+    def _solve_basis(self):
+        if self._solver is None:
+            basis, pivots = self._reduce()
+            self._solver = _solver(basis, enumerate(pivots))
+        return self._solver
 
     @property
     def rank(self):
-        return len(self._reduce())
+        return len(self._solve_basis()[0])
 
     def hnf_basis(self):
-        return [list(c) for c in self._reduce()]
+        return [list(c) for c in self._reduce()[0]]
+
+    def pivot_rows(self):
+        """The pivot rows of the basis that :meth:`coordinates` solves in."""
+        return [r for _, r, _ in self._solve_basis()[1]]
 
     def coordinates(self, vector):
-        """Coordinates in the HNF basis; raises if not a member."""
+        """Coordinates in the solving basis; raises if not a member."""
         v = list(vector)
-        cols = self._reduce()
+        cols, steps = self._solve_basis()
         out = [0] * len(cols)
-        for k, (c, r) in enumerate(zip(cols, self._pivots)):
-            q, rem = divmod(v[r], c[r])
+        for k, r, entries in steps:
+            q, rem = divmod(v[r], cols[k][r])
             if rem:
                 raise ValueError("vector not in lattice")
-            out[k] = q
             if q:
-                # c is zero above its pivot row r
-                v[r:] = [a - q * b for a, b in zip(v[r:], c[r:])]
+                out[k] = q
+                for i, x in entries:
+                    v[i] -= q * x
         if any(v):
             raise ValueError("vector not in lattice")
         return out
+
+
+def _solver(cols, steps):
+    """(cols, [(column index, pivot row, the column's nonzero (row, entry))])."""
+    return cols, [(k, r, [(i, x) for i, x in enumerate(cols[k]) if x]) for k, r in steps]
 
 
 class LazardModel:
     """Graded lattice computations for one b-model truncation.
 
     ``max_weight`` bounds the weights that can be asked for; the underlying
-    law is built once at that truncation.  Pieces are cached because the
-    recursions (piece n uses the bases of the smaller pieces) reuse them
-    heavily.
+    law is built once at that truncation.  ``lazard_piece(n)`` is L_n in
+    b-coordinates with the g-monomials as its basis; ``ideal_piece(n)`` and
+    ``decomposables_piece(n)`` are in g-coordinates, the coordinates that
+    ``lazard_piece(n).coordinates`` returns.  Pieces, g-monomials and the
+    g-coordinates of the A_ij are cached.
     """
 
     def __init__(self, max_weight=DEFAULT_MAX_WEIGHT, fgl=None):
@@ -152,10 +192,11 @@ class LazardModel:
         self.fgl = fgl
         self.vars = fgl.vars
         self._basis = {}
-        self._polys = {}
+        self._g = {}  # packed exponent vector -> g-monomial
         # a_ij (1 <= i <= j) of weight i + j - 1, A_ij (3 <= i <= j) of i + j - 2
         self._law_gens = _generators(fgl.F, 1, 1, max_weight)
         self._ideal_gens = _generators(fgl.A, 3, 2, max_weight)
+        self._ideal_coords = {}
         self._lazard = {}
         self._ideal = {}
         self._square = {}
@@ -167,99 +208,142 @@ class LazardModel:
             self._basis[n] = BasisIndex(self.vars, n)
         return self._basis[n]
 
-    def _basis_polys(self, n):
-        """HNF basis of the weight-n ring piece, as polynomials (built once)."""
-        if n not in self._polys:
-            monomials = self.basis_index(n).monomials
-            self._polys[n] = [
-                Poly(self.vars, dict(zip(monomials, col)))
-                for col in self.lazard_piece(n).hnf_basis()
-            ]
-        return self._polys[n]
-
-    def _span(self, n, generators):
-        """Z-span of g * v for each generator g of weight k <= n and each
-        HNF basis polynomial v of the weight-(n - k) ring piece."""
-        bi = self.basis_index(n)
-        cols = []
-        for k, gens in generators.items():
-            if k > n:
-                continue
-            for v in self._basis_polys(n - k):
-                for g in gens:
-                    cols.append(bi.vector(g * v))
-        return Lattice(bi, cols)
+    def _g_monomial(self, exps):
+        """g_1^e_1 g_2^e_2 ..., as the g-monomial without its largest part k
+        times g_k: one polynomial product per monomial of two or more parts."""
+        key = self.vars.pack(exps)
+        if key not in self._g:
+            parts = [k for k, e in enumerate(exps) if e]
+            if not parts:
+                g = Poly.one(self.vars)
+            elif sum(exps) == 1:
+                k = parts[0] + 1
+                c, g = _gcd_combination(self._law_gens[k], key)
+                if not c:
+                    raise ValueError(f"no weight-{k} a_ij has a b{k} term")
+            else:
+                top = parts[-1]
+                rest = list(exps)
+                rest[top] -= 1
+                unit = [0] * len(exps)
+                unit[top] = 1
+                g = self._g_monomial(rest) * self._g_monomial(unit)
+            self._g[key] = g
+        return self._g[key]
 
     def lazard_piece(self, n):
-        """Z-span of the weight-n monomials in the a_ij, in b-coordinates.
+        """L_n in b-coordinates, with the weight-n g-monomials as its basis.
 
-        A monomial of weight n > 0 is either one generator a_ij of weight n
-        or a product of two or more generators, which lies in the
-        decomposables D_n (and D_n lies in L_n).  So L_n is spanned by the
-        HNF basis of D_n, built from the pieces of weight < n, plus the
-        weight-n generators.
+        Column i is the g-monomial of ``monomials[i]``; it pivots on row i and
+        is eliminated with the other monomials of its factor count, fewest
+        factors first, whatever the row order.  Raises ValueError if a
+        weight-n a_ij is not an integral combination of the g-monomials.
         """
         if n not in self._lazard:
             bi = self.basis_index(n)
-            if n == 0:
-                cols = [[1]]
-            else:
-                cols = self.decomposables_piece(n).hnf_basis()
-                cols += [bi.vector(g) for g in self._law_gens.get(n, [])]
-            self._lazard[n] = Lattice(bi, cols)
+            cols = [bi.vector(self._g_monomial(m)) for m in bi.monomials]
+            order = sorted(range(len(bi)), key=lambda i: sum(bi.monomials[i]))
+            lat = Lattice(bi, cols, [(i, i) for i in order])
+            for a in self._law_gens.get(n, []):
+                _solve(lat, a, f"a weight-{n} a_ij")
+            self._lazard[n] = lat
         return self._lazard[n]
 
+    def _ideal_coordinates(self, k):
+        """g-coordinates of the weight-k A_ij, each solved once."""
+        if k not in self._ideal_coords:
+            lat = self.lazard_piece(k)
+            gens = self._ideal_gens.get(k, [])
+            self._ideal_coords[k] = [_solve(lat, a, f"a weight-{k} A_ij") for a in gens]
+        return self._ideal_coords[k]
+
     def ideal_piece(self, n):
-        """Weight-n piece of the ideal generated by the A_ij, i, j >= 3."""
+        """I_n in g-coordinates: the span of A_ij g_mu, A_ij of weight k <= n
+        and mu of weight n - k.  Multiplying by g_mu adds mu to the exponents
+        of every g-monomial, so each column is a reindexed coordinate vector."""
         if n not in self._ideal:
-            self._ideal[n] = self._span(n, self._ideal_gens)
+            bi = self.basis_index(n)
+            pack = self.vars.pack
+            cols = []
+            for k in self._ideal_gens:
+                if k > n:
+                    continue
+                keys = [pack(m) for m in self.basis_index(k).monomials]
+                terms = [
+                    [(key, c) for key, c in zip(keys, x) if c]
+                    for x in self._ideal_coordinates(k)
+                ]
+                for mu in self.basis_index(n - k).monomials:
+                    shift = pack(mu)
+                    for t in terms:
+                        col = [0] * len(bi)
+                        # packed keys add like exponent vectors
+                        for key, c in t:
+                            col[bi.pos[key + shift]] = c
+                        cols.append(col)
+            self._ideal[n] = Lattice(bi, cols)
         return self._ideal[n]
 
     def decomposables_piece(self, n):
-        """Span of products of two positive-weight ring elements, weight n."""
-        if n in self._square:
-            return self._square[n]
-        bi = self.basis_index(n)
-        cols = []
-        for k in range(1, n // 2 + 1):
-            left = self._basis_polys(k)
-            right = self._basis_polys(n - k)
-            for v in left:
-                for u in right:
-                    cols.append(bi.vector(v * u))
-        lat = Lattice(bi, cols)
-        self._square[n] = lat
-        return lat
+        """D_n in g-coordinates: the g-monomials with two or more parts."""
+        if n not in self._square:
+            bi = self.basis_index(n)
+            rows = [i for i, m in enumerate(bi.monomials) if sum(m) >= 2]
+            cols = [[int(i == r) for i in range(len(bi))] for r in rows]
+            self._square[n] = Lattice(bi, cols, list(enumerate(rows)))
+        return self._square[n]
 
     def quotient_report(self, n):
-        """JSON form of :meth:`quotient_groups`, with the ranks of L_n and I_n."""
+        """JSON form of :meth:`quotient_groups`, with the ranks of L_n and I_n.
+
+        Raises AssertionError if the free rank of Q_n is not
+        p(n; parts <= 4), the rank of Z[q1..q4] in weight n.
+        """
         q, indec = self.quotient_groups(n)
-        rank_l = self.lazard_piece(n).rank
-        # consistency check of the SNF free rank against the HNF ranks; both
-        # come from the same integer kernels, so it is no independent oracle
-        rank_i = self.ideal_piece(n).rank
-        if q.free_rank != rank_l - rank_i:
-            raise AssertionError(f"free-rank mismatch at weight {n}")
+        free = partitions_at_most_four_parts(n)
+        if q.free_rank != free:
+            raise AssertionError(
+                f"Q_{n} has free rank {q.free_rank}, not p({n}; parts <= 4) = {free}"
+            )
         return {
             "n": n,
-            "rank_L": rank_l,
-            "rank_I": rank_i,
+            "rank_L": self.lazard_piece(n).rank,
+            "rank_I": self.ideal_piece(n).rank,
             "Q": q.to_json(),
             "Indec": indec.to_json(),
         }
 
     def quotient_groups(self, n):
         """(Q_n, Indec_n) as InvariantFactors: ring/ideal and indecomposables."""
-        L = self.lazard_piece(n)
-        # reduce L_n before the first coordinates call, so that a trace
-        # books its HNF under hnf_columns and not under coordinates
-        rank = L.rank
-        I = self.ideal_piece(n)
-        ideal_coords = [L.coordinates(c) for c in I.hnf_basis()]
-        q = InvariantFactors.from_presentation(rank, ideal_coords)
-        dec_coords = [L.coordinates(c) for c in self.decomposables_piece(n).hnf_basis()]
-        indec = InvariantFactors.from_presentation(rank, ideal_coords + dec_coords)
+        rank = self.lazard_piece(n).rank
+        q = InvariantFactors.from_presentation(rank, self.ideal_piece(n).hnf_basis())
+        # D_n is spanned by unit columns, so L_n / D_n is free on the rows
+        # they miss: g_n alone.  The shifts A_ij g_mu with mu nonempty lie in
+        # D_n, so only the weight-n A_ij present Indec_n = L_n / (I_n + D_n).
+        free = sorted(set(range(rank)) - set(self.decomposables_piece(n).pivot_rows()))
+        relations = [[x[r] for r in free] for x in self._ideal_coordinates(n)]
+        indec = InvariantFactors.from_presentation(len(free), relations)
         return q, indec
+
+
+def _gcd_combination(polys, key):
+    """(c, g): a Z-combination g of ``polys`` whose coefficient on the packed
+    monomial ``key`` is c >= 0, the gcd of theirs (Euclid, one at a time)."""
+    c, g = 0, Poly.zero(polys[0].vars)
+    for h in polys:
+        d = h.terms.get(key, 0)
+        while d:
+            q = c // d
+            c, g, d, h = d, h, c - q * d, g - h.scale(q)
+    return (c, g) if c >= 0 else (-c, -g)
+
+
+def _solve(lattice, poly, what):
+    """g-coordinates of ``poly`` in ``lattice``; ValueError names ``what``."""
+    try:
+        return lattice.coordinates(lattice.basis.vector(poly))
+    except ValueError:
+        raise ValueError(f"{what} is not an integral combination of g-monomials") from None
 
 
 def _generators(series, first, shift, max_weight):
@@ -275,6 +359,21 @@ def _generators(series, first, shift, max_weight):
         if lst:
             gens[s - shift] = lst
     return gens
+
+
+def partitions_at_most_four_parts(n):
+    """p(n; parts <= 4), the number of partitions of n into parts 1..4.
+
+    A partition with at most four parts is conjugate to one with parts of
+    size at most four, so this counts the monomials of weight n in four
+    generators of weights 1, 2, 3, 4: the ranks of Z[q1..q4] by weight, and
+    the free rank of Q_n.
+    """
+    counts = [1] + [0] * n
+    for part in (1, 2, 3, 4):
+        for m in range(part, n + 1):
+            counts[m] += counts[m - part]
+    return counts[n]
 
 
 def indecomposables_closed_form(n):

@@ -1,5 +1,6 @@
 """Test-only helpers: a polynomial parser, JSON reader, weight and the
-independent rank and partition oracles the tests check the package against.
+independent rank, partition and lattice-span oracles the tests check the
+package against.
 """
 
 import re
@@ -7,6 +8,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from krichever.core import Poly
+from krichever.lattice import hnf_columns
 
 
 def parse_poly(text, vars):
@@ -114,3 +116,34 @@ def partition_count(n):
         total += sign * (partition_count(n - g1) + partition_count(n - g2))
         k += 1
     return total
+
+
+def products_spans(model, max_weight):
+    """{n: (L_n, I_n, D_n)} as b-coordinate generator columns, from the
+    definitions alone: L_n is spanned by a_ij v, I_n by A_ij v and D_n by
+    u v, with u and v running over HNF bases of the L_k of lower weight,
+    computed the same way.  Row i is ``model.basis_index(n).monomials[i]``.
+    """
+    bases = {0: [Poly.one(model.vars)]}
+    out = {}
+    for n in range(1, max_weight + 1):
+        bi = model.basis_index(n)
+
+        def span(generators):
+            return [
+                bi.vector(g * v)
+                for k, gens in generators.items()
+                if k <= n
+                for g in gens
+                for v in bases[n - k]
+            ]
+
+        lazard = span(model._law_gens)
+        ideal = span(model._ideal_gens)
+        square = [
+            bi.vector(u * v) for k in range(1, n // 2 + 1) for u in bases[k] for v in bases[n - k]
+        ]
+        out[n] = (lazard, ideal, square)
+        basis, _ = hnf_columns(lazard, len(bi))
+        bases[n] = [Poly(model.vars, dict(zip(bi.monomials, c))) for c in basis]
+    return out

@@ -100,20 +100,6 @@ def quotients13():
     return groups, time.perf_counter() - t0
 
 
-def partitions_at_most_four_parts(n):
-    """p(n; parts <= 4), the number of partitions of n into parts 1..4.
-
-    A partition with at most four parts is conjugate to one with parts of
-    size at most four, so this counts the monomials of weight n in four
-    generators of weights 1, 2, 3, 4: the ranks of Z[q1..q4] by weight.
-    """
-    counts = [1] + [0] * n
-    for part in (1, 2, 3, 4):
-        for m in range(part, n + 1):
-            counts[m] += counts[m - part]
-    return counts[n]
-
-
 def test_criterion_8_quotient_weight_thirteen(quotients13):
     groups, elapsed = quotients13
     expected = [((), 1)] * 4 + [
@@ -141,7 +127,7 @@ def test_criterion_8_quotient_rings(quotients13):
     # Q_n = L_n / I_n has the free rank of Z[q1..q4] in weight n, and its
     # torsion is (Z/2)^k with k = 1, 1, 2, 3 at n = 6, 8, 10, 12.
     groups, _ = quotients13
-    ranks = [partitions_at_most_four_parts(n) for n in range(1, 14)]
+    ranks = [lattice.partitions_at_most_four_parts(n) for n in range(1, 14)]
     assert ranks == [1, 2, 3, 5, 6, 9, 11, 15, 18, 23, 27, 34, 39]
     two_torsion = {6: 1, 8: 1, 10: 2, 12: 3}
     for n, (q, _) in groups.items():

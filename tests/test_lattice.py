@@ -1,26 +1,29 @@
+import dataclasses
 import itertools
 import json
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from krichever import _kernels_py, lattice
+from krichever import _kernels_py, fgl, lattice
 from krichever.backend import kernels
 from krichever.cli import EXPECTED_INDEC
-from krichever.core import Poly, b_vars, weighted_monomials
+from krichever.core import Poly, Series2, b_vars, weighted_monomials
 from krichever.lattice import (
     BasisIndex,
     InvariantFactors,
+    Lattice,
     WEIGHT_CEILING,
     LazardModel,
     hnf_columns,
     indecomposables_closed_form,
 )
-from oracles import partition_count, rational_rank
+from oracles import partition_count, products_spans, rational_rank
 
 
 def brute_force_member(vector, columns, bound=6):
@@ -225,10 +228,11 @@ class TestHnf:
     def test_entries_stay_small_on_lattice_pieces(self, monkeypatch):
         # The pivot columns are reduced at the pivot rows below their own
         # after every change, and a walking column at each pivot row it
-        # reaches.  Without that the pieces of weight 9 and 10 reach
-        # thousands of bits; with it, no entry written by a row operation,
-        # and no entry handed to an extended-gcd step, exceeds
-        # 4 * (input bits) + 40 in any HNF call, SNF passes included.
+        # reaches.  Without that the b-coordinate pieces of weight 9 and 10
+        # reach thousands of bits; with it, no entry written by a row
+        # operation, and no entry handed to an extended-gcd step, exceeds
+        # 4 * (input bits) + 40 in any HNF call, SNF passes included.  The
+        # model's g-coordinate pieces and Smith forms are checked too.
         hnf, submul, xgcd = _kernels_py.hnf_cols, _kernels_py._col_submul, _kernels_py._xgcd
         bound = []
 
@@ -251,12 +255,15 @@ class TestHnf:
         model10 = LazardModel(10)
         for n in range(1, 11):
             model10.quotient_groups(n)
+        for n, pieces in products_spans(model10, 10).items():
+            for cols in pieces:
+                hnf_columns(cols, len(model10.basis_index(n)))
         assert len(bound) > 50
 
     def test_work_on_lattice_pieces(self, monkeypatch):
-        # With the fewest-factors-first row order most product columns find
-        # a pivot row of their own: 3312 row operations here, where the
-        # lex-descending order (b_1^n first) took 15587.
+        # 1027 row operations here, 1822 in the lex-descending row order
+        # (b_1^n first).  Reduced in b-coordinates, the pieces took 3312 and
+        # 15587.
         submul = _kernels_py._col_submul
         calls = [0]
 
@@ -428,6 +435,31 @@ def model():
     return LazardModel(8)
 
 
+@pytest.fixture(scope="module")
+def spans(model):
+    return products_spans(model, 8)
+
+
+def from_g(lazard, coords):
+    """The b-coordinate vector whose g-coordinates in ``lazard`` are ``coords``."""
+    return [
+        sum(c * col[i] for c, col in zip(coords, lazard.columns))
+        for i in range(len(lazard.basis))
+    ]
+
+
+def g_piece_matches_span(lazard, piece, columns):
+    """``piece`` (g-coordinates) and the span of the b-coordinate ``columns``
+    are one lattice: each column solves in ``lazard`` with g-coordinates in
+    ``piece``, and each HNF column of ``piece`` lies in the span."""
+    for col in columns:
+        assert len(piece.coordinates(lazard.coordinates(col))) == piece.rank
+    span = Lattice(lazard.basis, columns)
+    for x in piece.hnf_basis():
+        assert len(span.coordinates(from_g(lazard, x))) == span.rank
+    assert span.rank == piece.rank
+
+
 class LexBasisIndex(BasisIndex):
     """The lex-descending row order, b_1^n first: an oracle for the default."""
 
@@ -480,8 +512,8 @@ class TestLazardPieces:
         # the all-products span, L_n by definition: a_ij * v for every
         # generator a_ij of weight k and every basis vector v of L_{n-k}
         model9 = LazardModel(9)
-        for n in range(1, 10):
-            old = model9._span(n, model9._law_gens).hnf_basis()
+        for n, (lazard, _, _) in products_spans(model9, 9).items():
+            old, _ = hnf_columns(lazard, len(model9.basis_index(n)))
             assert old == model9.lazard_piece(n).hnf_basis()
 
     def test_rational_rank_cross_check(self, model):
@@ -497,20 +529,29 @@ class TestLazardPieces:
         for n in range(5):
             assert model.ideal_piece(n).rank == 0
 
-    def test_ideal_inside_lazard(self, model):
+    def test_ideal_inside_lazard(self, model, spans):
+        # every A_ij v solves in the g-basis of L_n, and ideal_piece is their span
         for n in range(4, 9):
-            L = model.lazard_piece(n)
-            for col in model.ideal_piece(n).hnf_basis():
-                assert len(L.coordinates(col)) == L.rank
+            g_piece_matches_span(model.lazard_piece(n), model.ideal_piece(n), spans[n][1])
 
-    def test_coordinates_rebuild_members_and_reject_others(self, model):
+    def test_coordinates_rebuild_members_and_reject_others(self, model, spans):
         for n in range(5, 9):
             L, I = model.lazard_piece(n), model.ideal_piece(n)
-            basis = L.hnf_basis()
-            for col in I.hnf_basis():
-                coords = L.coordinates(col)
+            for col in spans[n][1]:
+                assert from_g(L, L.coordinates(col)) == col
+            basis = I.hnf_basis()
+            for col in basis:
+                coords = I.coordinates(col)
                 rebuilt = [sum(c * b[i] for c, b in zip(coords, basis)) for i in range(len(col))]
                 assert rebuilt == col
+            # b^m alone is not in L_n when its g-monomial's pivot is not 1
+            outside = [r for r, col in enumerate(L.columns) if col[r] != 1]
+            assert outside
+            for r in outside:
+                unit = [0] * len(L.basis)
+                unit[r] = 1
+                with pytest.raises(ValueError):
+                    L.coordinates(unit)
             # the first nonzero row of a member of I_n is a pivot row, and its
             # entry there a multiple of the pivot
             pivots = {next(i for i, v in enumerate(b) if v): b for b in I.hnf_basis()}
@@ -522,11 +563,72 @@ class TestLazardPieces:
                 with pytest.raises(ValueError):
                     I.coordinates(unit)
 
-    def test_decomposables_inside_lazard(self, model):
+    def test_decomposables_inside_lazard(self, model, spans):
+        # every product u v solves in the g-basis of L_n, and
+        # decomposables_piece is their span
         for n in range(2, 9):
+            g_piece_matches_span(model.lazard_piece(n), model.decomposables_piece(n), spans[n][2])
+
+
+class TestGBasis:
+    def test_triangular_against_the_b_monomials(self, model):
+        # g_k has b_k coefficient c_k = gcd_i C(k+1, i), the gcd over the
+        # weight-k a_ij, so column i is prod c_k^e_k b^e (e = monomials[i])
+        # plus monomials with more factors
+        c = [0] + [math.gcd(*(math.comb(k + 1, i) for i in range(1, k + 1))) for k in range(1, 9)]
+        assert c[1:] == [2, 3, 2, 5, 1, 7, 2, 3]
+        for n in range(9):
             L = model.lazard_piece(n)
-            for col in model.decomposables_piece(n).hnf_basis():
-                assert len(L.coordinates(col)) == L.rank
+            factors = [sum(m) for m in L.basis.monomials]
+            for i, (e, col) in enumerate(zip(L.basis.monomials, L.columns)):
+                assert col[i] == math.prod(c[k + 1] ** p for k, p in enumerate(e))
+                others = [x for j, x in enumerate(col) if j != i and factors[j] <= factors[i]]
+                assert not any(others)
+
+    def test_a_generator_without_the_gcd_fails_the_solve(self, monkeypatch):
+        # g_3 from a_13 alone has b_3 coefficient 4, not gcd(4, 6) = 2, so
+        # a_22 = 6 b_3 + ... has no integral g-coordinates
+        combine = lattice._gcd_combination
+        monkeypatch.setattr(lattice, "_gcd_combination", lambda polys, key: combine(polys[:1], key))
+        model3 = LazardModel(3)
+        assert model3.lazard_piece(2).rank == 2
+        with pytest.raises(ValueError, match="weight-3 a_ij"):
+            model3.lazard_piece(3)
+
+    def test_an_ideal_generator_outside_the_ring_fails_the_solve(self):
+        # c_7 = 2, and b_7 added to A_36 makes its b_7 coefficient odd
+        data = fgl.compute_A(fgl.build_universal_fgl(7))
+        coeffs = dict(data.A.coeffs)
+        coeffs[3, 6] = coeffs[3, 6] + Poly.var(data.vars, "b7")
+        A = Series2(data.vars, data.A.order, coeffs)
+        broken = LazardModel(7, fgl=dataclasses.replace(data, A=A))
+        for n in range(1, 7):
+            broken.quotient_groups(n)
+        with pytest.raises(ValueError, match="weight-7 A_ij"):
+            broken.quotient_groups(7)
+
+    def test_work_guard(self, monkeypatch):
+        # One Poly product per g-monomial of two or more parts (128 here);
+        # one HNF of I_n and the Smith passes per weight (24 kernel calls).
+        # The b-coordinate pieces took 575 products and 60 calls.
+        model10 = LazardModel(10)
+        counts = Counter()
+        mul, hnf = _kernels_py.poly_mul_terms, _kernels_py.hnf_cols
+
+        def counted_mul(a, b):
+            counts["mul"] += 1
+            return mul(a, b)
+
+        def counted_hnf(cols, nrows):
+            counts["hnf"] += 1
+            return hnf(cols, nrows)
+
+        monkeypatch.setattr(_kernels_py, "poly_mul_terms", counted_mul)
+        monkeypatch.setattr(_kernels_py, "hnf_cols", counted_hnf)
+        for n in range(1, 11):
+            model10.quotient_groups(n)
+        assert 0 < counts["mul"] <= 200
+        assert 0 < counts["hnf"] <= 30
 
 
 class TestQuotient:
@@ -555,6 +657,18 @@ class TestQuotient:
         for n, group in EXPECTED_INDEC.items():
             closed = indecomposables_closed_form(n)
             assert (closed.torsion, closed.free_rank) == group, n
+
+    def test_report_checks_the_free_rank_closed_form(self):
+        # A_34 is the only weight-5 ideal generator; without it Q_5 = Z^7,
+        # where p(5; parts <= 4) = 6
+        data = fgl.compute_A(fgl.build_universal_fgl(5))
+        coeffs = {k: v for k, v in data.A.coeffs.items() if k not in ((3, 4), (4, 3))}
+        A = Series2(data.vars, data.A.order, coeffs)
+        broken = LazardModel(5, fgl=dataclasses.replace(data, A=A))
+        assert broken.quotient_groups(5)[0] == InvariantFactors((), 7)
+        with pytest.raises(AssertionError, match="free rank 7"):
+            broken.quotient_report(5)
+        assert LazardModel(5).quotient_report(5)["Q"] == {"free": 6, "torsion": []}
 
     def test_report_schema_and_determinism(self, model):
         rep1 = model.quotient_report(6)
