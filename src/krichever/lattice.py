@@ -217,10 +217,7 @@ class LazardModel:
             if not parts:
                 g = Poly.one(self.vars)
             elif sum(exps) == 1:
-                k = parts[0] + 1
-                c, g = _gcd_combination(self._law_gens[k], key)
-                if not c:
-                    raise ValueError(f"no weight-{k} a_ij has a b{k} term")
+                g = _gcd_combination(self._law_gens[parts[0] + 1], key)
             else:
                 top = parts[-1]
                 rest = list(exps)
@@ -327,15 +324,15 @@ class LazardModel:
 
 
 def _gcd_combination(polys, key):
-    """(c, g): a Z-combination g of ``polys`` whose coefficient on the packed
-    monomial ``key`` is c >= 0, the gcd of theirs (Euclid, one at a time)."""
+    """A Z-combination of ``polys`` whose coefficient on the packed monomial
+    ``key`` is the gcd of theirs, by Euclid's algorithm, one at a time."""
     c, g = 0, Poly.zero(polys[0].vars)
     for h in polys:
         d = h.terms.get(key, 0)
         while d:
             q = c // d
             c, g, d, h = d, h, c - q * d, g - h.scale(q)
-    return (c, g) if c >= 0 else (-c, -g)
+    return g if c >= 0 else -g
 
 
 def _solve(lattice, poly, what):
