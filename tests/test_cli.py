@@ -176,6 +176,12 @@ class TestGoldenDigests:
                 ["quotient", "--max-weight", "16", "--format", "json"],
                 "6d7c52164e3813d69e54eb275d179d1b8cbac625bbc4aca47b08da7a5273e1ba",
             ),
+            # the genus substitutions at the order ceiling, which reproduce-paper
+            # reports only as PASS lines
+            (
+                ["phi-kh", "--order", "18", "--format", "json"],
+                "e2774a6cefa5620bb8bfa2881b3d225b5899324fb95198a67483414cae7c26fc",
+            ),
         ],
     )
     def test_stdout_digest(self, argv, digest, capsys):
