@@ -295,26 +295,30 @@ class Poly:
     def substitute(self, images, target):
         """Ring-map application: every variable gets an image polynomial.
 
-        ``images`` maps variable names to Poly over ``target``; variables
-        not listed are sent to 0 if they do not appear.
+        ``images`` maps variable names to Poly over ``target``.  A variable
+        that appears in a term must be listed, or KeyError is raised; listed
+        images of variables that appear nowhere are ignored.  Each term is
+        its scalar times the cached image powers, the last of them left as
+        the second factor of a pair, and the terms are summed by one
+        ``Poly.dot``.
         """
-        out = Poly.zero(target)
         names = self.vars.names
         cache = {}
+
+        def power(i, p):
+            if (i, p) not in cache:
+                img = images.get(names[i])
+                if img is None:
+                    raise KeyError(f"no image for {names[i]}")
+                cache[i, p] = img**p
+            return cache[i, p]
+
+        pairs = []
         for e, c in self.terms.items():
-            m = Poly.const(target, c)
-            for i, p in enumerate(self.vars.unpack(e)):
-                if not p:
-                    continue
-                key = (i, p)
-                if key not in cache:
-                    img = images.get(names[i])
-                    if img is None:
-                        raise KeyError(f"no image for {names[i]}")
-                    cache[key] = img**p
-                m = m * cache[key]
-            out = out + m
-        return out.scale(Fraction(1, self.den))
+            factors = [power(i, p) for i, p in enumerate(self.vars.unpack(e)) if p]
+            last = factors.pop() if factors else Poly.one(target)
+            pairs.append((reduce(mul, factors, Poly.const(target, c)), last))
+        return Poly.dot(target, pairs).scale(Fraction(1, self.den))
 
     def sorted_terms(self):
         """(exponent vector, Fraction coefficient) pairs in canonical order."""
@@ -496,15 +500,12 @@ class Series1:
         """Inverse of a series with constant coefficient 1."""
         if self.coeffs[0] != Poly.one(self.vars):
             raise ValueError("reciprocal needs constant term 1")
-        n = self.order
+        f = self.coeffs
         inv = [Poly.one(self.vars)]
-        for k in range(1, n + 1):
-            acc = Poly.zero(self.vars)
-            for i in range(1, k + 1):
-                if self.coeffs[i]:
-                    acc = acc + self.coeffs[i] * inv[k - i]
-            inv.append(-acc)
-        return Series1(self.vars, n, inv)
+        for k in range(1, self.order + 1):
+            pairs = [(f[i], inv[k - i]) for i in range(1, k + 1) if f[i] and inv[k - i]]
+            inv.append(-Poly.dot(self.vars, pairs))
+        return Series1(self.vars, self.order, inv)
 
     def compose(self, g):
         """(self o g) for g with zero constant term, as sum_j f_j g^j.
@@ -518,7 +519,7 @@ class Series1:
             raise ValueError("composition needs zero constant term")
         n = min(self.order, g.order)
         gt = g.truncate(n)
-        out = [self.coeffs[0]] + [Poly.zero(self.vars)] * n
+        pairs = [[] for _ in range(n + 1)]
         power = gt
         for j in range(1, n + 1):
             if j > 1:
@@ -527,7 +528,8 @@ class Series1:
             if fj:
                 for k in range(j, n + 1):
                     if power.coeffs[k]:
-                        out[k] = out[k] + fj * power.coeffs[k]
+                        pairs[k].append((fj, power.coeffs[k]))
+        out = [self.coeffs[0]] + [Poly.dot(self.vars, p) for p in pairs[1:]]
         return Series1(self.vars, n, out)
 
     def revert(self):
@@ -553,15 +555,12 @@ class Series1:
     def inv_sqrt(self):
         """Series r with r^2 * f = 1, for f with constant coefficient 1."""
         s = self.reciprocal()
-        n = self.order
         half = Fraction(1, 2)
         t = [Poly.one(self.vars)]
-        for k in range(1, n + 1):
-            acc = s.coeffs[k]
-            for i in range(1, k):
-                acc = acc - t[i] * t[k - i]
-            t.append(acc.scale(half))
-        return Series1(self.vars, n, t)
+        for k in range(1, self.order + 1):
+            square = Poly.dot(self.vars, [(t[i], t[k - i]) for i in range(1, k)])
+            t.append((s.coeffs[k] - square).scale(half))
+        return Series1(self.vars, self.order, t)
 
     def is_integral(self):
         return all(c.is_integral() for c in self.coeffs)
@@ -702,11 +701,10 @@ class Series2:
         n = self.order if order is None else order
         if order is not None and order > min(self.order, sx.order, sy.order):
             raise ValueError("requested order not determined by truncations")
-        zero = Poly.zero(self.vars)
         xpow = {0: Series1.one(self.vars, n)}
         ypow = {0: Series1.one(self.vars, n)}
         sxt, syt = sx.truncate(n), sy.truncate(n)
-        out = {}
+        pairs = {}
         for (i, j), c in sorted(self.coeffs.items()):
             if i not in xpow:
                 for k in range(max(xpow) + 1, i + 1):
@@ -718,15 +716,9 @@ class Series2:
                 if not pa:
                     continue
                 for b, pb in enumerate(ypow[j].coeffs):
-                    if not pb or a + b > n:
-                        continue
-                    key = (a, b)
-                    prod = (pa * pb) * c
-                    if key in out:
-                        out[key] = out[key] + prod
-                    else:
-                        out[key] = prod
-        return Series2(self.vars, n, out)
+                    if pb and a + b <= n:
+                        pairs.setdefault((a, b), []).append((pa * pb, c))
+        return Series2(self.vars, n, {k: Poly.dot(self.vars, v) for k, v in pairs.items()})
 
     def at_y_zero(self):
         """Restriction y = 0, as a univariate series."""
@@ -743,13 +735,6 @@ class Series2:
             if j == 1 and i < self.order:
                 cs[i] = c
         return Series1(self.vars, self.order - 1, cs)
-
-    def at_diagonal(self):
-        """Substitution y = x, as a univariate series."""
-        cs = [Poly.zero(self.vars) for _ in range(self.order + 1)]
-        for (i, j), c in self.coeffs.items():
-            cs[i + j] = cs[i + j] + c
-        return Series1(self.vars, self.order, cs)
 
     def is_integral(self):
         return all(c.is_integral() for c in self.coeffs.values())
@@ -811,14 +796,17 @@ def compose1(f, g2):
         raise ValueError("composition needs zero constant term")
     n = min(f.order, g2.order)
     gt = g2.truncate(n)
-    out = Series2(f.vars, n, {(0, 0): f.coeffs[0]})
+    pairs = {}
     power = gt
     for j in range(1, n + 1):
         if j > 1:
             power = power.mul(gt)
         if f.coeffs[j]:
-            out = out + power.mul_poly(f.coeffs[j])
-    return out
+            for k, c in power.coeffs.items():
+                pairs.setdefault(k, []).append((f.coeffs[j], c))
+    coeffs = {k: Poly.dot(f.vars, v) for k, v in pairs.items()}
+    coeffs[0, 0] = f.coeffs[0]
+    return Series2(f.vars, n, coeffs)
 
 
 def formal_group_law(exp, log):

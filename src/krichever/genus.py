@@ -252,16 +252,16 @@ def verify_lemma1(n=DEFAULT_ORDER, nu=None):
     return compare_slots("lemma1", n, lhs.coeffs, rhs.coeffs)
 
 
-def verify_lemma2_theorem1(n=DEFAULT_ORDER, iso_degree=None):
+def verify_lemma2_theorem1(n=DEFAULT_ORDER):
     """Quartic square of the twisted invariant form, and the strict iso.
 
     (a) pushing 1/mog' through phi_KH gives a series whose square is the
         monic-quartic 1 + q1 x + ... + q4 x^4 (all higher coefficients 0);
     (b) s(x) = sum phi_KH(CP_i) x^(i+1) (CP_0 = 1) intertwines the law
-        with logarithm from the phi_KH table and the one from t o psi.
+        with logarithm from the phi_KH table and the one from t o psi, to
+        total degree min(n, 6).
     """
-    if iso_degree is None:
-        iso_degree = min(n, 6)
+    iso_degree = min(n, 6)
     cv = cp_vars(n)
     qv = q_vars()
     phi = phi_kh_table(n)

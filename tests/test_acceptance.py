@@ -71,7 +71,7 @@ def test_criterion_4_quartic_square_order_ten():
 def test_criterion_5_lemma1_and_strict_iso():
     rep1 = genus.verify_lemma1(8)
     assert rep1.passed, rep1.first_failure
-    rep2 = genus.verify_lemma2_theorem1(8, iso_degree=6)
+    rep2 = genus.verify_lemma2_theorem1(8)
     assert rep2.passed, rep2.first_failure
     _done("5. revert(exp/exp') = log o nu^{-1} (order 8); strict iso to degree 6")
 

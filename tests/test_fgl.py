@@ -166,6 +166,27 @@ class TestKricheverForm:
             assert i >= 3 and j >= 3
             assert c == data.A.coefficient(i, j)
 
+    def test_perturbed_invariant_forms_fail(self):
+        # x b(y) - y b(x) and b beta(x) - b beta(y) vanish on y = x, and the
+        # numerator is antisymmetric, for any b and beta; only the residual
+        # against A can see this fault
+        data = fgl.compute_A(fgl.build_universal_fgl(6))
+        bv = data.vars
+        bump = Poly.var(bv, "b1").scale(3) + Poly.var(bv, "b2").scale(7)
+        hat = fgl.omega_hat(data)
+        omega, hat = (Series1(bv, s.order, [c + bump for c in s.coeffs]) for s in (data.omega, hat))
+        rep = fgl.verify_krichever_form(replace(data, omega=omega, omega_hat=hat))
+        assert rep.to_json() == {
+            "suite": "krichever-form",
+            "order": 6,
+            "pass": False,
+            "first_failure": {
+                "monomial": "x^0*y^2",
+                "lhs": "49*b2^2 + 42*b1*b2 + 9*b1^2 + 14*b2 + 6*b1",
+                "rhs": "0 (support must have i,j >= 3)",
+            },
+        }
+
     def test_additive_residual_vanishes(self, data):
         numerator = fgl._proposition_ii_rhs(data)
         residual = data.A - numerator

@@ -183,6 +183,21 @@ class TestPhiKh:
         assert set(payload) == {"CP_1", "CP_2", "CP_3"}
         json.dumps(payload)
 
+    def test_work_of_the_table(self, monkeypatch):
+        # Every sum of products is one Poly.dot, so Poly.__add__ is left with
+        # the few plain sums: 30 calls at order 10, where adding one product
+        # at a time took 662.
+        add = Poly.__add__
+        calls = [0]
+
+        def counted_add(self, other):
+            calls[0] += 1
+            return add(self, other)
+
+        monkeypatch.setattr(Poly, "__add__", counted_add)
+        genus.phi_kh_table(10)
+        assert 0 < calls[0] <= 60
+
 
 class TestOde:
     def test_small_order(self):
