@@ -298,9 +298,10 @@ class Poly:
         ``images`` maps variable names to Poly over ``target``.  A variable
         that appears in a term must be listed, or KeyError is raised; listed
         images of variables that appear nowhere are ignored.  Each term is
-        its scalar times the cached image powers, the last of them left as
-        the second factor of a pair, and the terms are summed by one
-        ``Poly.dot``.
+        the product of its cached image powers, the last of them left as the
+        second factor of a pair and the others scaled by the term's scalar;
+        the terms are summed by one ``Poly.dot``.  Each image power is built
+        from the one below it, one product per power.
         """
         names = self.vars.names
         cache = {}
@@ -310,14 +311,15 @@ class Poly:
                 img = images.get(names[i])
                 if img is None:
                     raise KeyError(f"no image for {names[i]}")
-                cache[i, p] = img**p
+                cache[i, p] = img if p == 1 else power(i, p - 1) * img
             return cache[i, p]
 
         pairs = []
         for e, c in self.terms.items():
             factors = [power(i, p) for i, p in enumerate(self.vars.unpack(e)) if p]
             last = factors.pop() if factors else Poly.one(target)
-            pairs.append((reduce(mul, factors, Poly.const(target, c)), last))
+            head = reduce(mul, factors).scale(c) if factors else Poly.const(target, c)
+            pairs.append((head, last))
         return Poly.dot(target, pairs).scale(Fraction(1, self.den))
 
     def sorted_terms(self):
@@ -558,8 +560,12 @@ class Series1:
         half = Fraction(1, 2)
         t = [Poly.one(self.vars)]
         for k in range(1, self.order + 1):
-            square = Poly.dot(self.vars, [(t[i], t[k - i]) for i in range(1, k)])
-            t.append((s.coeffs[k] - square).scale(half))
+            # t_k = s_k/2 - sum_{i<k-i} t_i t_{k-i} - t_{k/2}^2/2: each cross
+            # product of the square once, not twice
+            pairs = [(t[i], t[k - i]) for i in range(1, (k + 1) // 2)]
+            if k % 2 == 0:
+                pairs.append((t[k // 2].scale(half), t[k // 2]))
+            t.append(s.coeffs[k].scale(half) - Poly.dot(self.vars, pairs))
         return Series1(self.vars, self.order, t)
 
     def is_integral(self):
@@ -749,17 +755,21 @@ def weighted_monomials(vars, w):
     """All exponent tuples over ``vars`` of total weight w, canonical order.
 
     Canonical order matches Poly.sorted_terms: lex descending on the
-    exponent vector (all results share one weight).
+    exponent vector (all results share one weight).  A branch ends as soon
+    as its remaining weight is 0, or is below every weight still to come.
     """
     n = len(vars.names)
+    ws = vars.weights
+    least = [min(ws[i:]) for i in range(n)] + [w + 1]
     out = []
 
     def rec(i, rem, acc):
-        if i == n:
-            if rem == 0:
-                out.append(tuple(acc))
+        if rem == 0:
+            out.append(tuple(acc) + (0,) * (n - i))
             return
-        wt = vars.weights[i]
+        if rem < least[i]:
+            return
+        wt = ws[i]
         for e in range(rem // wt, -1, -1):
             acc.append(e)
             rec(i + 1, rem - e * wt, acc)

@@ -7,15 +7,15 @@ extracted from it all live here, together with the verifiers for the
 evenness identity of omega', the mod-(xy)^3 expansion of A, and the
 residual form of the quotient law.  The law itself comes from
 ``core.formal_group_law``, the one builder of exp(log x + log y).  The
-closed form of A, ``_proposition_ii_rhs``, is built by each of the two
-suites that read it: ``proposition-ii`` matches A with it where
-min(i, j) <= 2, and ``krichever-form`` adds that it vanishes on i, j >= 3.
-Every suite reports through ``genus.compare_slots``.
+closed form of A, ``_proposition_ii_rhs``, is built once per ``FglData``
+and kept on it for the two suites that read it: ``proposition-ii`` matches
+A with it where min(i, j) <= 2, and ``krichever-form`` adds that it
+vanishes on i, j >= 3.  Every suite reports through
+``genus.compare_slots``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 # compose1 is no longer called here, but perfbench's tracer asserts that it
@@ -26,18 +26,33 @@ from .genus import compare_slots
 DEFAULT_WEIGHT = 8
 
 
-@dataclass
 class FglData:
-    """Universal law truncated at total degree W+1 over Z[b_1..b_W]."""
+    """Universal law truncated at total degree W+1 over Z[b_1..b_W].
 
-    weight: int
-    vars: object
-    exp_b: Series1
-    log_b: Series1
-    F: Series2
-    omega: Series1
-    omega_hat: Series1 | None = None
-    A: Series2 | None = None
+    ``omega_hat``, ``A`` and the closed form of A are filled in on first
+    use; ``replace`` copies the constructor fields only, so a changed copy
+    never carries a closed form built from the original's omega.
+    """
+
+    FIELDS = ("weight", "vars", "exp_b", "log_b", "F", "omega", "omega_hat", "A")
+    __slots__ = (*FIELDS, "closed_form")
+
+    def __init__(self, weight, vars, exp_b, log_b, F, omega, omega_hat=None, A=None):
+        self.weight = weight
+        self.vars = vars
+        self.exp_b = exp_b
+        self.log_b = log_b
+        self.F = F
+        self.omega = omega
+        self.omega_hat = omega_hat
+        self.A = A
+        self.closed_form = None
+
+    def replace(self, **changes):
+        """A new FglData with the constructor fields of this one, updated by ``changes``."""
+        fields = {name: getattr(self, name) for name in self.FIELDS}
+        fields.update(changes)
+        return FglData(**fields)
 
 
 def build_universal_fgl(w=DEFAULT_WEIGHT):
@@ -147,7 +162,12 @@ def verify_proposition_i(fgl):
 
 
 def _proposition_ii_rhs(fgl):
-    """(x w(y) + y w(x) - w'(0) xy)(x w(y) - y w(x)) + (w what(x) - w what(y)) x^2 y^2."""
+    """(x w(y) + y w(x) - w'(0) xy)(x w(y) - y w(x)) + (w what(x) - w what(y)) x^2 y^2.
+
+    Built on the first call and kept in ``fgl.closed_form``.
+    """
+    if fgl.closed_form is not None:
+        return fgl.closed_form
     w, bv = fgl.weight, fgl.vars
     hat = omega_hat(fgl)
     xwy, ywx, x, y = _xwy_ywx(fgl)
@@ -156,7 +176,8 @@ def _proposition_ii_rhs(fgl):
     whx = fgl.omega.truncate(w - 2).mul(hat)
     diff = Series2.from_series1(whx, w - 2, 0) - Series2.from_series1(whx, w - 2, 1)
     x2y2 = Series2(bv, w + 2, {(2, 2): Poly.one(bv)})
-    return sym.mul(xwy - ywx, order=w + 2) + diff.mul(x2y2, order=w + 2)
+    fgl.closed_form = sym.mul(xwy - ywx, order=w + 2) + diff.mul(x2y2, order=w + 2)
+    return fgl.closed_form
 
 
 def verify_proposition_ii(fgl):

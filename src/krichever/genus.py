@@ -12,7 +12,7 @@ tables; these suites and the ones in ``fgl`` all report through
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from .core import (
@@ -30,19 +30,19 @@ DEFAULT_ORDER = 8
 ORDER_CEILING = 18
 
 
-@dataclass(frozen=True)
 class GenusTable:
     """Values of a genus on CP_1 .. CP_N; entry i is homogeneous of weight i."""
 
-    name: str
-    max_index: int
-    vars: object
-    entries: dict = field(compare=False)
+    __slots__ = ("name", "max_index", "vars", "entries")
 
-    def __post_init__(self):
-        for i, v in self.entries.items():
+    def __init__(self, name, max_index, vars, entries):
+        for i, v in entries.items():
             if v and not v.is_homogeneous(i):
-                raise ValueError(f"{self.name}(CP_{i}) is not homogeneous of weight {i}")
+                raise ValueError(f"{name}(CP_{i}) is not homogeneous of weight {i}")
+        self.name = name
+        self.max_index = max_index
+        self.vars = vars
+        self.entries = entries
 
     def __getitem__(self, i):
         return self.entries[i]
@@ -61,14 +61,10 @@ class GenusTable:
         return {f"CP{i}": v for i, v in self.entries.items()}
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(namedtuple("Report", "suite order passed first_failure", defaults=(None,))):
     """Outcome of a verification suite; failures carry the first bad slot."""
 
-    suite: str
-    order: int
-    passed: bool
-    first_failure: dict | None = None
+    __slots__ = ()
 
     def to_json(self):
         return {
@@ -195,9 +191,13 @@ def kappa_inverse_table(n=DEFAULT_ORDER, kappa=None):
     return GenusTable("kappa_inv", n, cv, entries)
 
 
-def phi_kh_table(n=DEFAULT_ORDER):
-    """The four-parameter elliptic genus via rename o psi o kappa^{-1}."""
-    kinv = kappa_inverse_table(n)
+def phi_kh_table(n=DEFAULT_ORDER, kappa=None):
+    """The four-parameter elliptic genus via rename o psi o kappa^{-1}.
+
+    ``kappa``, a prebuilt ``kappa_table(n)``, is passed on to
+    ``kappa_inverse_table``.
+    """
+    kinv = kappa_inverse_table(n, kappa)
     psi = psi_table(n).images()
     pv = p_vars()
     entries = {i: _p_to_q(kinv[i].substitute(psi, pv)) for i in range(1, n + 1)}
@@ -205,9 +205,12 @@ def phi_kh_table(n=DEFAULT_ORDER):
 
 
 def _p_to_q(poly):
-    """The rename p_i -> q_i from Q[p1..p4] to Q[q1..q4]."""
-    qv = q_vars()
-    return poly.substitute({f"p{i}": Poly.var(qv, f"q{i}") for i in range(1, 5)}, qv)
+    """The rename p_i -> q_i from Q[p1..p4] to Q[q1..q4].
+
+    Both tables give variable i weight i, so a monomial packs to the same key
+    in either, and the rename only relabels the table.
+    """
+    return Poly._canonical(q_vars(), poly.terms, poly.den)
 
 
 def t_psi_table(n=DEFAULT_ORDER):
@@ -262,11 +265,13 @@ def verify_lemma2_theorem1(n=DEFAULT_ORDER):
         total degree min(n, 6).
     """
     iso_degree = min(n, 6)
-    cv = cp_vars(n)
     qv = q_vars()
-    phi = phi_kh_table(n)
-    # (a)
-    omega_t = mog_series(cv, n + 1).derivative().reciprocal()
+    kappa = kappa_table(n)
+    phi = phi_kh_table(n, kappa=kappa)
+    # (a) mog' = 1 + sum kappa(CP_i) x^i, so the kappa table gives omega_t
+    cv = kappa.vars
+    mog_prime = Series1(cv, n, [Poly.one(cv)] + [kappa[i] for i in range(1, n + 1)])
+    omega_t = mog_prime.reciprocal()
     images = phi.images()
     pushed = Series1(qv, omega_t.order, [c.substitute(images, qv) for c in omega_t.coeffs])
     lhs = pushed.mul(pushed)

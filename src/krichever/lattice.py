@@ -23,7 +23,7 @@ weight-n A_ij.  All arithmetic is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import comb, gcd
 
 from .backend import kernels
@@ -48,12 +48,10 @@ def hnf_columns(cols, nrows):
     return cols[: len(pivot_rows)], pivot_rows
 
 
-@dataclass(frozen=True)
-class InvariantFactors:
+class InvariantFactors(namedtuple("InvariantFactors", "torsion free_rank")):
     """Cokernel shape of an integer presentation: torsion chain + free rank."""
 
-    torsion: tuple
-    free_rank: int
+    __slots__ = ()
 
     @classmethod
     def from_presentation(cls, ambient_rank, relation_columns):

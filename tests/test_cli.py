@@ -1,8 +1,12 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import krichever
 from krichever import cli, genus, lattice
 from krichever.core import Poly, VarTable
 from oracles import parse_poly, poly_from_json
@@ -14,6 +18,27 @@ MAX_WEIGHT_MESSAGE = f"--max-weight must be between 1 and {lattice.WEIGHT_CEILIN
 def run(capsys, *argv):
     code = cli.run(list(argv))
     return code, capsys.readouterr().out
+
+
+def test_import_loads_no_dataclasses():
+    # dataclasses pulls in inspect, ast and dis, about a third of what
+    # importing the package cost; every CLI process pays the import
+    src = os.path.dirname(os.path.dirname(krichever.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys; before = set(sys.modules); import krichever.cli; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    loaded = set(proc.stdout.split())
+    assert "krichever.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "ast", "dis"}
 
 
 class TestTables:
@@ -259,8 +284,8 @@ class TestFailurePath:
     def perturbed_phi_kh(self, monkeypatch):
         real = genus.phi_kh_table
 
-        def perturbed(n):
-            table = real(n)
+        def perturbed(n, kappa=None):
+            table = real(n, kappa)
             entries = dict(table.entries)
             entries[1] = entries[1] + Poly.var(table.vars, "q1")
             return genus.GenusTable(table.name, table.max_index, table.vars, entries)

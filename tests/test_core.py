@@ -605,6 +605,38 @@ def test_weighted_monomials_are_partitions():
         assert ms == sorted(ms, reverse=True)
 
 
+def full_depth_monomials(vars, w):
+    """Every exponent tuple of weight w, each branch recursed over all variables."""
+    n = len(vars.names)
+    out = []
+
+    def rec(i, rem, acc):
+        if i == n:
+            if rem == 0:
+                out.append(tuple(acc))
+            return
+        wt = vars.weights[i]
+        for e in range(rem // wt, -1, -1):
+            acc.append(e)
+            rec(i + 1, rem - e * wt, acc)
+            acc.pop()
+
+    rec(0, w, [])
+    out.sort(reverse=True)
+    return out
+
+
+def test_weighted_monomials_keep_their_order():
+    # lattice.BasisIndex rows, and with them the HNF work, follow this order
+    tables = [b_vars(n) for n in range(1, 17)] + [cp_vars(12), p_vars()]
+    for vars in tables:
+        for w in range(len(vars.names) + 1):
+            assert weighted_monomials(vars, w) == full_depth_monomials(vars, w), (vars, w)
+    uneven = VarTable(["u", "v", "z"], [3, 2, 5])
+    for w in range(16):
+        assert weighted_monomials(uneven, w) == full_depth_monomials(uneven, w), w
+
+
 def test_grading_of_log_family():
     from krichever.genus import mishchenko_log, mog_series
 

@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -174,8 +173,10 @@ class TestKricheverForm:
         bv = data.vars
         bump = Poly.var(bv, "b1").scale(3) + Poly.var(bv, "b2").scale(7)
         hat = fgl.omega_hat(data)
+        # the closed form kept on data must not reach the changed copy
+        assert fgl.verify_krichever_form(data).passed
         omega, hat = (Series1(bv, s.order, [c + bump for c in s.coeffs]) for s in (data.omega, hat))
-        rep = fgl.verify_krichever_form(replace(data, omega=omega, omega_hat=hat))
+        rep = fgl.verify_krichever_form(data.replace(omega=omega, omega_hat=hat))
         assert rep.to_json() == {
             "suite": "krichever-form",
             "order": 6,
@@ -186,6 +187,14 @@ class TestKricheverForm:
                 "rhs": "0 (support must have i,j >= 3)",
             },
         }
+
+    def test_closed_form_built_once_per_data(self):
+        data = fgl.compute_A(fgl.build_universal_fgl(4))
+        rhs = fgl._proposition_ii_rhs(data)
+        assert fgl._proposition_ii_rhs(data) is rhs
+        copy = data.replace(A=data.A)
+        assert copy.closed_form is None
+        assert copy.A is data.A and copy.omega_hat is data.omega_hat
 
     def test_additive_residual_vanishes(self, data):
         numerator = fgl._proposition_ii_rhs(data)
@@ -207,19 +216,19 @@ def _odd_omega_prime(data):
     bv = data.vars
     coeffs = _bump(dict(enumerate(data.omega.coeffs)), [3], Poly.var(bv, "b3"))
     omega = Series1(bv, data.omega.order, [coeffs[k] for k in sorted(coeffs)])
-    return fgl.verify_proposition_i(replace(data, omega=omega, omega_hat=None))
+    return fgl.verify_proposition_i(data.replace(omega=omega, omega_hat=None))
 
 
 def _bad_A(data):
     A = data.A
     coeffs = _bump(A.coeffs, [(2, 3)], Poly.var(A.vars, "b3"))
-    return replace(data, A=Series2(A.vars, A.order, coeffs))
+    return data.replace(A=Series2(A.vars, A.order, coeffs))
 
 
 def _bad_F_pair(data):
     F = data.F
     coeffs = _bump(F.coeffs, [(1, 2), (2, 1)], Poly.var(F.vars, "b2"))
-    return fgl.verify_associativity(replace(data, F=Series2(F.vars, F.order, coeffs)))
+    return fgl.verify_associativity(data.replace(F=Series2(F.vars, F.order, coeffs)))
 
 
 # The full report of each suite under one injected fault, pinned field by field.

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 import math
@@ -601,7 +600,7 @@ class TestGBasis:
         coeffs = dict(data.A.coeffs)
         coeffs[3, 6] = coeffs[3, 6] + Poly.var(data.vars, "b7")
         A = Series2(data.vars, data.A.order, coeffs)
-        broken = LazardModel(7, fgl=dataclasses.replace(data, A=A))
+        broken = LazardModel(7, fgl=data.replace(A=A))
         for n in range(1, 7):
             broken.quotient_groups(n)
         with pytest.raises(ValueError, match="weight-7 A_ij"):
@@ -664,7 +663,7 @@ class TestQuotient:
         data = fgl.compute_A(fgl.build_universal_fgl(5))
         coeffs = {k: v for k, v in data.A.coeffs.items() if k not in ((3, 4), (4, 3))}
         A = Series2(data.vars, data.A.order, coeffs)
-        broken = LazardModel(5, fgl=dataclasses.replace(data, A=A))
+        broken = LazardModel(5, fgl=data.replace(A=A))
         assert broken.quotient_groups(5)[0] == InvariantFactors((), 7)
         with pytest.raises(AssertionError, match="free rank 7"):
             broken.quotient_report(5)
