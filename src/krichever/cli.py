@@ -4,17 +4,21 @@ Subcommands cover every table and verification suite plus a
 ``reproduce-paper`` driver that runs the whole acceptance battery.  Output
 is deterministic byte-for-byte for a fixed configuration: exit 0 on
 success/pass, 1 on a verification failure, 2 on usage errors.
+
+A subcommand imports only the modules it runs.  The tables and the genus
+suites of ``verify`` need ``core`` and ``genus``; the FGL suites of
+``verify`` add ``fgl``; ``quotient`` and ``reproduce-paper`` add ``fgl`` and
+``lattice``.  ``json`` is imported only for ``--format json``.  A genus suite
+at a small order costs about as much as starting the interpreter, so every
+module it does not import is time it does not spend.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from importlib import resources
 
-from . import fgl, genus, lattice
-from .core import Poly
+from . import genus
 
 
 def _usage_error(message):
@@ -36,6 +40,8 @@ def _emit(text, out):
 
 
 def _json_dumps(obj):
+    import json
+
     return json.dumps(obj, indent=2, sort_keys=True)
 
 
@@ -70,17 +76,19 @@ def _report_output(reports, args, params):
 
 
 # Verification suites in report order.  A genus suite takes the series order;
-# the FGL suites take one universal law built at that weight and shared.
+# the FGL suites take one universal law built at that weight and shared.  An
+# FGL suite is the name of its function, looked up on ``fgl`` when it runs, so
+# that a process running only genus suites never imports ``fgl``.
 GENUS_SUITES = {
     "krichever-ode": genus.verify_krichever_ode,
     "lemma1": genus.verify_lemma1,
     "lemma2-theorem1": genus.verify_lemma2_theorem1,
 }
 FGL_SUITES = {
-    "proposition-i": fgl.verify_proposition_i,
-    "proposition-ii": fgl.verify_proposition_ii,
-    "krichever-form": fgl.verify_krichever_form,
-    "associativity": fgl.verify_associativity,
+    "proposition-i": "verify_proposition_i",
+    "proposition-ii": "verify_proposition_ii",
+    "krichever-form": "verify_krichever_form",
+    "associativity": "verify_associativity",
 }
 VERIFY_SUITES = (*GENUS_SUITES, *FGL_SUITES, "all")
 
@@ -92,12 +100,16 @@ def _run_verify_suite(suite, order):
     reports = [verify(order) for verify in wanted(GENUS_SUITES)]
     fgl_suites = wanted(FGL_SUITES)
     if fgl_suites:
+        from . import fgl
+
         data = fgl.compute_A(fgl.build_universal_fgl(order))
-        reports += [verify(data) for verify in fgl_suites]
+        reports += [getattr(fgl, verify)(data) for verify in fgl_suites]
     return reports
 
 
 def _quotient_output(max_weight, args):
+    from . import lattice
+
     model = lattice.LazardModel(max_weight)
     reports = [model.quotient_report(n) for n in range(1, max_weight + 1)]
     if args.format == "json":
@@ -117,6 +129,8 @@ def _quotient_output(max_weight, args):
 
 def golden_table(name):
     """Golden text for the printed psi/kappa tables shipped with the package."""
+    from importlib import resources
+
     return (
         resources.files("krichever.data").joinpath(f"{name}_table.txt").read_text()
     ).strip()
@@ -146,6 +160,8 @@ EXPECTED_INDEC = {
 
 def _reproduce_paper(args):
     """Tables against golden files, every identity suite, quotient reports."""
+    from . import lattice
+
     lines = []
     ok = True
 
@@ -198,17 +214,13 @@ def build_parser():
     pv.add_argument("--suite", choices=VERIFY_SUITES, default="all")
 
     pq = sub.add_parser("quotient", help="graded quotient of the coefficient ring")
-    pq.add_argument(
-        "--max-weight", type=int, default=lattice.DEFAULT_MAX_WEIGHT, metavar="W"
-    )
+    pq.add_argument("--max-weight", type=int, metavar="W")
     pq.add_argument("--format", choices=("text", "json"), default="text")
     pq.add_argument("--out", metavar="PATH", default=None)
 
     pr = sub.add_parser("reproduce-paper", help="run the full acceptance battery")
     common(pr)
-    pr.add_argument(
-        "--max-weight", type=int, default=lattice.DEFAULT_MAX_WEIGHT, metavar="W"
-    )
+    pr.add_argument("--max-weight", type=int, metavar="W")
 
     return parser
 
@@ -229,8 +241,14 @@ def _check_order(order, least):
 
 
 def _check_max_weight(max_weight):
+    """``--max-weight`` with the lattice default filled in, or exit 2 out of range."""
+    from . import lattice
+
+    if max_weight is None:
+        max_weight = lattice.DEFAULT_MAX_WEIGHT
     if not 1 <= max_weight <= lattice.WEIGHT_CEILING:
         _usage_error(f"--max-weight must be between 1 and {lattice.WEIGHT_CEILING}")
+    return max_weight
 
 
 def run(argv=None):
@@ -253,12 +271,12 @@ def run(argv=None):
         return 0 if all(r.passed for r in reports) else 1
 
     if args.command == "quotient":
-        _check_max_weight(args.max_weight)
+        args.max_weight = _check_max_weight(args.max_weight)
         _emit(_quotient_output(args.max_weight, args), args.out)
         return 0
 
     if args.command == "reproduce-paper":
-        _check_max_weight(args.max_weight)
+        args.max_weight = _check_max_weight(args.max_weight)
         _check_order(args.order, 2)
         text, ok = _reproduce_paper(args)
         _emit(text, args.out)

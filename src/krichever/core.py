@@ -555,18 +555,23 @@ class Series1:
         return Series1(self.vars, self.order, g)
 
     def inv_sqrt(self):
-        """Series r with r^2 * f = 1, for f with constant coefficient 1."""
-        s = self.reciprocal()
-        half = Fraction(1, 2)
-        t = [Poly.one(self.vars)]
+        """Series r with r^2 * f = 1, for f with constant coefficient 1.
+
+        Miller's power recurrence for r = f^(-1/2),
+        ``k r_k = sum_{l=1}^k (l/2 - k) f_l r_{k-l}``, gives each coefficient
+        from one ``Poly.dot``, with no reciprocal and no squaring.
+        """
+        if self.coeffs[0] != Poly.one(self.vars):
+            raise ValueError("inv_sqrt needs constant term 1")
+        f = self.coeffs
+        r = [Poly.one(self.vars)]
         for k in range(1, self.order + 1):
-            # t_k = s_k/2 - sum_{i<k-i} t_i t_{k-i} - t_{k/2}^2/2: each cross
-            # product of the square once, not twice
-            pairs = [(t[i], t[k - i]) for i in range(1, (k + 1) // 2)]
-            if k % 2 == 0:
-                pairs.append((t[k // 2].scale(half), t[k // 2]))
-            t.append(s.coeffs[k].scale(half) - Poly.dot(self.vars, pairs))
-        return Series1(self.vars, self.order, t)
+            # 2k r_k = sum (l - 2k) f_l r_{k-l}: integer multiples of f_l
+            pairs = [
+                (f[l].scale(l - 2 * k), r[k - l]) for l in range(1, k + 1) if f[l] and r[k - l]
+            ]
+            r.append(Poly.dot(self.vars, pairs).scale(Fraction(1, 2 * k)))
+        return Series1(self.vars, self.order, r)
 
     def is_integral(self):
         return all(c.is_integral() for c in self.coeffs)

@@ -109,13 +109,25 @@ def compute_A(fgl):
     """Fill A = F * (x omega(y) - y omega(x)), whose coefficients are the A_ij.
 
     The product is valid to total degree W+2 because the second factor has
-    no constant term, so it holds A_ij for every i + j <= W+2; integrality
-    and homogeneity (weight i + j - 2) are asserted.  A is antisymmetric by
-    construction: F is built mirrored, and so is x omega(y) - y omega(x).
+    no constant term, so it holds A_ij for every i + j <= W+2.  Only the
+    slots with i < j are formed, each as one ``Poly.dot`` of
+    A_ij = sum_k omega_k (F_{i-1,j-k} - F_{i-k,j-1}).  F is built mirrored,
+    so A_ji = -A_ij and the diagonal is 0.  Integrality and homogeneity
+    (weight i + j - 2) are asserted on the whole of A.
     """
-    w = fgl.weight
-    xwy, ywx, _, _ = _xwy_ywx(fgl)
-    A = fgl.F.mul(xwy - ywx, order=w + 2)
+    w, bv, F = fgl.weight, fgl.vars, fgl.F.coeffs
+    omega = fgl.omega.coeffs
+    minus = [-c for c in omega]
+    coeffs = {}
+    for j in range(1, w + 3):
+        for i in range(min(j, w + 3 - j)):
+            # F has no constant term, so a pair's k is at most i + j - 2 <= W
+            pairs = [(omega[k], F[i - 1, j - k]) for k in range(j + 1) if (i - 1, j - k) in F]
+            pairs += [(minus[k], F[i - k, j - 1]) for k in range(i + 1) if (i - k, j - 1) in F]
+            if pairs:
+                coeffs[i, j] = Poly.dot(bv, pairs)
+                coeffs[j, i] = -coeffs[i, j]
+    A = Series2(bv, w + 2, coeffs)
     if not A.is_integral():
         raise AssertionError("A is not integral")
     if not A.is_graded(-2):

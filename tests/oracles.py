@@ -1,12 +1,13 @@
 """Test-only helpers: a polynomial parser, JSON reader, weight and the
 independent rank, partition and lattice-span oracles the tests check the
-package against.
+package against, and a counter of the kernel's term products.
 """
 
 import re
 from fractions import Fraction
 from functools import lru_cache
 
+from krichever import _kernels_py
 from krichever.core import Poly
 from krichever.lattice import hnf_columns
 
@@ -56,6 +57,21 @@ def _parse_term(tok, vars, sign):
 def poly_from_json(data, vars):
     """Inverse of ``Poly.to_json``; ``Poly`` rejects a wrong exponent length."""
     return Poly(vars, {tuple(item["exps"]): Fraction(item["coeff"]) for item in data})
+
+
+def products_formed(monkeypatch, build):
+    """The term products the kernel forms while ``build()`` runs."""
+    dot = _kernels_py.poly_dot_terms
+    products = [0]
+
+    def counted_dot(pairs, guard=0):
+        products[0] += sum(len(a) * len(b) for a, b in pairs)
+        return dot(pairs, guard)
+
+    # poly_mul_terms is the one-pair poly_dot_terms, so every product is counted
+    monkeypatch.setattr(_kernels_py, "poly_dot_terms", counted_dot)
+    build()
+    return products[0]
 
 
 def poly_weight(poly):

@@ -20,25 +20,46 @@ def run(capsys, *argv):
     return code, capsys.readouterr().out
 
 
-def test_import_loads_no_dataclasses():
-    # dataclasses pulls in inspect, ast and dis, about a third of what
-    # importing the package cost; every CLI process pays the import
+def _modules_loaded(*args):
+    """The modules a fresh ``python -X importtime *args`` imports."""
     src = os.path.dirname(os.path.dirname(krichever.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = (
-        "import sys; before = set(sys.modules); import krichever.cli; "
-        "print(' '.join(sorted(set(sys.modules) - before)))"
-    )
     proc = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-X", "importtime", *args],
         env=dict(os.environ, PYTHONPATH=path),
         capture_output=True,
         text=True,
         check=True,
     )
-    loaded = set(proc.stdout.split())
+    # one "import time: self | cumulative | name" line per module imported
+    return {
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+
+
+def test_import_loads_no_dataclasses():
+    # dataclasses pulls in inspect, ast and dis, about a third of what
+    # importing the package cost; every CLI process pays the import
+    loaded = _modules_loaded("-c", "import krichever.cli")
     assert "krichever.cli" in loaded
     assert not loaded & {"dataclasses", "inspect", "ast", "dis"}
+
+
+@pytest.mark.parametrize(
+    "suite, needed, unneeded",
+    [
+        ("lemma1", {"krichever.genus"}, {"krichever.fgl", "krichever.lattice", "json"}),
+        ("proposition-i", {"krichever.fgl"}, {"krichever.lattice"}),
+    ],
+)
+def test_verify_imports_only_what_its_suites_run(suite, needed, unneeded):
+    # a genus-suite process costs about as much as the interpreter start-up,
+    # so the modules it imports are much of its time
+    loaded = _modules_loaded("-m", "krichever.cli", "verify", "--suite", suite, "--order", "3")
+    assert needed <= loaded
+    assert not loaded & unneeded
 
 
 class TestTables:
@@ -134,7 +155,11 @@ class TestUsageErrors:
             )
             for command in (*cli.TABLES, "verify", "reproduce-paper")
         ]
-        + [(["quotient", "--max-weight", str(lattice.WEIGHT_CEILING + 1)], MAX_WEIGHT_MESSAGE)],
+        + [(["quotient", "--max-weight", str(lattice.WEIGHT_CEILING + 1)], MAX_WEIGHT_MESSAGE)]
+        + [
+            (["reproduce-paper", "--max-weight", w], MAX_WEIGHT_MESSAGE)
+            for w in ("0", str(lattice.WEIGHT_CEILING + 1))
+        ],
     )
     def test_out_of_range_is_one_line(self, argv, message, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -143,6 +168,12 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"krichever: error: {message}\n"
+
+    @pytest.mark.parametrize("argv", [["quotient"], ["reproduce-paper", "--order", "3"]])
+    def test_max_weight_default(self, argv, capsys):
+        default = run(capsys, *argv)
+        assert default == run(capsys, *argv, "--max-weight", str(lattice.DEFAULT_MAX_WEIGHT))
+        assert default[0] == 0
 
     def test_order_ceiling_is_accepted(self, capsys):
         code, out = run(capsys, "psi", "--order", str(genus.ORDER_CEILING))

@@ -369,6 +369,8 @@ class TestSeries1:
         assert r.coeffs[1] == p1.scale(Fraction(-1, 2))
         assert r.coeffs[2] == (p1 * p1).scale(Fraction(3, 8))
         assert r.mul(r).mul(f) == Series1.one(pv, 3)
+        with pytest.raises(ValueError):
+            scalar_series([2, 1], 1).inv_sqrt()
 
     def test_derivative(self):
         f = scalar_series([0, 0, 1], 2)

@@ -4,6 +4,7 @@ import pytest
 
 from krichever import _kernels_py, fgl
 from krichever.core import Poly, Series1, Series2, b_vars, formal_group_law
+from oracles import products_formed
 
 
 @pytest.fixture(scope="module")
@@ -117,6 +118,16 @@ class TestA:
         assert small.A.coefficient(1, 2) == acc
         assert small.A.coefficient(2, 1) == -acc
         assert acc == Poly.var(bv, "b1").scale(-2)
+
+    def test_matches_the_whole_product(self, data):
+        xwy, ywx, _, _ = fgl._xwy_ywx(data)
+        assert data.A == data.F.mul(xwy - ywx, order=data.weight + 2)
+
+    def test_work_of_A(self, monkeypatch):
+        # 52,656 term products at W = 13 when A was the whole product
+        # F * (x omega(y) - y omega(x)); the slots with i < j need 27,535
+        data = fgl.build_universal_fgl(13)
+        assert 0 < products_formed(monkeypatch, lambda: fgl.compute_A(data)) <= 30_000
 
 
 class TestPropositionI:

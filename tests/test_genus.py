@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from krichever import _kernels_py, genus
+from krichever import genus
 from krichever.core import (
     Poly,
     Series1,
@@ -12,7 +12,7 @@ from krichever.core import (
     q_vars,
     weighted_monomials,
 )
-from oracles import gauss_jordan, parse_poly
+from oracles import gauss_jordan, parse_poly, products_formed
 
 # values printed in the source tables, entered verbatim
 PSI_VALUES = {
@@ -273,31 +273,23 @@ def _bad_phi(monkeypatch):
     )
 
 
-def _products_formed(monkeypatch, build):
-    """The term products the kernel forms while ``build()`` runs."""
-    dot = _kernels_py.poly_dot_terms
-    products = [0]
-
-    def counted_dot(pairs, guard=0):
-        products[0] += sum(len(a) * len(b) for a, b in pairs)
-        return dot(pairs, guard)
-
-    # poly_mul_terms is the one-pair poly_dot_terms, so every product is counted
-    monkeypatch.setattr(_kernels_py, "poly_dot_terms", counted_dot)
-    build()
-    return products[0]
-
-
 def test_work_of_the_phi_kh_table(monkeypatch):
     # 38,983 term products when each image power was built by binary powering
     # and p_i -> q_i was a substitution
-    assert 0 < _products_formed(monkeypatch, lambda: genus.phi_kh_table(12)) <= 34_500
+    assert 0 < products_formed(monkeypatch, lambda: genus.phi_kh_table(12)) <= 34_500
 
 
 def test_work_of_lemma2_theorem1(monkeypatch):
     # 69,583 term products when the kappa table was built twice per run
-    work = _products_formed(monkeypatch, lambda: genus.verify_lemma2_theorem1(12))
+    work = products_formed(monkeypatch, lambda: genus.verify_lemma2_theorem1(12))
     assert 0 < work <= 52_000
+
+
+def test_work_of_the_inverse_square_root(monkeypatch):
+    # 9,036 term products when the root came from the reciprocal by a
+    # square-root recurrence; the power recurrence needs 1,326
+    quartic = genus.quartic_series(p_vars(), 18)
+    assert 0 < products_formed(monkeypatch, quartic.inv_sqrt) <= 1_500
 
 
 def _bad_t_psi(monkeypatch):
