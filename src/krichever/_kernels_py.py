@@ -72,8 +72,14 @@ def hnf_cols(cols, nrows):
     rows below its own, and the walking column at each pivot row it reaches;
     this is what keeps the entries small.  A last pass reduces each column
     at the pivots to its right, which makes the basis canonical.
+
+    A row operation reads only the nonzero (row, entry) pairs of its source,
+    a pivot column, and most pivot columns are sparse below their pivot.
+    The pairs are listed once per version of a pivot column: when it is
+    created and after each extended-gcd step that changes it.
     """
     basis = {}  # pivot row -> the column whose pivot is there
+    support = {}  # pivot row -> the nonzero (row, entry) pairs of basis[row]
     rows = []  # the pivot rows, ascending
     starts = [(_next_nonzero(v, 0, nrows), v) for v in cols]
     # stable: columns that start on the same row keep their order
@@ -84,14 +90,15 @@ def hnf_cols(cols, nrows):
             if h is None:
                 if v[r] < 0:
                     v[r:] = [-x for x in v[r:]]
-                _reduce_below(v, r, basis, rows)
+                _reduce_below(v, r, basis, support, rows)
                 basis[r] = v
+                support[r] = _nonzeros(v, r, nrows)
                 insort(rows, r)
                 break
             a = h[r]
             q = v[r] // a
             if q:
-                _col_submul(v, h, q, r)
+                _col_submul(v, support[r], q, r)
             b = v[r]
             if b:
                 g, s, t = _xgcd(a, b)
@@ -99,16 +106,18 @@ def hnf_cols(cols, nrows):
                 hs, vs = h[r:], v[r:]
                 h[r:] = [s * x + t * y for x, y in zip(hs, vs)]
                 v[r:] = [ag * y - bg * x for x, y in zip(hs, vs)]
-                _reduce_below(h, r, basis, rows)
+                _reduce_below(h, r, basis, support, rows)
+                support[r] = _nonzeros(h, r, nrows)
             r = _next_nonzero(v, r + 1, nrows)
     out = [basis[r] for r in rows]
     for j, r in enumerate(rows):
-        h = out[j]
-        p = h[r]
+        # out[j] changes only at steps after j, so its pairs are current
+        src = support[r]
+        p = out[j][r]
         for col in out[:j]:
             q = col[r] // p
             if q:
-                _col_submul(col, h, q, r)
+                _col_submul(col, src, q, r)
     cols[:] = out + [[0] * nrows for _ in range(len(cols) - len(out))]
     return rows
 
@@ -119,14 +128,18 @@ def _next_nonzero(col, r, nrows):
     return r
 
 
-def _reduce_below(col, r, basis, rows):
+def _nonzeros(col, r, nrows):
+    """The nonzero (row, entry) pairs of ``col`` on rows r.."""
+    return [(i, col[i]) for i in range(r, nrows) if col[i]]
+
+
+def _reduce_below(col, r, basis, support, rows):
     """Reduce ``col`` at every pivot row below ``r``, top down."""
     for rr in rows[bisect_right(rows, r) :]:
         if col[rr]:
-            h = basis[rr]
-            q = col[rr] // h[rr]
+            q = col[rr] // basis[rr][rr]
             if q:
-                _col_submul(col, h, q, rr)
+                _col_submul(col, support[rr], q, rr)
 
 
 def _xgcd(a, b):
@@ -141,8 +154,10 @@ def _xgcd(a, b):
 
 
 def _col_submul(col, src, q, start):
-    """col -= q * src on rows start.. (src is zero above ``start``)."""
-    col[start:] = [v - q * w for v, w in zip(col[start:], src[start:])]
+    """col -= q * (source column), in place.  ``src`` lists the source's
+    nonzero (row, entry) pairs, all on rows start.."""
+    for i, w in src:
+        col[i] -= q * w
 
 
 def snf_diag(cols):

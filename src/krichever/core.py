@@ -12,7 +12,7 @@ and bivariate truncated power series carry polynomial coefficients.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from math import comb, gcd, lcm
 from operator import mul, or_
 
@@ -281,13 +281,14 @@ class Poly:
         return Fraction(self.terms.get(0, 0), self.den)
 
     def is_homogeneous(self, weight=None):
-        unpack, w = self.vars.unpack, self.vars.monomial_weight
-        ws = {w(unpack(e)) for e in self.terms}
-        if not ws:
+        """Every term of weight ``weight``, or of one common weight if None.
+        The zero polynomial is homogeneous of every weight."""
+        if not self.terms:
             return True
-        if len(ws) > 1:
-            return False
-        return weight is None or ws == {weight}
+        vars = self.vars
+        if weight is None:
+            weight = vars.monomial_weight(vars.unpack(next(iter(self.terms))))
+        return self.terms.keys() <= keys_of_weight(vars.weights, weight)
 
     def is_integral(self):
         return self.den == 1
@@ -783,6 +784,30 @@ def weighted_monomials(vars, w):
     rec(0, w, [])
     out.sort(reverse=True)
     return out
+
+
+@lru_cache(maxsize=None)
+def keys_of_weight(weights, w):
+    """The packed keys of every monomial of weight w over variables of the
+    given weights, as a frozenset.
+
+    A monomial of weight w is one of weight w - weights[i] times variable i,
+    so each set is built from the lower ones by adding a unit key.  The sets
+    are cached by the weights alone: the genus code makes a fresh
+    ``q_vars()`` or ``cp_vars(n)`` per table, and equal weights give equal
+    sets.  Exponents above MAX_EXPONENT have no key, so those monomials are
+    left out.
+    """
+    if w <= 0:
+        return frozenset((0,) if w == 0 else ())
+    n = len(weights)
+    keys = set()
+    for i, wi in enumerate(weights):
+        if wi <= w:
+            unit = 1 << 8 * (n - 1 - i)
+            keys.update(k + unit for k in keys_of_weight(weights, w - wi))
+    guard = int.from_bytes(b"\x80" * n, "big")
+    return frozenset(k for k in keys if not k & guard)
 
 
 def _power_column(vars, P, k):

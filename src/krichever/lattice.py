@@ -14,11 +14,13 @@ a_ij must solve integrally, which proves L_n = Z[g]_n, and every A_ij is
 solved once, which proves that it lies in the ring.
 
 In g-coordinates the rest is reindexing.  The ideal piece I_n is spanned by
-the shifts A_ij g_mu, and a shift only moves coordinates; the decomposables
-D_n are spanned by the g-monomials with two or more parts.  One Hermite
-normal form of I_n and one Smith normal form give Q_n = L_n / I_n, and
-Indec_n = L_n / (I_n + D_n) is Z g_n modulo the g_n coefficients of the
-weight-n A_ij.  All arithmetic is exact.
+the shifts A_ij g_mu, and a shift only moves coordinates.  One Hermite
+normal form of I_n gives Q_n = L_n / I_n: each pivot 1 splits off a trivial
+summand, and one Smith normal form of the rest gives the other invariant
+factors.  The decomposables D_n are spanned by the g-monomials with two or
+more parts, so Indec_n = L_n / (I_n + D_n) is Z g_n modulo the g_n
+coefficients of the weight-n A_ij, read off the one-part row with no D_n
+lattice built.  All arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -136,14 +138,27 @@ class Lattice:
 
     @property
     def rank(self):
-        return len(self._solve_basis()[0])
+        if self._solver is not None:
+            return len(self._solver[0])
+        return len(self._reduce()[1])
 
     def hnf_basis(self):
         return [list(c) for c in self._reduce()[0]]
 
-    def pivot_rows(self):
-        """The pivot rows of the basis that :meth:`coordinates` solves in."""
-        return [r for _, r, _ in self._solve_basis()[1]]
+    def cokernel(self):
+        """Z^(ambient dim) / lattice as InvariantFactors, from the HNF basis.
+
+        A pivot 1 of the reduced HNF is the only nonzero entry of its row:
+        the entries to its left are reduced mod 1, the columns to its right
+        are zero above their own pivots.  Row operations clear its column
+        below it without touching any other column, so its row and column
+        split off a trivial summand.  The Smith form runs on the rest.
+        """
+        basis, pivots = self._reduce()
+        units = {r for col, r in zip(basis, pivots) if col[r] == 1}
+        rows = [i for i in range(len(self.basis)) if i not in units]
+        residual = [[col[i] for i in rows] for col, r in zip(basis, pivots) if r not in units]
+        return InvariantFactors.from_presentation(len(rows), residual)
 
     def coordinates(self, vector):
         """Coordinates in the solving basis; raises if not a member."""
@@ -310,12 +325,12 @@ class LazardModel:
 
     def quotient_groups(self, n):
         """(Q_n, Indec_n) as InvariantFactors: ring/ideal and indecomposables."""
-        rank = self.lazard_piece(n).rank
-        q = InvariantFactors.from_presentation(rank, self.ideal_piece(n).hnf_basis())
-        # D_n is spanned by unit columns, so L_n / D_n is free on the rows
-        # they miss: g_n alone.  The shifts A_ij g_mu with mu nonempty lie in
-        # D_n, so only the weight-n A_ij present Indec_n = L_n / (I_n + D_n).
-        free = sorted(set(range(rank)) - set(self.decomposables_piece(n).pivot_rows()))
+        q = self.ideal_piece(n).cokernel()
+        # D_n is spanned by the g-monomials of two or more parts, so L_n / D_n
+        # is free on the one-part row: g_n alone.  The shifts A_ij g_mu with
+        # mu nonempty lie in D_n, so only the weight-n A_ij present
+        # Indec_n = L_n / (I_n + D_n).
+        free = [i for i, m in enumerate(self.basis_index(n).monomials) if sum(m) == 1]
         relations = [[x[r] for r in free] for x in self._ideal_coordinates(n)]
         indec = InvariantFactors.from_presentation(len(free), relations)
         return q, indec

@@ -1,6 +1,7 @@
 """Test-only helpers: a polynomial parser, JSON reader, weight and the
 independent rank, partition and lattice-span oracles the tests check the
-package against, and a counter of the kernel's term products.
+package against, the earlier grading gate and quotient path, and a counter
+of the kernel's term products.
 """
 
 import re
@@ -9,7 +10,7 @@ from functools import lru_cache
 
 from krichever import _kernels_py
 from krichever.core import Poly
-from krichever.lattice import hnf_columns
+from krichever.lattice import InvariantFactors, hnf_columns
 
 
 def parse_poly(text, vars):
@@ -80,6 +81,23 @@ def poly_weight(poly):
     if len(ws) != 1:
         raise ValueError("weight of zero or inhomogeneous polynomial")
     return ws.pop()
+
+
+def unpacked_is_homogeneous(poly, weight=None):
+    """``Poly.is_homogeneous`` by unpacking every key: the earlier gate."""
+    unpack, w = poly.vars.unpack, poly.vars.monomial_weight
+    ws = {w(unpack(e)) for e in poly.terms}
+    if not ws:
+        return True
+    if len(ws) > 1:
+        return False
+    return weight is None or ws == {weight}
+
+
+def full_hnf_cokernel(lattice):
+    """Z^(ambient dim) / lattice by the Smith form of the whole HNF basis:
+    the earlier quotient path, an oracle for ``Lattice.cokernel``."""
+    return InvariantFactors.from_presentation(len(lattice.basis), lattice.hnf_basis())
 
 
 def gauss_jordan(rows):

@@ -138,6 +138,8 @@ class TestUsageErrors:
         assert exc.value.code == 2
 
 
+    # A generated id embeds the expected message, so the cases whose message
+    # names a ceiling get explicit ids: raising a ceiling renames no test.
     @pytest.mark.parametrize(
         "argv, message",
         [
@@ -146,19 +148,29 @@ class TestUsageErrors:
             (["reproduce-paper", "--order", "-3"], "--order must be >= 2"),
             (["verify", "--order", "1"], "--order must be >= 2"),
             (["psi", "--order", "0"], "--order must be >= 1"),
-            (["quotient", "--max-weight", "0"], MAX_WEIGHT_MESSAGE),
+            pytest.param(
+                ["quotient", "--max-weight", "0"], MAX_WEIGHT_MESSAGE, id="quotient-max-weight-0"
+            ),
         ]
         + [
-            (
+            pytest.param(
                 [command, "--order", str(genus.ORDER_CEILING + 1)],
                 f"--order must be <= {genus.ORDER_CEILING}",
+                id=f"{command}-order-ceiling+1",
             )
             for command in (*cli.TABLES, "verify", "reproduce-paper")
         ]
-        + [(["quotient", "--max-weight", str(lattice.WEIGHT_CEILING + 1)], MAX_WEIGHT_MESSAGE)]
         + [
-            (["reproduce-paper", "--max-weight", w], MAX_WEIGHT_MESSAGE)
-            for w in ("0", str(lattice.WEIGHT_CEILING + 1))
+            pytest.param(
+                [command, "--max-weight", w],
+                MAX_WEIGHT_MESSAGE,
+                id=f"{command}-max-weight-{case}",
+            )
+            for command, w, case in (
+                ("quotient", str(lattice.WEIGHT_CEILING + 1), "ceiling+1"),
+                ("reproduce-paper", "0", "0"),
+                ("reproduce-paper", str(lattice.WEIGHT_CEILING + 1), "ceiling+1"),
+            )
         ],
     )
     def test_out_of_range_is_one_line(self, argv, message, capsys):

@@ -17,10 +17,18 @@ from krichever.core import (
     compose1,
     cp_vars,
     formal_group_law,
+    keys_of_weight,
     p_vars,
+    q_vars,
     weighted_monomials,
 )
-from oracles import parse_poly, partition_count, poly_from_json, poly_weight
+from oracles import (
+    parse_poly,
+    partition_count,
+    poly_from_json,
+    poly_weight,
+    unpacked_is_homogeneous,
+)
 
 SCALARS = VarTable([], [])
 
@@ -143,6 +151,23 @@ def exact_terms(nvars):
     return st.dictionaries(monomials, exact_scalars, max_size=4)
 
 
+@st.composite
+def graded_polys(draw):
+    """(poly, weight to ask for): homogeneous, mixed or zero polynomials over
+    Z[b1..b5] or Q[q1..q4]; the weight asked for is None, the weight of a
+    term, or one that no term has."""
+    vars = draw(st.sampled_from([b_vars(5), q_vars()]))
+    monomials = draw(st.lists(st.tuples(*[st.integers(0, 3)] * len(vars.names)), max_size=5))
+    if monomials and draw(st.booleans()):
+        w = vars.monomial_weight(monomials[0])
+        monomials = [m for m in monomials if vars.monomial_weight(m) == w]
+    poly = Poly(vars, {m: draw(st.integers(1, 9)) for m in monomials})
+    weights = [vars.monomial_weight(m) for m in monomials]
+    absent = [-1, 0, max(weights, default=0) + 1]
+    weight = draw(st.one_of(st.none(), st.sampled_from(weights + absent)))
+    return poly, weight
+
+
 class TestPoly:
     def test_arithmetic(self):
         pv = p_vars()
@@ -170,6 +195,12 @@ class TestPoly:
         assert poly_weight(m) == 4
         assert m.is_homogeneous(4)
         assert not (m + Poly.var(pv, "p1")).is_homogeneous()
+
+    @given(graded_polys())
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    def test_homogeneity_gate_matches_unpacking(self, case):
+        poly, weight = case
+        assert poly.is_homogeneous(weight) == unpacked_is_homogeneous(poly, weight)
 
     def test_text_round_trip(self):
         pv = p_vars()
@@ -637,6 +668,17 @@ def test_weighted_monomials_keep_their_order():
     uneven = VarTable(["u", "v", "z"], [3, 2, 5])
     for w in range(16):
         assert weighted_monomials(uneven, w) == full_depth_monomials(uneven, w), w
+
+
+def test_keys_of_weight_are_the_packed_monomials():
+    uneven = VarTable(["u", "v", "z"], [3, 2, 5])
+    for vars in (b_vars(8), q_vars(), uneven):
+        for w in range(-2, 14):
+            packed = {vars.pack(m) for m in weighted_monomials(vars, w)}
+            assert keys_of_weight(vars.weights, w) == packed, (vars, w)
+    # an exponent past MAX_EXPONENT has no key
+    assert keys_of_weight((1,), MAX_EXPONENT) == {MAX_EXPONENT}
+    assert keys_of_weight((1,), MAX_EXPONENT + 1) == frozenset()
 
 
 def test_grading_of_log_family():

@@ -22,7 +22,7 @@ from krichever.lattice import (
     hnf_columns,
     indecomposables_closed_form,
 )
-from oracles import partition_count, products_spans, rational_rank
+from oracles import full_hnf_cokernel, partition_count, products_spans, rational_rank
 
 
 def brute_force_member(vector, columns, bound=6):
@@ -276,6 +276,24 @@ class TestHnf:
             model10.quotient_groups(n)
         assert 0 < calls[0] <= 6000
 
+    def test_entries_read_on_lattice_pieces(self, monkeypatch):
+        # A row operation reads only the nonzero pairs of its source column:
+        # 4079 entries here.  Row operations that read the whole source
+        # column, with the Smith form run on the whole HNF basis of I_n,
+        # read 23273 (14601 of them from the pivot row down).
+        submul = _kernels_py._col_submul
+        entries = [0]
+
+        def counted_submul(col, src, q, start):
+            entries[0] += len(src)
+            submul(col, src, q, start)
+
+        monkeypatch.setattr(_kernels_py, "_col_submul", counted_submul)
+        model10 = LazardModel(10)
+        for n in range(1, 11):
+            model10.quotient_groups(n)
+        assert 0 < entries[0] <= 6000
+
 
 def _det(m):
     n = len(m)
@@ -427,6 +445,35 @@ class TestSmithOracle:
                 if divisible:
                     torsion_seen.add(p)
         assert torsion_seen == {2, 3, 5, 7}
+
+
+class TestCokernel:
+    def test_matches_the_smith_form_of_the_whole_hnf(self):
+        # Q_n from the non-unit part of I_n's HNF, against the Smith form of
+        # the whole basis and, for its 2-torsion, against ranks over Q and
+        # F_2 of the generator columns.  21 of the 62 pivots of I_13 are 1.
+        model13 = LazardModel(13)
+        for n in range(1, 14):
+            q, _ = model13.quotient_groups(n)
+            ideal = model13.ideal_piece(n)
+            assert q == full_hnf_cokernel(ideal)
+            cols, nrows = ideal.columns, len(ideal.basis)
+            rank = rational_rank(cols, nrows)
+            assert rank == ideal.rank == nrows - q.free_rank
+            twos = sum(1 for d in q.torsion if d % 2 == 0)
+            assert twos == rank - rank_mod_p(cols, 2)
+        pivots = [next(x for x in col if x) for col in ideal.hnf_basis()]
+        assert (pivots.count(1), len(pivots)) == (21, 62)
+
+    def test_unit_pivots_with_entries_below(self):
+        # A reduced HNF: pivots 1, 2, 3, 1 on rows 0..3, and both unit
+        # columns have entries below their pivot.
+        cols = [[1, 1, 0, 0, 5], [0, 2, 1, 0, 0], [0, 0, 3, 0, 6], [0, 0, 0, 1, 7]]
+        lat = Lattice(BasisIndex(b_vars(4), 4), cols)
+        assert lat.hnf_basis() == cols
+        # left over: Z^3 (rows 1, 2, 4) modulo (2, 1, 0) and (0, 3, 6)
+        assert lat.cokernel() == InvariantFactors((6,), 1) == full_hnf_cokernel(lat)
+        assert lat.rank == 4
 
 
 @pytest.fixture(scope="module")
