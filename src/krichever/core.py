@@ -18,8 +18,6 @@ from operator import mul, or_
 
 from .backend import kernels
 
-Rational = Fraction
-
 # Packed monomial keys (Monagan & Pearce, CASC 2007).  The exponent of each
 # variable takes one byte of an int, variable 0 most significant, so integer
 # order on keys is lex order on exponent vectors and the key of a monomial
@@ -91,18 +89,22 @@ class VarTable:
         return f"VarTable({list(self.names)!r})"
 
 
+@lru_cache(maxsize=None)
 def p_vars():
     return VarTable.generators("p", 4)
 
 
+@lru_cache(maxsize=None)
 def q_vars():
     return VarTable.generators("q", 4)
 
 
+@lru_cache(maxsize=None)
 def cp_vars(n):
     return VarTable.generators("CP", n)
 
 
+@lru_cache(maxsize=None)
 def b_vars(n):
     return VarTable.generators("b", n)
 
@@ -457,22 +459,9 @@ class Series1:
         return Series1(self.vars, self.order, [c * p for c in self.coeffs])
 
     def mul(self, other, order=None):
-        """Exact truncated product; result order min(N_f, N_g) by default.
-
-        A higher ``order`` may be requested when the discarded tails cannot
-        contribute, i.e. when each factor's valuation covers the other's
-        missing range; this is asserted.
-        """
+        """Exact truncated product, to the order ``_product_order`` gives."""
         self._check(other)
-        n = min(self.order, other.order)
-        if order is not None:
-            if order > n:
-                if (
-                    other.valuation() < order - self.order
-                    or self.valuation() < order - other.order
-                ):
-                    raise ValueError("requested order not determined by truncations")
-            n = order
+        n = _product_order(self, other, order)
         a = [(i, c) for i, c in enumerate(self.coeffs) if c]
         b = other.coeffs
         top = other.order
@@ -493,11 +482,11 @@ class Series1:
             [c.scale(k) for k, c in enumerate(self.coeffs)][1:],
         )
 
-    def shift_down(self, k=1):
-        """Divide by x^k; the dropped coefficients must be zero."""
-        if any(self.coeffs[i] for i in range(k)):
-            raise ValueError("series not divisible by x^k")
-        return Series1(self.vars, self.order - k, self.coeffs[k:])
+    def shift_down(self):
+        """Divide by x; the constant coefficient must be zero."""
+        if self.coeffs[0]:
+            raise ValueError("series not divisible by x")
+        return Series1(self.vars, self.order - 1, self.coeffs[1:])
 
     def reciprocal(self):
         """Inverse of a series with constant coefficient 1."""
@@ -613,10 +602,6 @@ class Series2:
             raise ValueError("coefficient beyond truncation order")
 
     @classmethod
-    def zero(cls, vars, order):
-        return cls(vars, order, {})
-
-    @classmethod
     def from_series1(cls, s, order, slot):
         """Embed a univariate series as a series in x (slot 0) or y (slot 1)."""
         coeffs = {}
@@ -677,17 +662,9 @@ class Series2:
         return Series2(self.vars, self.order, {k: v * p for k, v in self.coeffs.items()})
 
     def mul(self, other, order=None):
-        """Exact truncated product; see Series1.mul for the order rule."""
+        """Exact truncated product, to the order ``_product_order`` gives."""
         self._check(other)
-        n = min(self.order, other.order)
-        if order is not None:
-            if order > n:
-                if (
-                    other.valuation() < order - self.order
-                    or self.valuation() < order - other.order
-                ):
-                    raise ValueError("requested order not determined by truncations")
-            n = order
+        n = _product_order(self, other, order)
         pairs = {}
         for (i1, j1), a in self.coeffs.items():
             for (i2, j2), b in other.coeffs.items():
@@ -706,13 +683,11 @@ class Series2:
     def is_symmetric(self):
         return self == self.swap()
 
-    def subs_xy(self, sx, sy, order=None):
+    def subs_xy(self, sx, sy):
         """Substitute univariate series (zero constant term) for x and y."""
         if sx.coeffs[0] or sy.coeffs[0]:
             raise ValueError("substitution needs zero constant terms")
-        n = self.order if order is None else order
-        if order is not None and order > min(self.order, sx.order, sy.order):
-            raise ValueError("requested order not determined by truncations")
+        n = self.order
         xpow = {0: Series1.one(self.vars, n)}
         ypow = {0: Series1.one(self.vars, n)}
         sxt, syt = sx.truncate(n), sy.truncate(n)
@@ -740,13 +715,10 @@ class Series2:
                 cs[i] = c
         return Series1(self.vars, self.order, cs)
 
-    def dy_at_zero(self):
-        """dF/dy restricted to y = 0, as a univariate series in x."""
-        cs = [Poly.zero(self.vars) for _ in range(self.order)]
-        for (i, j), c in self.coeffs.items():
-            if j == 1 and i < self.order:
-                cs[i] = c
-        return Series1(self.vars, self.order - 1, cs)
+    def dy(self):
+        """The partial derivative in y, one order lower."""
+        coeffs = {(i, j - 1): c.scale(j) for (i, j), c in self.coeffs.items() if j}
+        return Series2(self.vars, self.order - 1, coeffs)
 
     def is_integral(self):
         return all(c.is_integral() for c in self.coeffs.values())
@@ -755,6 +727,21 @@ class Series2:
         return all(
             c.is_homogeneous(i + j + shift) for (i, j), c in self.coeffs.items()
         )
+
+
+def _product_order(f, g, order):
+    """The truncation order of the product f * g.
+
+    It is min(N_f, N_g) by default.  A higher ``order`` may be requested
+    when the discarded tails cannot contribute, i.e. when each factor's
+    valuation covers the other's missing range; this is asserted.
+    """
+    n = min(f.order, g.order)
+    if order is None:
+        return n
+    if order > n and (g.valuation() < order - f.order or f.valuation() < order - g.order):
+        raise ValueError("requested order not determined by truncations")
+    return order
 
 
 def weighted_monomials(vars, w):
@@ -793,10 +780,9 @@ def keys_of_weight(weights, w):
 
     A monomial of weight w is one of weight w - weights[i] times variable i,
     so each set is built from the lower ones by adding a unit key.  The sets
-    are cached by the weights alone: the genus code makes a fresh
-    ``q_vars()`` or ``cp_vars(n)`` per table, and equal weights give equal
-    sets.  Exponents above MAX_EXPONENT have no key, so those monomials are
-    left out.
+    are cached by the weights alone, so tables with equal weights, such as
+    ``p_vars()`` and ``q_vars()``, share them.  Exponents above MAX_EXPONENT
+    have no key, so those monomials are left out.
     """
     if w <= 0:
         return frozenset((0,) if w == 0 else ())

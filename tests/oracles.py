@@ -1,7 +1,7 @@
 """Test-only helpers: a polynomial parser, JSON reader, weight and the
 independent rank, partition and lattice-span oracles the tests check the
-package against, the earlier grading gate and quotient path, and a counter
-of the kernel's term products.
+package against, the earlier grading gate, quotient path and associativity
+check, and a counter of the kernel's term products.
 """
 
 import re
@@ -10,6 +10,7 @@ from functools import lru_cache
 
 from krichever import _kernels_py
 from krichever.core import Poly
+from krichever.genus import compare_slots
 from krichever.lattice import InvariantFactors, hnf_columns
 
 
@@ -92,6 +93,50 @@ def unpacked_is_homogeneous(poly, weight=None):
     if len(ws) > 1:
         return False
     return weight is None or ws == {weight}
+
+
+def literal_associativity(fgl, degree=6):
+    """F(F(x,y),z) = F(x,F(y,z)) to the given total degree, by trivariate
+    substitution: the earlier check, an oracle for ``verify_associativity``.
+
+    It never reads F(x, 0) = x on its own, so a law whose unit axiom alone
+    is broken may pass here where ``verify_associativity`` fails it.
+    """
+    degree = min(degree, fgl.weight)
+    bv = fgl.vars
+    F = fgl.F.truncate(degree)
+
+    def dots(pairs):
+        # one Poly.dot per trivariate slot, zero sums dropped
+        return {k: v for k, p in pairs.items() if (v := Poly.dot(bv, p))}
+
+    def tri_mul(a, b):
+        pairs = {}
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                key = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
+                if sum(key) <= degree:
+                    pairs.setdefault(key, []).append((c1, c2))
+        return dots(pairs)
+
+    def subs(u, v):
+        # F(u, v) with u, v trivariate dicts of valuation >= 1
+        upow = {0: {(0, 0, 0): Poly.one(bv)}}
+        vpow = {0: {(0, 0, 0): Poly.one(bv)}}
+        pairs = {}
+        for (i, j), c in sorted(F.coeffs.items()):
+            for k in range(max(upow) + 1, i + 1):
+                upow[k] = tri_mul(upow[k - 1], u)
+            for k in range(max(vpow) + 1, j + 1):
+                vpow[k] = tri_mul(vpow[k - 1], v)
+            for e, cv in tri_mul(upow[i], vpow[j]).items():
+                pairs.setdefault(e, []).append((cv, c))
+        return dots(pairs)
+
+    xv = {(1, 0, 0): Poly.one(bv)}
+    yv = {(0, 1, 0): Poly.one(bv)}
+    zv = {(0, 0, 1): Poly.one(bv)}
+    return compare_slots("associativity", degree, subs(subs(xv, yv), zv), subs(xv, subs(yv, zv)))
 
 
 def full_hnf_cokernel(lattice):

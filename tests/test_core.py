@@ -421,8 +421,11 @@ class TestSeries1:
     def test_mul_extended_order_guard(self):
         f = scalar_series([0, 1, 2], 2)
         g = scalar_series([1, 1], 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="requested order not determined"):
             f.mul(g, order=3)
+        # x^2 to order 2 times x to order 1 is known to order 3
+        x2 = scalar_series([0, 0, 1], 2)
+        assert x2.mul(scalar_series([0, 1], 1), order=3) == scalar_series([0, 0, 0, 1], 3)
 
 
 small_fractions = st.fractions(
@@ -622,6 +625,25 @@ class TestSeries2:
         g2 = Series2.from_series1(g, 3, 0)
         assert compose1(f, g2).at_y_zero() == f.compose(g)
 
+    def test_mul_extended_order_guard(self):
+        bv = b_vars(1)
+        one = Series2(bv, 1, {(0, 0): Poly.one(bv)})
+        x = Series2(bv, 2, {(1, 0): Poly.one(bv)})
+        with pytest.raises(ValueError, match="requested order not determined"):
+            one.mul(x, order=3)
+        x2 = Series2(bv, 2, {(2, 0): Poly.one(bv)})
+        y = Series2(bv, 1, {(0, 1): Poly.one(bv)})
+        assert x2.mul(y, order=3).coeffs == {(2, 1): Poly.one(bv)}
+
+    def test_dy(self):
+        bv = b_vars(1)
+        b1 = Poly.var(bv, "b1")
+        s = Series2(bv, 4, {(1, 0): Poly.one(bv), (0, 1): Poly.one(bv), (1, 2): b1, (0, 3): b1})
+        d = s.dy()
+        assert d.order == 3
+        assert d.coeffs == {(0, 0): Poly.one(bv), (1, 1): b1.scale(2), (0, 2): b1.scale(3)}
+        assert d.dy().at_y_zero().coeffs == [Poly.zero(bv), b1.scale(2), Poly.zero(bv)]
+
     def test_subs_xy(self):
         bv = b_vars(1)
         F = Series2(bv, 3, {(1, 0): Poly.one(bv), (0, 1): Poly.one(bv)})
@@ -668,6 +690,15 @@ def test_weighted_monomials_keep_their_order():
     uneven = VarTable(["u", "v", "z"], [3, 2, 5])
     for w in range(16):
         assert weighted_monomials(uneven, w) == full_depth_monomials(uneven, w), w
+
+
+def test_variable_tables_are_shared():
+    # one table per argument, so state cached on a table is built once
+    assert q_vars() is q_vars()
+    assert p_vars() is p_vars()
+    assert cp_vars(4) is cp_vars(4)
+    assert b_vars(6) is b_vars(6)
+    assert b_vars(6) is not b_vars(5)
 
 
 def test_keys_of_weight_are_the_packed_monomials():
