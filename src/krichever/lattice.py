@@ -14,13 +14,16 @@ a_ij must solve integrally, which proves L_n = Z[g]_n, and every A_ij is
 solved once, which proves that it lies in the ring.
 
 In g-coordinates the rest is reindexing.  The ideal piece I_n is spanned by
-the shifts A_ij g_mu, and a shift only moves coordinates.  One Hermite
-normal form of I_n gives Q_n = L_n / I_n: each pivot 1 splits off a trivial
-summand, and one Smith normal form of the rest gives the other invariant
-factors.  The decomposables D_n are spanned by the g-monomials with two or
-more parts, so Indec_n = L_n / (I_n + D_n) is Z g_n modulo the g_n
-coefficients of the weight-n A_ij, read off the one-part row with no D_n
-lattice built.  All arithmetic is exact.
+the weight-n A_ij and g_m I_(n-m) for m = 1 .. n-1, since every shift
+A_ij g_mu with mu nonempty is g_m times a shift of weight n - m.  So I_n is
+built from the reduced Hermite bases of the pieces below it, and
+multiplying by g_m only moves coordinates.  One Hermite normal form of I_n
+gives Q_n = L_n / I_n: each pivot 1 splits off a trivial summand, and one
+Smith normal form of the rest gives the other invariant factors.  The
+decomposables D_n are spanned by the g-monomials with two or more parts, so
+Indec_n = L_n / (I_n + D_n) is Z g_n modulo the g_n coefficients of the
+weight-n A_ij, read off the one-part row with no D_n lattice built.  All
+arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -82,7 +85,8 @@ class BasisIndex:
 
     Row i of every lattice matrix is the coefficient of ``monomials[i]``:
     of the b-monomial in b-coordinates, of the g-monomial with the same
-    exponents in g-coordinates.  The monomials are sorted by their number
+    exponents in g-coordinates.  ``keys[i]`` is its packed key and ``pos``
+    maps a key back to its row.  The monomials are sorted by their number
     of factors, ascending, and lex-descending within one count, so row 0 is
     b_n and the last row b_1^n.  The HNF of the ideal's columns takes fewer
     row operations in this order.  Ranks, invariant factors and the
@@ -93,7 +97,8 @@ class BasisIndex:
         self.vars = vars
         self.weight = weight
         self.monomials = sorted(weighted_monomials(vars, weight), key=sum)
-        self.pos = {vars.pack(m): i for i, m in enumerate(self.monomials)}
+        self.keys = [vars.pack(m) for m in self.monomials]
+        self.pos = {key: i for i, key in enumerate(self.keys)}
 
     def __len__(self):
         return len(self.monomials)
@@ -221,23 +226,22 @@ class LazardModel:
             self._basis[n] = BasisIndex(self.vars, n)
         return self._basis[n]
 
-    def _g_monomial(self, exps):
-        """g_1^e_1 g_2^e_2 ..., as the g-monomial without its largest part k
-        times g_k: one polynomial product per monomial of two or more parts."""
-        key = self.vars.pack(exps)
+    def _g_monomial(self, key):
+        """g_1^e_1 g_2^e_2 ... for the packed key of (e_1, e_2, ...), as the
+        g-monomial without its largest part k times g_k: one polynomial
+        product per monomial of two or more parts.  The exponent of g_k sits
+        in byte W - k of the key (byte 0 the lowest), so ``key & -key`` lies
+        in the byte of the largest part."""
         if key not in self._g:
-            parts = [k for k, e in enumerate(exps) if e]
-            if not parts:
+            if not key:
                 g = Poly.one(self.vars)
-            elif sum(exps) == 1:
-                g = _gcd_combination(self._law_gens[parts[0] + 1], key)
             else:
-                top = parts[-1]
-                rest = list(exps)
-                rest[top] -= 1
-                unit = [0] * len(exps)
-                unit[top] = 1
-                g = self._g_monomial(rest) * self._g_monomial(unit)
+                unit = 1 << ((key & -key).bit_length() - 1) // 8 * 8
+                if key == unit:
+                    k = len(self.vars.names) - unit.bit_length() // 8
+                    g = _gcd_combination(self._law_gens[k], key)
+                else:
+                    g = self._g_monomial(key - unit) * self._g_monomial(unit)
             self._g[key] = g
         return self._g[key]
 
@@ -251,7 +255,7 @@ class LazardModel:
         """
         if n not in self._lazard:
             bi = self.basis_index(n)
-            cols = [bi.vector(self._g_monomial(m)) for m in bi.monomials]
+            cols = [bi.vector(self._g_monomial(key)) for key in bi.keys]
             order = sorted(range(len(bi)), key=lambda i: sum(bi.monomials[i]))
             lat = Lattice(bi, cols, [(i, i) for i in order])
             for a in self._law_gens.get(n, []):
@@ -268,29 +272,28 @@ class LazardModel:
         return self._ideal_coords[k]
 
     def ideal_piece(self, n):
-        """I_n in g-coordinates: the span of A_ij g_mu, A_ij of weight k <= n
-        and mu of weight n - k.  Multiplying by g_mu adds mu to the exponents
-        of every g-monomial, so each column is a reindexed coordinate vector."""
+        """I_n in g-coordinates, from the weight-n A_ij and the pieces below.
+
+        I_n is spanned by the A_ij g_mu, A_ij of weight k <= n and mu of
+        weight n - k.  When mu is nonempty, g_mu = g_m g_(mu - m) for a part
+        m of mu, so A_ij g_mu lies in g_m I_(n-m).  I_n is therefore spanned
+        by the weight-n A_ij and, for m = 1 .. n-1, g_m times each column of
+        the reduced HNF basis of I_(n-m), built on demand.  Multiplying by
+        g_m adds the unit key of g_m to every packed key, so each such column
+        is a reindexed column of the piece below.
+        """
         if n not in self._ideal:
             bi = self.basis_index(n)
-            pack = self.vars.pack
-            cols = []
-            for k in self._ideal_gens:
-                if k > n:
-                    continue
-                keys = [pack(m) for m in self.basis_index(k).monomials]
-                terms = [
-                    [(key, c) for key, c in zip(keys, x) if c]
-                    for x in self._ideal_coordinates(k)
-                ]
-                for mu in self.basis_index(n - k).monomials:
-                    shift = pack(mu)
-                    for t in terms:
-                        col = [0] * len(bi)
-                        # packed keys add like exponent vectors
-                        for key, c in t:
-                            col[bi.pos[key + shift]] = c
-                        cols.append(col)
+            cols = list(self._ideal_coordinates(n))
+            for m in range(1, n):
+                lower = self.ideal_piece(n - m)
+                unit = 1 << 8 * (len(self.vars.names) - m)
+                shifted = [bi.pos[key + unit] for key in lower.basis.keys]
+                for x in lower.hnf_basis():
+                    col = [0] * len(bi)
+                    for i, c in zip(shifted, x):
+                        col[i] = c
+                    cols.append(col)
             self._ideal[n] = Lattice(bi, cols)
         return self._ideal[n]
 

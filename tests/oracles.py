@@ -1,7 +1,8 @@
 """Test-only helpers: a polynomial parser, JSON reader, weight and the
 independent rank, partition and lattice-span oracles the tests check the
-package against, the earlier grading gate, quotient path and associativity
-check, and a counter of the kernel's term products.
+package against, the earlier grading gate, quotient path, associativity
+check, ideal piece (every shift of every A_ij) and omega (exp_b' composed
+with log_b), and a counter of the kernel's term products.
 """
 
 import re
@@ -11,7 +12,7 @@ from functools import lru_cache
 from krichever import _kernels_py
 from krichever.core import Poly
 from krichever.genus import compare_slots
-from krichever.lattice import InvariantFactors, hnf_columns
+from krichever.lattice import InvariantFactors, Lattice, hnf_columns
 
 
 def parse_poly(text, vars):
@@ -137,6 +138,39 @@ def literal_associativity(fgl, degree=6):
     yv = {(0, 1, 0): Poly.one(bv)}
     zv = {(0, 0, 1): Poly.one(bv)}
     return compare_slots("associativity", degree, subs(subs(xv, yv), zv), subs(xv, subs(yv, zv)))
+
+
+def composed_omega(fgl):
+    """exp_b'(log_b(x)), composed: the earlier omega, an oracle for the one
+    ``build_universal_fgl`` reads off the law."""
+    return fgl.exp_b.derivative().compose(fgl.log_b.truncate(fgl.weight))
+
+
+def shift_ideal_piece(model, n):
+    """I_n in g-coordinates as the span of every shift A_ij g_mu, A_ij of
+    weight k <= n and mu of weight n - k: the earlier construction, an
+    oracle for ``LazardModel.ideal_piece``.  Multiplying by g_mu adds mu to
+    the exponents of every g-monomial, so each column is a reindexed
+    coordinate vector."""
+    bi = model.basis_index(n)
+    pack = model.vars.pack
+    cols = []
+    for k in model._ideal_gens:
+        if k > n:
+            continue
+        keys = [pack(m) for m in model.basis_index(k).monomials]
+        terms = [
+            [(key, c) for key, c in zip(keys, x) if c] for x in model._ideal_coordinates(k)
+        ]
+        for mu in model.basis_index(n - k).monomials:
+            shift = pack(mu)
+            for t in terms:
+                col = [0] * len(bi)
+                # packed keys add like exponent vectors
+                for key, c in t:
+                    col[bi.pos[key + shift]] = c
+                cols.append(col)
+    return Lattice(bi, cols)
 
 
 def full_hnf_cokernel(lattice):

@@ -5,7 +5,7 @@ import pytest
 
 from krichever import _kernels_py, fgl
 from krichever.core import Poly, Series1, Series2, b_vars, formal_group_law
-from oracles import literal_associativity, products_formed
+from oracles import composed_omega, literal_associativity, products_formed
 
 
 @pytest.fixture(scope="module")
@@ -33,6 +33,23 @@ class TestBuild:
     def test_omega_inverts_log_derivative(self, data):
         prod = data.omega.mul(data.log_b.derivative())
         assert prod == Series1.one(data.vars, data.weight)
+
+    @pytest.mark.parametrize("w", range(1, 14))
+    def test_omega_matches_the_composed_one(self, w):
+        built = fgl.build_universal_fgl(w)
+        assert built.omega == composed_omega(built)
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_sanity_ties_omega_to_the_log(self, k):
+        # omega is read off F, so a bump of [x^k y] F moves omega away from
+        # 1 / log_b' and only the omega * log_b' gate can see it
+        data = fgl.build_universal_fgl(6)
+        F = data.F
+        coeffs = _bump(F.coeffs, [(k, 1), (1, k)], Poly.var(F.vars, f"b{k}"))
+        bad = Series2(F.vars, F.order, coeffs)
+        omega = Series1(F.vars, 6, [bad.coefficient(i, 1) for i in range(7)])
+        with pytest.raises(AssertionError, match=r"omega \* log_b' != 1"):
+            fgl._sanity(data.replace(F=bad, omega=omega))
 
     def test_log_is_integral_with_cp_images(self, data):
         # log_b coefficients are integer polynomials; (i+1) * coefficient is

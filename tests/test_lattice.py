@@ -22,7 +22,13 @@ from krichever.lattice import (
     hnf_columns,
     indecomposables_closed_form,
 )
-from oracles import full_hnf_cokernel, partition_count, products_spans, rational_rank
+from oracles import (
+    full_hnf_cokernel,
+    partition_count,
+    products_spans,
+    rational_rank,
+    shift_ideal_piece,
+)
 
 
 def brute_force_member(vector, columns, bound=6):
@@ -278,21 +284,33 @@ class TestHnf:
 
     def test_entries_read_on_lattice_pieces(self, monkeypatch):
         # A row operation reads only the nonzero pairs of its source column:
-        # 4079 entries here.  Row operations that read the whole source
-        # column, with the Smith form run on the whole HNF basis of I_n,
-        # read 23273 (14601 of them from the pivot row down).
-        submul = _kernels_py._col_submul
-        entries = [0]
+        # 2608 entries here (4079 with I_n built from every shift A_ij g_mu).
+        # Row operations that read the whole source column, with the Smith
+        # form run on the whole HNF basis of I_n, read 23273 (14601 of them
+        # from the pivot row down).
+        assert 0 < entries_read(monkeypatch, 10) <= 6000
 
-        def counted_submul(col, src, q, start):
-            entries[0] += len(src)
-            submul(col, src, q, start)
+    def test_entries_read_at_weight_13(self, monkeypatch):
+        # I_n built from g_m times the reduced HNF bases of the I_(n-m):
+        # 26,324 entries read here.  Built from every shift A_ij g_mu, whose
+        # g-coordinates reach 74 bits at n = 13, it read 52,985.
+        assert 0 < entries_read(monkeypatch, 13) <= 30_000
 
-        monkeypatch.setattr(_kernels_py, "_col_submul", counted_submul)
-        model10 = LazardModel(10)
-        for n in range(1, 11):
-            model10.quotient_groups(n)
-        assert 0 < entries[0] <= 6000
+
+def entries_read(monkeypatch, w):
+    """Source entries the row operations read over the quotients of weight <= w."""
+    submul = _kernels_py._col_submul
+    entries = [0]
+
+    def counted_submul(col, src, q, start):
+        entries[0] += len(src)
+        submul(col, src, q, start)
+
+    monkeypatch.setattr(_kernels_py, "_col_submul", counted_submul)
+    model = LazardModel(w)
+    for n in range(1, w + 1):
+        model.quotient_groups(n)
+    return entries[0]
 
 
 def _det(m):
@@ -512,13 +530,16 @@ class LexBasisIndex(BasisIndex):
     def __init__(self, vars, weight):
         super().__init__(vars, weight)
         self.monomials = weighted_monomials(vars, weight)
-        self.pos = {vars.pack(m): i for i, m in enumerate(self.monomials)}
+        self.keys = [vars.pack(m) for m in self.monomials]
+        self.pos = {key: i for i, key in enumerate(self.keys)}
 
 
 class TestRowOrder:
     def test_fewest_factors_first(self):
         for n in range(1, 11):
-            monomials = BasisIndex(b_vars(n), n).monomials
+            bi = BasisIndex(b_vars(n), n)
+            monomials = bi.monomials
+            assert bi.keys == [b_vars(n).pack(m) for m in monomials]
             lex = weighted_monomials(b_vars(n), n)
             assert sorted(monomials, reverse=True) == lex
             factors = [sum(m) for m in monomials]
@@ -614,6 +635,38 @@ class TestLazardPieces:
         # decomposables_piece is their span
         for n in range(2, 9):
             g_piece_matches_span(model.lazard_piece(n), model.decomposables_piece(n), spans[n][2])
+
+
+class TestIdealPiece:
+    def test_matches_the_span_of_every_shift(self):
+        # ideal_piece(13) first, so that the pieces below are built on demand
+        model13 = LazardModel(13)
+        cols = model13.ideal_piece(13).columns
+        # only the weight-13 A_ij enter at full size; g_m times a reduced
+        # basis below is small
+        top = len(model13._ideal_coordinates(13))
+        bits = [max(abs(x).bit_length() for x in col) for col in cols]
+        assert (len(cols), max(bits[:top])) == (122, 74)
+        assert max(bits[top:]) <= 26
+        for n in range(1, 14):
+            ours = model13.ideal_piece(n).hnf_basis()
+            assert ours == shift_ideal_piece(model13, n).hnf_basis()
+        assert len(ours) == 62
+
+    def test_g_monomial_is_the_product_of_powers(self):
+        model10 = LazardModel(10)
+        # row 0 of weight k is the one-part monomial, g_k
+        g = [None] + [
+            lattice._gcd_combination(model10._law_gens[k], model10.basis_index(k).keys[0])
+            for k in range(1, 11)
+        ]
+        for n in range(11):
+            bi = model10.basis_index(n)
+            for key, exps in zip(bi.keys, bi.monomials):
+                expected = Poly.one(model10.vars)
+                for k, e in enumerate(exps, start=1):
+                    expected = expected * g[k] ** e
+                assert model10._g_monomial(key) == expected
 
 
 class TestGBasis:
