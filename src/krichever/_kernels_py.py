@@ -47,9 +47,9 @@ def poly_dot_terms(pairs, guard=0):
     return {e: c for e, c in out.items() if c}
 
 
-def poly_mul_terms(aterms, bterms):
+def poly_mul_terms(aterms, bterms, guard=0):
     """The product of two sparse term dicts: the one-pair ``poly_dot_terms``."""
-    return poly_dot_terms(((aterms, bterms),))
+    return poly_dot_terms(((aterms, bterms),), guard)
 
 
 def hnf_cols(cols, nrows):

@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import comb, gcd, lcm
-from operator import mul, or_
+from operator import mul
 
 from .backend import kernels
 
@@ -226,11 +226,9 @@ class Poly:
         if not isinstance(other, Poly):
             return self.scale(other)
         self._check(other)
-        terms = kernels.poly_mul_terms(self.terms, other.terms)
         # the degree in each variable of a product is the sum of the degrees,
-        # so an exponent past MAX_EXPONENT survives into a guard bit here
-        if reduce(or_, terms, 0) & self.vars.guard:
-            raise OverflowError(f"exponent in a product above the maximum {MAX_EXPONENT}")
+        # so an exponent past MAX_EXPONENT survives into a guard bit
+        terms = kernels.poly_mul_terms(self.terms, other.terms, self.vars.guard)
         return Poly._canonical(self.vars, terms, self.den * other.den)
 
     @classmethod
@@ -278,9 +276,6 @@ class Poly:
 
     def coefficient(self, exps):
         return Fraction(self.terms.get(self.vars.pack(exps), 0), self.den)
-
-    def constant_term(self):
-        return Fraction(self.terms.get(0, 0), self.den)
 
     def is_homogeneous(self, weight=None):
         """Every term of weight ``weight``, or of one common weight if None.
@@ -502,26 +497,18 @@ class Series1:
     def compose(self, g):
         """(self o g) for g with zero constant term, as sum_j f_j g^j.
 
-        The powers g^j come from repeated multiplication by g.  Since g^j has
-        valuation j, each power costs less than a Horner step on a dense
-        accumulator would.
+        The powers g^j are read off the table ``_powers`` fills, so
+        [x^k] (self o g) = sum_{j <= k} f_j [x^k] g^j is one ``Poly.dot``.
         """
         self._check(g)
         if g.coeffs[0]:
             raise ValueError("composition needs zero constant term")
         n = min(self.order, g.order)
-        gt = g.truncate(n)
-        pairs = [[] for _ in range(n + 1)]
-        power = gt
-        for j in range(1, n + 1):
-            if j > 1:
-                power = power.mul(gt)
-            fj = self.coeffs[j]
-            if fj:
-                for k in range(j, n + 1):
-                    if power.coeffs[k]:
-                        pairs[k].append((fj, power.coeffs[k]))
-        out = [self.coeffs[0]] + [Poly.dot(self.vars, p) for p in pairs[1:]]
+        f, P = self.coeffs, _powers(self.vars, g.coeffs, n)
+        out = [f[0]] + [
+            Poly.dot(self.vars, [(f[j], P[j][k]) for j in range(1, k + 1) if f[j] and P[j][k]])
+            for k in range(1, n + 1)
+        ]
         return Series1(self.vars, n, out)
 
     def revert(self):
@@ -675,36 +662,23 @@ class Series2:
 
     __mul__ = mul
 
-    def swap(self):
-        return Series2(
-            self.vars, self.order, {(j, i): v for (i, j), v in self.coeffs.items()}
-        )
+    def subs_xy(self, s):
+        """self(s(x), s(y)) for a univariate s with zero constant term.
 
-    def is_symmetric(self):
-        return self == self.swap()
-
-    def subs_xy(self, sx, sy):
-        """Substitute univariate series (zero constant term) for x and y."""
-        if sx.coeffs[0] or sy.coeffs[0]:
+        Both s^i and s^j are read off one ``_powers`` table: the x^a y^b
+        coefficient of s(x)^i s(y)^j is [x^a] s^i times [x^b] s^j.
+        """
+        if s.coeffs[0]:
             raise ValueError("substitution needs zero constant terms")
         n = self.order
-        xpow = {0: Series1.one(self.vars, n)}
-        ypow = {0: Series1.one(self.vars, n)}
-        sxt, syt = sx.truncate(n), sy.truncate(n)
+        P = _powers(self.vars, s.truncate(n).coeffs, n)
         pairs = {}
-        for (i, j), c in sorted(self.coeffs.items()):
-            if i not in xpow:
-                for k in range(max(xpow) + 1, i + 1):
-                    xpow[k] = xpow[k - 1].mul(sxt)
-            if j not in ypow:
-                for k in range(max(ypow) + 1, j + 1):
-                    ypow[k] = ypow[k - 1].mul(syt)
-            for a, pa in enumerate(xpow[i].coeffs):
-                if not pa:
-                    continue
-                for b, pb in enumerate(ypow[j].coeffs):
-                    if pb and a + b <= n:
-                        pairs.setdefault((a, b), []).append((pa * pb, c))
+        for (i, j), c in self.coeffs.items():
+            # row i of the table is zero below column i
+            for a in range(i, n - j + 1):
+                for b in range(j, n - a + 1):
+                    if P[i][a] and P[j][b]:
+                        pairs.setdefault((a, b), []).append((P[i][a] * P[j][b], c))
         return Series2(self.vars, n, {k: Poly.dot(self.vars, v) for k, v in pairs.items()})
 
     def at_y_zero(self):
@@ -748,29 +722,10 @@ def weighted_monomials(vars, w):
     """All exponent tuples over ``vars`` of total weight w, canonical order.
 
     Canonical order matches Poly.sorted_terms: lex descending on the
-    exponent vector (all results share one weight).  A branch ends as soon
-    as its remaining weight is 0, or is below every weight still to come.
+    exponent vector (all results share one weight), so these are the keys
+    of ``keys_of_weight`` in descending order, unpacked.
     """
-    n = len(vars.names)
-    ws = vars.weights
-    least = [min(ws[i:]) for i in range(n)] + [w + 1]
-    out = []
-
-    def rec(i, rem, acc):
-        if rem == 0:
-            out.append(tuple(acc) + (0,) * (n - i))
-            return
-        if rem < least[i]:
-            return
-        wt = ws[i]
-        for e in range(rem // wt, -1, -1):
-            acc.append(e)
-            rec(i + 1, rem - e * wt, acc)
-            acc.pop()
-
-    rec(0, w, [])
-    out.sort(reverse=True)
-    return out
+    return [vars.unpack(k) for k in sorted(keys_of_weight(vars.weights, w), reverse=True)]
 
 
 @lru_cache(maxsize=None)
@@ -801,7 +756,8 @@ def _power_column(vars, P, k):
 
     ``P[j][k]`` is the x^k coefficient of g^j, for a g of valuation >= 1,
     by the recurrence of ``Series1.revert``; it reads only g_1 .. g_{k-1}.
-    Row j >= 2 holds zeros below column j.
+    Row j >= 2 holds zeros below column j.  ``revert`` adds one column per
+    g_k it solves for; ``_powers`` fills a whole table.
     """
     g = P[1]
     for j in range(2, k + 1):
@@ -812,11 +768,23 @@ def _power_column(vars, P, k):
         P[j].append(Poly.dot(vars, pairs))
 
 
+def _powers(vars, g, n):
+    """The table ``P[j][k] = [x^k] g^j``, 0 <= j, k <= n, of the series g
+    with coefficients ``g[0] = 0, g[1] .. g[n]`` (any past g[n] are ignored).
+    Rows 0 and 1 are 1 and g; ``_power_column`` fills the rest (Brent &
+    Kung, JACM 1978) in about n^3/6 coefficient products.
+    """
+    P = [[Poly.one(vars)] + [Poly.zero(vars)] * n, g[: n + 1]]
+    for k in range(2, n + 1):
+        _power_column(vars, P, k)
+    return P[: n + 1]
+
+
 def compose1(f, g2):
     """Univariate f composed with a bivariate g2 of valuation >= 1.
 
-    As in Series1.compose, the result is sum_j f_j g2^j with the powers
-    built by repeated multiplication; g2^j has valuation j.
+    The result is sum_j f_j g2^j with the powers of g2 built by repeated
+    ``Series2.mul``, since ``_powers`` is univariate; g2^j has valuation j.
     """
     if (0, 0) in g2.coeffs:
         raise ValueError("composition needs zero constant term")
@@ -841,22 +809,20 @@ def formal_group_law(exp, log):
     With e_n the coefficients of exp and P[k][i] = [x^i] log^k,
         F(x, y) = sum_k log(x)^k G_k(y),
         G_k(y) = exp^(k)(log y) / k! = sum_l C(k+l, k) e_{k+l} log(y)^l,
-    so [x^i y^m] F = sum_{k <= i} P[k][i] [y^m] G_k.  One table of the
-    powers of the univariate log, the kind ``Series1.revert`` fills, gives
-    both factors in about n^3 coefficient products; composing exp with the
-    bivariate log(x) + log(y) (``compose1``) takes every power of it, about
-    n^5.  F is symmetric, so only i <= m is computed and the rest mirrored.
-    Each coefficient goes to the kernel as one ``Poly.dot``, and over Z[b]
-    every step is integral.  Both series are taken to the lower of their
-    orders; F is truncated there.
+    so [x^i y^m] F = sum_{k <= i} P[k][i] [y^m] G_k.  One ``_powers`` table
+    of the univariate log gives both factors in about n^3 coefficient
+    products; composing exp with the bivariate log(x) + log(y)
+    (``compose1``) takes every power of it, about n^5.  F is symmetric, so
+    only i <= m is computed and the rest mirrored.  Each coefficient goes
+    to the kernel as one ``Poly.dot``, and over Z[b] every step is
+    integral.  Both series are taken to the lower of their orders; F is
+    truncated there.
     """
     if log.coeffs[0]:
         raise ValueError("composition needs zero constant term")
     vars, e = exp.vars, exp.coeffs
     n = min(exp.order, log.order)
-    P = [[Poly.one(vars)] + [Poly.zero(vars)] * n, log.coeffs[: n + 1]]
-    for k in range(2, n + 1):
-        _power_column(vars, P, k)
+    P = _powers(vars, log.coeffs, n)
     # G[k][m] = [y^m] G_k, for the k <= i <= m with i + m <= n that F needs
     G = []
     for k in range(n // 2 + 1):

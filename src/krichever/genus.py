@@ -292,7 +292,7 @@ def verify_lemma2_theorem1(n=DEFAULT_ORDER):
         + [phi[i] for i in range(1, iso_degree + 1)],
     )
     lhs2 = compose1(s, f_phi)
-    rhs2 = f_tpsi.subs_xy(s, s)
+    rhs2 = f_tpsi.subs_xy(s)
     rep2 = compare_slots("theorem1-strict-iso", iso_degree, lhs2.coeffs, rhs2.coeffs)
     if not rep2.passed:
         return rep2

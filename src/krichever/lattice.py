@@ -32,7 +32,7 @@ from collections import namedtuple
 from math import comb, gcd
 
 from .backend import kernels
-from .core import Poly, weighted_monomials
+from .core import Poly, keys_of_weight
 from .fgl import build_universal_fgl, compute_A
 
 DEFAULT_MAX_WEIGHT = 8
@@ -86,18 +86,21 @@ class BasisIndex:
     Row i of every lattice matrix is the coefficient of ``monomials[i]``:
     of the b-monomial in b-coordinates, of the g-monomial with the same
     exponents in g-coordinates.  ``keys[i]`` is its packed key and ``pos``
-    maps a key back to its row.  The monomials are sorted by their number
-    of factors, ascending, and lex-descending within one count, so row 0 is
-    b_n and the last row b_1^n.  The HNF of the ideal's columns takes fewer
+    maps a key back to its row.  The keys of ``core.keys_of_weight`` are
+    sorted by their number of factors, ascending, and descending within one
+    count, so row 0 is b_n and the last row b_1^n.  The HNF of the ideal's columns takes fewer
     row operations in this order.  Ranks, invariant factors and the
     g-coordinate solve do not depend on the row order.
     """
 
     def __init__(self, vars, weight):
+        unpack = vars.unpack
         self.vars = vars
         self.weight = weight
-        self.monomials = sorted(weighted_monomials(vars, weight), key=sum)
-        self.keys = [vars.pack(m) for m in self.monomials]
+        self.keys = sorted(
+            keys_of_weight(vars.weights, weight), key=lambda k: (sum(unpack(k)), -k)
+        )
+        self.monomials = [unpack(k) for k in self.keys]
         self.pos = {key: i for i, key in enumerate(self.keys)}
 
     def __len__(self):

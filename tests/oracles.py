@@ -1,8 +1,10 @@
-"""Test-only helpers: a polynomial parser, JSON reader, weight and the
+"""Test-only helpers: a polynomial parser, JSON reader, weight, constant
+term, the swap and symmetry test of a bivariate series, and the
 independent rank, partition and lattice-span oracles the tests check the
 package against, the earlier grading gate, quotient path, associativity
-check, ideal piece (every shift of every A_ij) and omega (exp_b' composed
-with log_b), and a counter of the kernel's term products.
+check, ideal piece (every shift of every A_ij), omega (exp_b' composed
+with log_b) and ``Series2.subs_xy`` (two series, powers by repeated
+multiplication), and a counter of the kernel's term products.
 """
 
 import re
@@ -10,7 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from krichever import _kernels_py
-from krichever.core import Poly
+from krichever.core import Poly, Series1, Series2
 from krichever.genus import compare_slots
 from krichever.lattice import InvariantFactors, Lattice, hnf_columns
 
@@ -75,6 +77,47 @@ def products_formed(monkeypatch, build):
     monkeypatch.setattr(_kernels_py, "poly_dot_terms", counted_dot)
     build()
     return products[0]
+
+
+def constant_term(poly):
+    """The coefficient of the empty monomial, as a Fraction."""
+    return Fraction(poly.terms.get(0, 0), poly.den)
+
+
+def swap(s):
+    """The bivariate series s(y, x)."""
+    return Series2(s.vars, s.order, {(j, i): v for (i, j), v in s.coeffs.items()})
+
+
+def is_symmetric(s):
+    return s == swap(s)
+
+
+def two_series_subs_xy(F, sx, sy):
+    """F(sx(x), sy(y)) with the powers of sx and sy built by repeated
+    ``Series1.mul``: the earlier substitution, an oracle for
+    ``Series2.subs_xy``, which takes one series for both variables."""
+    if sx.coeffs[0] or sy.coeffs[0]:
+        raise ValueError("substitution needs zero constant terms")
+    n = F.order
+    xpow = {0: Series1.one(F.vars, n)}
+    ypow = {0: Series1.one(F.vars, n)}
+    sxt, syt = sx.truncate(n), sy.truncate(n)
+    pairs = {}
+    for (i, j), c in sorted(F.coeffs.items()):
+        if i not in xpow:
+            for k in range(max(xpow) + 1, i + 1):
+                xpow[k] = xpow[k - 1].mul(sxt)
+        if j not in ypow:
+            for k in range(max(ypow) + 1, j + 1):
+                ypow[k] = ypow[k - 1].mul(syt)
+        for a, pa in enumerate(xpow[i].coeffs):
+            if not pa:
+                continue
+            for b, pb in enumerate(ypow[j].coeffs):
+                if pb and a + b <= n:
+                    pairs.setdefault((a, b), []).append((pa * pb, c))
+    return Series2(F.vars, n, {k: Poly.dot(F.vars, v) for k, v in pairs.items()})
 
 
 def poly_weight(poly):

@@ -250,6 +250,11 @@ class TestGoldenDigests:
                 ["phi-kh", "--order", "18", "--format", "json"],
                 "e2774a6cefa5620bb8bfa2881b3d225b5899324fb95198a67483414cae7c26fc",
             ),
+            # Series1.compose at the order ceiling: kappa is read off mog at order 19
+            (
+                ["kappa", "--order", "18", "--format", "json"],
+                "3b5b16382d3ae80951e4d80500ea88258b24942adca3945bd38662ee9b1ae85b",
+            ),
         ],
     )
     def test_stdout_digest(self, argv, digest, capsys):

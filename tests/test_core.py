@@ -23,10 +23,13 @@ from krichever.core import (
     weighted_monomials,
 )
 from oracles import (
+    is_symmetric,
     parse_poly,
     partition_count,
     poly_from_json,
     poly_weight,
+    swap,
+    two_series_subs_xy,
     unpacked_is_homogeneous,
 )
 
@@ -543,6 +546,25 @@ class TestSeriesAgainstReference:
 
         check()
 
+    @pytest.mark.parametrize("ring", RINGS)
+    def test_subs_xy_matches_two_series(self, ring):
+        vars, scalars = RINGS[ring]
+
+        @given(bivariate(vars, scalars), series(vars, scalars, [0]))
+        @settings(max_examples=40, deadline=None)
+        def check(F, s):
+            # subs_xy raises when F's order passes s's, as truncate does
+            F = F.truncate(min(F.order, s.order))
+            out = F.subs_xy(s)
+            assert out == two_series_subs_xy(F, s, s)
+            assert out.order == F.order
+            if ring.startswith("Z"):
+                assert _all_int(out.coeffs.values())
+            with pytest.raises(ValueError, match="zero constant terms"):
+                F.subs_xy(s + 1)
+
+        check()
+
 
     @pytest.mark.parametrize("ring", RINGS)
     def test_formal_group_law_matches_horner(self, ring):
@@ -603,9 +625,9 @@ class TestSeries2:
     def test_symmetry_and_swap(self):
         bv = b_vars(2)
         s = Series2(bv, 3, {(1, 0): Poly.one(bv), (0, 1): Poly.one(bv)})
-        assert s.is_symmetric()
+        assert is_symmetric(s)
         t = Series2(bv, 3, {(2, 1): Poly.one(bv)})
-        assert t.swap() == Series2(bv, 3, {(1, 2): Poly.one(bv)})
+        assert swap(t) == Series2(bv, 3, {(1, 2): Poly.one(bv)})
 
     def test_mul_and_diagonal(self):
         bv = b_vars(1)
@@ -648,13 +670,14 @@ class TestSeries2:
         bv = b_vars(1)
         F = Series2(bv, 3, {(1, 0): Poly.one(bv), (0, 1): Poly.one(bv)})
         s = Series1.from_scalars(bv, 3, [0, 1, 1])
-        out = F.subs_xy(s, s)
+        out = F.subs_xy(s)
         assert out.coefficient(2, 0) == Poly.one(bv)
         assert out.coefficient(1, 1) == Poly.zero(bv)
 
 
 def test_weighted_monomials_are_partitions():
-    for n in range(9):
+    # up to the weight ceiling, lattice.WEIGHT_CEILING = 16
+    for n in range(17):
         ms = weighted_monomials(b_vars(n if n else 1), n)
         assert len(ms) == partition_count(n)
         assert ms == sorted(ms, reverse=True)
@@ -705,7 +728,7 @@ def test_keys_of_weight_are_the_packed_monomials():
     uneven = VarTable(["u", "v", "z"], [3, 2, 5])
     for vars in (b_vars(8), q_vars(), uneven):
         for w in range(-2, 14):
-            packed = {vars.pack(m) for m in weighted_monomials(vars, w)}
+            packed = {vars.pack(m) for m in full_depth_monomials(vars, w)}
             assert keys_of_weight(vars.weights, w) == packed, (vars, w)
     # an exponent past MAX_EXPONENT has no key
     assert keys_of_weight((1,), MAX_EXPONENT) == {MAX_EXPONENT}

@@ -714,9 +714,9 @@ class TestGBasis:
         counts = Counter()
         mul, hnf = _kernels_py.poly_mul_terms, _kernels_py.hnf_cols
 
-        def counted_mul(a, b):
+        def counted_mul(a, b, guard=0):
             counts["mul"] += 1
-            return mul(a, b)
+            return mul(a, b, guard)
 
         def counted_hnf(cols, nrows):
             counts["hnf"] += 1
