@@ -255,6 +255,11 @@ class TestGoldenDigests:
                 ["kappa", "--order", "18", "--format", "json"],
                 "3b5b16382d3ae80951e4d80500ea88258b24942adca3945bd38662ee9b1ae85b",
             ),
+            # kappa^{-1} at the order ceiling, the table phi-kh is read from
+            (
+                ["kappa-inv", "--order", "18", "--format", "json"],
+                "be536439198d5e1ae4da30319682763c31aa54b7d320608fb5e4dc7b1bdc30e3",
+            ),
         ],
     )
     def test_stdout_digest(self, argv, digest, capsys):
