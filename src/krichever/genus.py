@@ -3,8 +3,8 @@
 Computes the square-root genus (values in Q[p1..p4]), the twist genus
 kappa attached to the strict isomorphism x*CP(x), its inverse, and the
 four-parameter complex elliptic genus obtained as the composite
-rename(p->q) o psi o kappa^{-1}.  A genus table is applied as a ring map by
-``Poly.substitute`` on ``GenusTable.images()``.  The verifiers re-derive each
+rename(p->q) o psi o kappa^{-1}, each of the last two by one series reversion.
+The checks apply a table as a ring map by ``Poly.substitute``, and re-derive each
 identity from scratch so they can serve as independent oracles for the
 tables; these suites and the ones in ``fgl`` all report through
 ``compare_slots``.
@@ -130,10 +130,14 @@ def cp_series(vars, order):
     return Series1(vars, order, [Poly.one(vars)] + cps)
 
 
+def _cp_table(vars, n):
+    """The identity table CP_i -> CP_i, i = 1 .. n."""
+    return GenusTable("CP", n, vars, {i: Poly.var(vars, f"CP{i}") for i in range(1, n + 1)})
+
+
 def mishchenko_log(vars, order):
     """log(x) = x + sum CP_i x^(i+1) / (i+1), the logarithm of the table CP_i -> CP_i."""
-    cps = {i: Poly.var(vars, f"CP{i}") for i in range(1, order)}
-    return _log_from_table(GenusTable("CP", order - 1, vars, cps), order)
+    return _log_from_table(_cp_table(vars, order - 1), order)
 
 
 def _log_from_table(table, order):
@@ -165,43 +169,37 @@ def kappa_table(n=DEFAULT_ORDER):
     )
 
 
-def kappa_inverse_table(n=DEFAULT_ORDER, kappa=None):
-    """Preimages kappa^{-1}(CP_w), by back-substitution weight by weight.
+def kappa_inverse_table(n=DEFAULT_ORDER, rho=None):
+    """rho o kappa^{-1} on CP_1 .. CP_n, read off one series reversion.
 
-    kappa(CP_w) = c_w*CP_w + R_w(CP_1..CP_{w-1}) with c_w = -w, and kappa is
-    a ring map, so kappa^{-1}(CP_w) = (CP_w - R_w(kappa^{-1}(CP_1), ...)) / c_w:
-    one substitution per weight, into the preimages already found.
+    kappa^{-1} applied to kappa(log) = log o nu^{-1} gives L = log o N, where
+    N = x + sum kappa^{-1}(CP_i) x^(i+1) and L' = N/x.  So N^{-1} = x * E with
+    E = exp(sum CP_i x^i / i).  A ring map rho commutes with exp and reversion,
+    so rho o kappa^{-1}(CP_i) = [x^(i+1)] revert(x * rho(E)).  ``rho`` is a
+    table on CP_1 .. CP_n; None is the identity of Q[CP_1..CP_n].
     """
-    if kappa is None:
-        kappa = kappa_table(n)
-    cv = kappa.vars
-    kappa_images = kappa.images()
-    entries = {}
-    for w in range(1, n + 1):
-        target = Poly.var(cv, f"CP{w}")
-        (key,) = target.terms
-        c = Fraction(kappa[w].terms.get(key, 0), kappa[w].den)
-        if not c:
-            raise ValueError(f"kappa(CP_{w}) has no CP_{w} term; kappa is not invertible")
-        rest = kappa[w] - target.scale(c)
-        images = {f"CP{i}": entries[i] for i in range(1, w)}
-        entries[w] = (target - rest.substitute(images, cv)).scale(1 / c)
-        if entries[w].substitute(kappa_images, cv) != target:
-            raise AssertionError(f"kappa o kappa^-1 failed at weight {w}")
-    return GenusTable("kappa_inv", n, cv, entries)
+    if rho is None:
+        rho = _cp_table(cp_vars(n), n)
+    vars = rho.vars
+    # E = exp(S) solves E' = S' E: k E_k = sum_{i<=k} rho(CP_i) E_{k-i}
+    e = [Poly.one(vars)]
+    for k in range(1, n + 1):
+        pairs = [(rho[i], e[k - i]) for i in range(1, k + 1) if rho[i] and e[k - i]]
+        e.append(Poly.dot(vars, pairs).scale(Fraction(1, k)))
+    N = Series1(vars, n + 1, [Poly.zero(vars)] + e).revert()
+    table = GenusTable("kappa_inv", n, vars, {i: N.coeffs[i + 1] for i in range(1, n + 1)})
+    # rho(L) = rho(log) o N, which revert does not solve; for rho = id, kappa o table = id
+    lhs, rhs = _log_from_table(rho, n + 1).compose(N), _log_from_table(table, n + 1)
+    w = next((k - 1 for k in range(2, n + 2) if lhs.coeffs[k] != rhs.coeffs[k]), None)
+    if w is not None:
+        raise AssertionError(f"kappa o kappa^-1 failed at weight {w}")
+    return table
 
 
-def phi_kh_table(n=DEFAULT_ORDER, kappa=None):
-    """The four-parameter elliptic genus via rename o psi o kappa^{-1}.
-
-    ``kappa``, a prebuilt ``kappa_table(n)``, is passed on to
-    ``kappa_inverse_table``.
-    """
-    kinv = kappa_inverse_table(n, kappa)
-    psi = psi_table(n).images()
-    pv = p_vars()
-    entries = {i: _p_to_q(kinv[i].substitute(psi, pv)) for i in range(1, n + 1)}
-    return GenusTable("phi_kh", n, q_vars(), entries)
+def phi_kh_table(n=DEFAULT_ORDER):
+    """The four-parameter elliptic genus psi o kappa^{-1}, renamed p -> q."""
+    phi = kappa_inverse_table(n, psi_table(n))
+    return GenusTable("phi_kh", n, q_vars(), {i: _p_to_q(phi[i]) for i in range(1, n + 1)})
 
 
 def _p_to_q(poly):
@@ -267,7 +265,7 @@ def verify_lemma2_theorem1(n=DEFAULT_ORDER):
     iso_degree = min(n, 6)
     qv = q_vars()
     kappa = kappa_table(n)
-    phi = phi_kh_table(n, kappa=kappa)
+    phi = phi_kh_table(n)
     # (a) mog' = 1 + sum kappa(CP_i) x^i, so the kappa table gives omega_t
     cv = kappa.vars
     mog_prime = Series1(cv, n, [Poly.one(cv)] + [kappa[i] for i in range(1, n + 1)])

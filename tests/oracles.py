@@ -4,15 +4,17 @@ independent rank, partition and lattice-span oracles the tests check the
 package against, the earlier grading gate, quotient path, associativity
 check, ideal piece (every shift of every A_ij), omega (exp_b' composed
 with log_b) and ``Series2.subs_xy`` (two series, powers by repeated
-multiplication), and a counter of the kernel's term products.
+multiplication), the earlier kappa^{-1} and phi_KH tables (back-substitution
+weight by weight, then psi substituted into it), and a counter of the
+kernel's term products.
 """
 
 import re
 from fractions import Fraction
 from functools import lru_cache
 
-from krichever import _kernels_py
-from krichever.core import Poly, Series1, Series2
+from krichever import _kernels_py, genus
+from krichever.core import Poly, Series1, Series2, p_vars, q_vars
 from krichever.genus import compare_slots
 from krichever.lattice import InvariantFactors, Lattice, hnf_columns
 
@@ -118,6 +120,42 @@ def two_series_subs_xy(F, sx, sy):
                 if pb and a + b <= n:
                     pairs.setdefault((a, b), []).append((pa * pb, c))
     return Series2(F.vars, n, {k: Poly.dot(F.vars, v) for k, v in pairs.items()})
+
+
+def back_substitution_kappa_inverse(n):
+    """kappa^{-1}(CP_w), weight by weight: the earlier table, an oracle for
+    ``genus.kappa_inverse_table``.
+
+    kappa(CP_w) = c_w*CP_w + R_w(CP_1..CP_{w-1}) with c_w = -w, and kappa is
+    a ring map, so kappa^{-1}(CP_w) = (CP_w - R_w(kappa^{-1}(CP_1), ...)) / c_w.
+    A kappa with c_w = 0 is refused with ValueError.
+    """
+    kappa = genus.kappa_table(n)
+    cv = kappa.vars
+    kappa_images = kappa.images()
+    entries = {}
+    for w in range(1, n + 1):
+        target = Poly.var(cv, f"CP{w}")
+        (key,) = target.terms
+        c = Fraction(kappa[w].terms.get(key, 0), kappa[w].den)
+        if not c:
+            raise ValueError(f"kappa(CP_{w}) has no CP_{w} term; kappa is not invertible")
+        rest = kappa[w] - target.scale(c)
+        images = {f"CP{i}": entries[i] for i in range(1, w)}
+        entries[w] = (target - rest.substitute(images, cv)).scale(1 / c)
+        if entries[w].substitute(kappa_images, cv) != target:
+            raise AssertionError(f"kappa o kappa^-1 failed at weight {w}")
+    return genus.GenusTable("kappa_inv", n, cv, entries)
+
+
+def substituted_phi_kh(n):
+    """psi substituted into the back-substituted kappa^{-1}, renamed p -> q:
+    the earlier composite, an oracle for ``genus.phi_kh_table``."""
+    kinv = back_substitution_kappa_inverse(n)
+    psi = genus.psi_table(n).images()
+    pv = p_vars()
+    entries = {i: genus._p_to_q(kinv[i].substitute(psi, pv)) for i in range(1, n + 1)}
+    return genus.GenusTable("phi_kh", n, q_vars(), entries)
 
 
 def poly_weight(poly):

@@ -337,8 +337,8 @@ class TestFailurePath:
     def perturbed_phi_kh(self, monkeypatch):
         real = genus.phi_kh_table
 
-        def perturbed(n, kappa=None):
-            table = real(n, kappa)
+        def perturbed(n):
+            table = real(n)
             entries = dict(table.entries)
             entries[1] = entries[1] + Poly.var(table.vars, "q1")
             return genus.GenusTable(table.name, table.max_index, table.vars, entries)

@@ -12,7 +12,13 @@ from krichever.core import (
     q_vars,
     weighted_monomials,
 )
-from oracles import gauss_jordan, parse_poly, products_formed
+from oracles import (
+    back_substitution_kappa_inverse,
+    gauss_jordan,
+    parse_poly,
+    products_formed,
+    substituted_phi_kh,
+)
 
 # values printed in the source tables, entered verbatim
 PSI_VALUES = {
@@ -114,12 +120,17 @@ class TestKappaInverse:
             assert kinv[w] == expected[w], f"kappa_inv(CP_{w})"
             assert kinv[w].text() == expected[w].text()
 
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_matches_back_substitution(self, n):
+        assert genus.kappa_inverse_table(n).entries == back_substitution_kappa_inverse(n).entries
+
     def test_leading_coefficient_is_minus_weight(self):
         table = genus.kappa_table(8)
         for w in range(1, 9):
             assert table[w].coefficient([int(i == w) for i in range(1, 9)]) == -w
 
     def test_missing_linear_term_is_refused(self, monkeypatch):
+        # the reversion divides by no c_w; the back-substitution oracle does
         real = genus.kappa_table
 
         def no_cp2_term(n):
@@ -132,7 +143,7 @@ class TestKappaInverse:
 
         monkeypatch.setattr(genus, "kappa_table", no_cp2_term)
         with pytest.raises(ValueError, match="CP_2"):
-            genus.kappa_inverse_table(3)
+            back_substitution_kappa_inverse(3)
 
     def test_low_entries(self):
         table = genus.kappa_inverse_table(4)
@@ -160,7 +171,29 @@ class TestKappaInverse:
                 assert m.substitute(kappa, cv).substitute(kinv.images(), cv) == m
 
 
+@pytest.mark.parametrize(
+    "build", [genus.kappa_inverse_table, genus.phi_kh_table], ids=["kappa-inv", "phi-kh"]
+)
+def test_gate_catches_a_wrong_reversion(build, monkeypatch):
+    # the x^4 coefficient doubled keeps every entry homogeneous, so only the
+    # rho(L) = rho(log) o N check can see it
+    revert = Series1.revert
+
+    def perturbed(self):
+        g = revert(self)
+        g.coeffs[4] = g.coeffs[4].scale(2)
+        return g
+
+    monkeypatch.setattr(Series1, "revert", perturbed)
+    with pytest.raises(AssertionError, match=r"kappa o kappa\^-1 failed at weight 3"):
+        build(6)
+
+
 class TestPhiKh:
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_matches_substituted_composite(self, n):
+        assert genus.phi_kh_table(n).entries == substituted_phi_kh(n).entries
+
     def test_first_entry(self):
         table = genus.phi_kh_table(3)
         assert table[1] == Poly.var(q_vars(), "q1").scale(Fraction(1, 2))
@@ -184,9 +217,9 @@ class TestPhiKh:
         json.dumps(payload)
 
     def test_work_of_the_table(self, monkeypatch):
-        # Every sum of products is one Poly.dot, so Poly.__add__ is left with
-        # the few plain sums: 30 calls at order 10, where adding one product
-        # at a time took 662.
+        # Every sum of products is one Poly.dot: the table makes no plain sum
+        # at order 10, where the back-substitution made 30 and adding one
+        # product at a time took 662.
         add = Poly.__add__
         calls = [0]
 
@@ -195,8 +228,11 @@ class TestPhiKh:
             return add(self, other)
 
         monkeypatch.setattr(Poly, "__add__", counted_add)
+        qv = q_vars()
+        Poly.var(qv, "q1") + Poly.var(qv, "q2")  # control: the patch counts
+        assert calls[0] == 1
         genus.phi_kh_table(10)
-        assert 0 < calls[0] <= 60
+        assert calls[0] - 1 <= 60
 
 
 class TestOde:
@@ -268,21 +304,28 @@ def _perturbed(table, i, name):
 
 def _bad_phi(monkeypatch):
     real = genus.phi_kh_table
-    monkeypatch.setattr(
-        genus, "phi_kh_table", lambda n, kappa=None: _perturbed(real(n, kappa), 1, "q1")
-    )
+    monkeypatch.setattr(genus, "phi_kh_table", lambda n: _perturbed(real(n), 1, "q1"))
 
 
 def test_work_of_the_phi_kh_table(monkeypatch):
-    # 38,983 term products when each image power was built by binary powering
-    # and p_i -> q_i was a substitution
-    assert 0 < products_formed(monkeypatch, lambda: genus.phi_kh_table(12)) <= 34_500
+    # 13,944 term products; 31,411 when psi was substituted into kappa^{-1}
+    # from the back-substitution, and 38,983 when each image power was built
+    # by binary powering and p_i -> q_i was a substitution
+    assert 0 < products_formed(monkeypatch, lambda: genus.phi_kh_table(12)) <= 15_500
+
+
+def test_work_of_the_kappa_inverse_table(monkeypatch):
+    # 197,537 term products at the order ceiling; the back-substitution with
+    # a kappa o kappa^{-1} substitution per weight formed 569,365
+    work = products_formed(monkeypatch, lambda: genus.kappa_inverse_table(18))
+    assert 0 < work <= 220_000
 
 
 def test_work_of_lemma2_theorem1(monkeypatch):
-    # 69,583 term products when the kappa table was built twice per run
+    # 40,305 term products; 46,504 with the back-substituted phi_KH table and
+    # 69,583 when the kappa table was built twice per run
     work = products_formed(monkeypatch, lambda: genus.verify_lemma2_theorem1(12))
-    assert 0 < work <= 52_000
+    assert 0 < work <= 44_000
 
 
 def test_work_of_the_inverse_square_root(monkeypatch):
