@@ -262,18 +262,6 @@ class Poly:
         terms = {e: num * v for e, v in self.terms.items()} if num else {}
         return Poly._canonical(self.vars, terms, self.den * c.denominator)
 
-    def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = Poly.one(self.vars)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
-
     def coefficient(self, exps):
         return Fraction(self.terms.get(self.vars.pack(exps), 0), self.den)
 
@@ -497,16 +485,21 @@ class Series1:
     def compose(self, g):
         """(self o g) for g with zero constant term, as sum_j f_j g^j.
 
-        The powers g^j are read off the table ``_powers`` fills, so
-        [x^k] (self o g) = sum_{j <= k} f_j [x^k] g^j is one ``Poly.dot``.
+        The powers g^j are read off the table ``_powers`` fills, up to the
+        degree d of f, so [x^k] (self o g) = sum_{j <= min(k, d)} f_j [x^k] g^j
+        is one ``Poly.dot``.
         """
         self._check(g)
         if g.coeffs[0]:
             raise ValueError("composition needs zero constant term")
         n = min(self.order, g.order)
-        f, P = self.coeffs, _powers(self.vars, g.coeffs, n)
+        f = self.coeffs
+        d = max((j for j in range(n + 1) if f[j]), default=0)
+        P = _powers(self.vars, g.coeffs, n, d)
         out = [f[0]] + [
-            Poly.dot(self.vars, [(f[j], P[j][k]) for j in range(1, k + 1) if f[j] and P[j][k]])
+            Poly.dot(
+                self.vars, [(f[j], P[j][k]) for j in range(1, min(k, d) + 1) if f[j] and P[j][k]]
+            )
             for k in range(1, n + 1)
         ]
         return Series1(self.vars, n, out)
@@ -526,7 +519,7 @@ class Series1:
         g = [Poly.zero(self.vars), Poly.one(self.vars)]
         P = [None, g]
         for k in range(2, self.order + 1):
-            _power_column(self.vars, P, k)
+            _power_column(self.vars, P, k, k)
             pairs = [(f[j], P[j][k]) for j in range(2, k + 1) if f[j] and P[j][k]]
             g.append(-Poly.dot(self.vars, pairs))
         return Series1(self.vars, self.order, g)
@@ -671,7 +664,7 @@ class Series2:
         if s.coeffs[0]:
             raise ValueError("substitution needs zero constant terms")
         n = self.order
-        P = _powers(self.vars, s.truncate(n).coeffs, n)
+        P = _powers(self.vars, s.truncate(n).coeffs, n, n)
         pairs = {}
         for (i, j), c in self.coeffs.items():
             # row i of the table is zero below column i
@@ -718,16 +711,6 @@ def _product_order(f, g, order):
     return order
 
 
-def weighted_monomials(vars, w):
-    """All exponent tuples over ``vars`` of total weight w, canonical order.
-
-    Canonical order matches Poly.sorted_terms: lex descending on the
-    exponent vector (all results share one weight), so these are the keys
-    of ``keys_of_weight`` in descending order, unpacked.
-    """
-    return [vars.unpack(k) for k in sorted(keys_of_weight(vars.weights, w), reverse=True)]
-
-
 @lru_cache(maxsize=None)
 def keys_of_weight(weights, w):
     """The packed keys of every monomial of weight w over variables of the
@@ -751,8 +734,8 @@ def keys_of_weight(weights, w):
     return frozenset(k for k in keys if not k & guard)
 
 
-def _power_column(vars, P, k):
-    """Append column k to rows 2..k of the table of powers of g = P[1].
+def _power_column(vars, P, k, top):
+    """Append column k to rows 2..min(k, top) of the table of powers of g = P[1].
 
     ``P[j][k]`` is the x^k coefficient of g^j, for a g of valuation >= 1,
     by the recurrence of ``Series1.revert``; it reads only g_1 .. g_{k-1}.
@@ -760,7 +743,7 @@ def _power_column(vars, P, k):
     g_k it solves for; ``_powers`` fills a whole table.
     """
     g = P[1]
-    for j in range(2, k + 1):
+    for j in range(2, min(k, top) + 1):
         if j == len(P):
             P.append([Poly.zero(vars)] * j)
         prev = P[j - 1]
@@ -768,16 +751,17 @@ def _power_column(vars, P, k):
         P[j].append(Poly.dot(vars, pairs))
 
 
-def _powers(vars, g, n):
-    """The table ``P[j][k] = [x^k] g^j``, 0 <= j, k <= n, of the series g
-    with coefficients ``g[0] = 0, g[1] .. g[n]`` (any past g[n] are ignored).
-    Rows 0 and 1 are 1 and g; ``_power_column`` fills the rest (Brent &
-    Kung, JACM 1978) in about n^3/6 coefficient products.
+def _powers(vars, g, n, top):
+    """The table ``P[j][k] = [x^k] g^j``, 0 <= j <= top, 0 <= k <= n, of the
+    series g with coefficients ``g[0] = 0, g[1] .. g[n]`` (any past g[n] are
+    ignored).  Rows 0 and 1 are 1 and g; ``_power_column`` fills the rest
+    (Brent & Kung, JACM 1978) in about n^3/6 coefficient products when
+    top = n, and fewer when the caller needs only the low powers.
     """
     P = [[Poly.one(vars)] + [Poly.zero(vars)] * n, g[: n + 1]]
     for k in range(2, n + 1):
-        _power_column(vars, P, k)
-    return P[: n + 1]
+        _power_column(vars, P, k, top)
+    return P[: top + 1]
 
 
 def compose1(f, g2):
@@ -822,7 +806,7 @@ def formal_group_law(exp, log):
         raise ValueError("composition needs zero constant term")
     vars, e = exp.vars, exp.coeffs
     n = min(exp.order, log.order)
-    P = _powers(vars, log.coeffs, n)
+    P = _powers(vars, log.coeffs, n, n)
     # G[k][m] = [y^m] G_k, for the k <= i <= m with i + m <= n that F needs
     G = []
     for k in range(n // 2 + 1):

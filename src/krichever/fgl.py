@@ -13,7 +13,7 @@ and kept on it for the two suites that read it: ``proposition-ii`` matches
 A with it where min(i, j) <= 2, and ``krichever-form`` adds that it
 vanishes on i, j >= 3.  The associativity suite checks the law through
 its invariant differential, composing omega with F by ``compose1``.
-Every suite reports through ``genus.compare_slots``.
+Every suite reports through ``report.compare_slots``.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .core import Poly, Series1, Series2, b_vars, compose1, formal_group_law
-from .genus import compare_slots
+from .report import compare_slots
 
 DEFAULT_WEIGHT = 8
 

@@ -7,12 +7,11 @@ rename(p->q) o psi o kappa^{-1}, each of the last two by one series reversion.
 The checks apply a table as a ring map by ``Poly.substitute``, and re-derive each
 identity from scratch so they can serve as independent oracles for the
 tables; these suites and the ones in ``fgl`` all report through
-``compare_slots``.
+``report.compare_slots``.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
 from fractions import Fraction
 
 from .core import (
@@ -24,6 +23,7 @@ from .core import (
     p_vars,
     q_vars,
 )
+from .report import Report, compare_slots
 
 DEFAULT_ORDER = 8
 # Largest --order the CLI accepts; README lists the runtimes up to it.
@@ -59,47 +59,6 @@ class GenusTable:
     def images(self):
         """The genus as a ring map CP_i -> entry i, in the form Poly.substitute takes."""
         return {f"CP{i}": v for i, v in self.entries.items()}
-
-
-class Report(namedtuple("Report", "suite order passed first_failure", defaults=(None,))):
-    """Outcome of a verification suite; failures carry the first bad slot."""
-
-    __slots__ = ()
-
-    def to_json(self):
-        return {
-            "suite": self.suite,
-            "order": self.order,
-            "pass": self.passed,
-            "first_failure": self.first_failure,
-        }
-
-
-def compare_slots(suite, order, lhs, rhs):
-    """Report on two coefficient maps, failing at their first differing slot.
-
-    ``lhs`` and ``rhs`` map slots to Poly: a coefficient list is read as
-    {k: coeffs[k]}, and a slot missing from one side reads as 0 there.  The
-    slots of both are compared in sorted order and the first mismatch is
-    reported as a monomial in x, y, z (slot k is x^k, (i, j) is x^i*y^j).
-    An rhs value may instead be a str naming the condition that the lhs
-    value must meet; such a slot always fails and prints that text.  Series
-    compared this way must share one truncation order.
-    """
-    lhs, rhs = (m if isinstance(m, dict) else dict(enumerate(m)) for m in (lhs, rhs))
-    for slot in sorted(set(lhs) | set(rhs)):
-        a, b = lhs.get(slot), rhs.get(slot)
-        a = Poly.zero(b.vars) if a is None else a
-        b = Poly.zero(a.vars) if b is None else b
-        if a != b:
-            exps = slot if isinstance(slot, tuple) else (slot,)
-            failure = {
-                "monomial": "*".join(f"{v}^{e}" for v, e in zip("xyz", exps)),
-                "lhs": a.text(),
-                "rhs": b if isinstance(b, str) else b.text(),
-            }
-            return Report(suite, order, False, failure)
-    return Report(suite, order, True)
 
 
 def quartic_series(vars, order):
@@ -232,11 +191,7 @@ def verify_krichever_ode(n=DEFAULT_ORDER, table=None):
     u = f.truncate(n).mul(f.derivative().reciprocal())
     du = u.derivative()
     lhs = du.mul(du)
-    rhs = Series1.one(qv, n - 1)
-    upow = Series1.one(qv, n - 1)
-    for i in range(1, 5):
-        upow = upow.mul(u.truncate(n - 1))
-        rhs = rhs + upow.mul_poly(Poly.var(qv, f"q{i}"))
+    rhs = quartic_series(qv, n - 1).compose(u.truncate(n - 1))
     return compare_slots("krichever-ode", n, lhs.coeffs, rhs.coeffs)
 
 

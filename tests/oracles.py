@@ -1,7 +1,7 @@
-"""Test-only helpers: a polynomial parser, JSON reader, weight, constant
-term, the swap and symmetry test of a bivariate series, and the
-independent rank, partition and lattice-span oracles the tests check the
-package against, the earlier grading gate, quotient path, associativity
+"""Test-only helpers: a polynomial parser, JSON reader, weight, power, the
+monomials of one weight, constant term, the swap and symmetry test of a
+bivariate series, and the independent rank, partition and lattice-span
+oracles the tests check the package against, the earlier grading gate, quotient path, associativity
 check, ideal piece (every shift of every A_ij), omega (exp_b' composed
 with log_b) and ``Series2.subs_xy`` (two series, powers by repeated
 multiplication), the earlier kappa^{-1} and phi_KH tables (back-substitution
@@ -14,9 +14,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from krichever import _kernels_py, genus
-from krichever.core import Poly, Series1, Series2, p_vars, q_vars
-from krichever.genus import compare_slots
+from krichever.core import Poly, Series1, Series2, keys_of_weight, p_vars, q_vars
 from krichever.lattice import InvariantFactors, Lattice, hnf_columns
+from krichever.report import compare_slots
 
 
 def parse_poly(text, vars):
@@ -79,6 +79,30 @@ def products_formed(monkeypatch, build):
     monkeypatch.setattr(_kernels_py, "poly_dot_terms", counted_dot)
     build()
     return products[0]
+
+
+def poly_pow(poly, n):
+    """poly^n for n >= 0, by repeated squaring."""
+    if n < 0:
+        raise ValueError("negative power of a polynomial")
+    result = Poly.one(poly.vars)
+    base = poly
+    while n:
+        if n & 1:
+            result = result * base
+        base = base * base if n > 1 else base
+        n >>= 1
+    return result
+
+
+def weighted_monomials(vars, w):
+    """All exponent tuples over ``vars`` of total weight w, canonical order.
+
+    Canonical order matches Poly.sorted_terms: lex descending on the
+    exponent vector (all results share one weight), so these are the keys
+    of ``core.keys_of_weight`` in descending order, unpacked.
+    """
+    return [vars.unpack(k) for k in sorted(keys_of_weight(vars.weights, w), reverse=True)]
 
 
 def constant_term(poly):

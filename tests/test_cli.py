@@ -47,6 +47,14 @@ def test_import_loads_no_dataclasses():
     assert not loaded & {"dataclasses", "inspect", "ast", "dis"}
 
 
+@pytest.mark.parametrize("module", ["krichever.lattice", "krichever.fgl"])
+def test_lazard_side_loads_no_genus(module):
+    # the integer-only half reports through krichever.report, not genus
+    loaded = _modules_loaded("-c", f"import {module}")
+    assert {module, "krichever.report"} <= loaded
+    assert "krichever.genus" not in loaded
+
+
 @pytest.mark.parametrize(
     "suite, needed, unneeded",
     [
@@ -130,6 +138,8 @@ class TestUsageErrors:
             ["verify", "--suite", "nope"],
             ["quotient", "--max-weight", "99"],
             ["psi", "--frobnicate"],
+            # the report is text only, so --format is an unknown flag here
+            ["reproduce-paper", "--max-weight", "3", "--order", "3", "--format", "json"],
         ],
     )
     def test_exit_code_two(self, argv, capsys):

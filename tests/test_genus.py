@@ -10,7 +10,6 @@ from krichever.core import (
     cp_vars,
     p_vars,
     q_vars,
-    weighted_monomials,
 )
 from oracles import (
     back_substitution_kappa_inverse,
@@ -18,6 +17,7 @@ from oracles import (
     parse_poly,
     products_formed,
     substituted_phi_kh,
+    weighted_monomials,
 )
 
 # values printed in the source tables, entered verbatim
@@ -333,6 +333,17 @@ def test_work_of_the_inverse_square_root(monkeypatch):
     # square-root recurrence; the power recurrence needs 1,326
     quartic = genus.quartic_series(p_vars(), 18)
     assert 0 < products_formed(monkeypatch, quartic.inv_sqrt) <= 1_500
+
+
+def test_work_of_the_ode_quartic(monkeypatch):
+    # 1 + q1 u + ... + q4 u^4 at order 18, for the u of the krichever-ode
+    # suite: 6,718 term products with the table of powers cut at row 4;
+    # 10,460 when all 18 rows were filled and 6,918 by four Series1.mul
+    n = 18
+    f = genus._log_from_table(genus.phi_kh_table(n), n + 1).revert()
+    u = f.truncate(n).mul(f.derivative().reciprocal()).truncate(n - 1)
+    quartic = genus.quartic_series(q_vars(), n - 1)
+    assert 0 < products_formed(monkeypatch, lambda: quartic.compose(u)) <= 7_000
 
 
 def _bad_t_psi(monkeypatch):
