@@ -166,14 +166,10 @@ def _reproduce_paper(args):
     lines = []
     ok = True
 
-    psi = genus.psi_table(4).text()
-    match = psi == golden_table("psi")
-    ok &= match
-    lines.append(f"[{'PASS' if match else 'FAIL'}] psi table (printed values)")
-    kappa = genus.kappa_table(4).text()
-    match = kappa == golden_table("kappa")
-    ok &= match
-    lines.append(f"[{'PASS' if match else 'FAIL'}] kappa table (printed values)")
+    for name, table in (("psi", genus.psi_table), ("kappa", genus.kappa_table)):
+        match = table(4).text() == golden_table(name)
+        ok &= match
+        lines.append(f"[{'PASS' if match else 'FAIL'}] {name} table (printed values)")
 
     for rep in _run_verify_suite("all", args.order):
         ok &= rep.passed

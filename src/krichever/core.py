@@ -392,12 +392,6 @@ class Series1:
             raise IndexError(f"coefficient {k} beyond truncation order {self.order}")
         return self.coeffs[k]
 
-    def valuation(self):
-        for k, c in enumerate(self.coeffs):
-            if c:
-                return k
-        return self.order + 1
-
     def truncate(self, order):
         if order > self.order:
             raise ValueError("cannot extend a truncated series")
@@ -441,10 +435,10 @@ class Series1:
     def mul_poly(self, p):
         return Series1(self.vars, self.order, [c * p for c in self.coeffs])
 
-    def mul(self, other, order=None):
-        """Exact truncated product, to the order ``_product_order`` gives."""
+    def mul(self, other):
+        """Exact truncated product, to the lower of the two orders."""
         self._check(other)
-        n = _product_order(self, other, order)
+        n = min(self.order, other.order)
         a = [(i, c) for i, c in enumerate(self.coeffs) if c]
         b = other.coeffs
         top = other.order
@@ -464,12 +458,6 @@ class Series1:
             self.order - 1,
             [c.scale(k) for k, c in enumerate(self.coeffs)][1:],
         )
-
-    def shift_down(self):
-        """Divide by x; the constant coefficient must be zero."""
-        if self.coeffs[0]:
-            raise ValueError("series not divisible by x")
-        return Series1(self.vars, self.order - 1, self.coeffs[1:])
 
     def reciprocal(self):
         """Inverse of a series with constant coefficient 1."""
@@ -601,9 +589,6 @@ class Series2:
             raise IndexError(f"coefficient ({i},{j}) beyond truncation order")
         return self.coeffs.get((i, j), Poly.zero(self.vars))
 
-    def valuation(self):
-        return min((i + j for i, j in self.coeffs), default=self.order + 1)
-
     def truncate(self, order):
         if order > self.order:
             raise ValueError("cannot extend a truncated series")
@@ -638,13 +623,10 @@ class Series2:
     def __sub__(self, other):
         return self + (-other)
 
-    def mul_poly(self, p):
-        return Series2(self.vars, self.order, {k: v * p for k, v in self.coeffs.items()})
-
-    def mul(self, other, order=None):
-        """Exact truncated product, to the order ``_product_order`` gives."""
+    def mul(self, other):
+        """Exact truncated product, to the lower of the two orders."""
         self._check(other)
-        n = _product_order(self, other, order)
+        n = min(self.order, other.order)
         pairs = {}
         for (i1, j1), a in self.coeffs.items():
             for (i2, j2), b in other.coeffs.items():
@@ -696,21 +678,6 @@ class Series2:
         )
 
 
-def _product_order(f, g, order):
-    """The truncation order of the product f * g.
-
-    It is min(N_f, N_g) by default.  A higher ``order`` may be requested
-    when the discarded tails cannot contribute, i.e. when each factor's
-    valuation covers the other's missing range; this is asserted.
-    """
-    n = min(f.order, g.order)
-    if order is None:
-        return n
-    if order > n and (g.valuation() < order - f.order or f.valuation() < order - g.order):
-        raise ValueError("requested order not determined by truncations")
-    return order
-
-
 @lru_cache(maxsize=None)
 def keys_of_weight(weights, w):
     """The packed keys of every monomial of weight w over variables of the
@@ -737,7 +704,7 @@ def keys_of_weight(weights, w):
 def _power_column(vars, P, k, top):
     """Append column k to rows 2..min(k, top) of the table of powers of g = P[1].
 
-    ``P[j][k]`` is the x^k coefficient of g^j, for a g of valuation >= 1,
+    ``P[j][k]`` is the x^k coefficient of g^j, for a g with zero constant term,
     by the recurrence of ``Series1.revert``; it reads only g_1 .. g_{k-1}.
     Row j >= 2 holds zeros below column j.  ``revert`` adds one column per
     g_k it solves for; ``_powers`` fills a whole table.
@@ -765,10 +732,10 @@ def _powers(vars, g, n, top):
 
 
 def compose1(f, g2):
-    """Univariate f composed with a bivariate g2 of valuation >= 1.
+    """Univariate f composed with a bivariate g2 with zero constant term.
 
     The result is sum_j f_j g2^j with the powers of g2 built by repeated
-    ``Series2.mul``, since ``_powers`` is univariate; g2^j has valuation j.
+    ``Series2.mul``, since ``_powers`` is univariate; g2^j starts in degree j.
     """
     if (0, 0) in g2.coeffs:
         raise ValueError("composition needs zero constant term")

@@ -8,10 +8,10 @@ extracted from it all live here, together with the verifiers for the
 evenness identity of omega', the mod-(xy)^3 expansion of A, and the
 residual form of the quotient law.  The law itself comes from
 ``core.formal_group_law``, the one builder of exp(log x + log y).  The
-closed form of A, ``_proposition_ii_rhs``, is built once per ``FglData``
-and kept on it for the two suites that read it: ``proposition-ii`` matches
-A with it where min(i, j) <= 2, and ``krichever-form`` adds that it
-vanishes on i, j >= 3.  The associativity suite checks the law through
+closed form of A, ``_proposition_ii_rhs``, lives on row and column 2 only
+and is read off the one square omega^2: ``proposition-ii`` matches A with
+it where min(i, j) <= 2, and ``krichever-form`` reads A minus it as the
+A_ij with i, j >= 3.  The associativity suite checks the law through
 its invariant differential, composing omega with F by ``compose1``.
 Every suite reports through ``report.compare_slots``.
 """
@@ -29,28 +29,23 @@ DEFAULT_WEIGHT = 8
 class FglData:
     """Universal law truncated at total degree W+1 over Z[b_1..b_W].
 
-    ``omega_hat``, ``A`` and the closed form of A are filled in on first
-    use; ``replace`` copies the constructor fields only, so a changed copy
-    never carries a closed form built from the original's omega.
+    ``A`` is filled in by ``compute_A``.
     """
 
-    FIELDS = ("weight", "vars", "exp_b", "log_b", "F", "omega", "omega_hat", "A")
-    __slots__ = (*FIELDS, "closed_form")
+    __slots__ = ("weight", "vars", "exp_b", "log_b", "F", "omega", "A")
 
-    def __init__(self, weight, vars, exp_b, log_b, F, omega, omega_hat=None, A=None):
+    def __init__(self, weight, vars, exp_b, log_b, F, omega, A=None):
         self.weight = weight
         self.vars = vars
         self.exp_b = exp_b
         self.log_b = log_b
         self.F = F
         self.omega = omega
-        self.omega_hat = omega_hat
         self.A = A
-        self.closed_form = None
 
     def replace(self, **changes):
-        """A new FglData with the constructor fields of this one, updated by ``changes``."""
-        fields = {name: getattr(self, name) for name in self.FIELDS}
+        """A new FglData with the fields of this one, updated by ``changes``."""
+        fields = {name: getattr(self, name) for name in self.__slots__}
         fields.update(changes)
         return FglData(**fields)
 
@@ -90,20 +85,6 @@ def _sanity(fgl):
         raise AssertionError("F is not graded")
 
 
-def _xwy_ywx(fgl):
-    """The pair (x*omega(y), y*omega(x)) at total degree W+1.
-
-    omega is known to order W, so after the degree-1 factor the products
-    are determined to degree W+1.
-    """
-    w, bv = fgl.weight, fgl.vars
-    wy = Series2.from_series1(fgl.omega, w, 1)
-    wx = Series2.from_series1(fgl.omega, w, 0)
-    x = Series2(bv, w + 1, {(1, 0): Poly.one(bv)})
-    y = Series2(bv, w + 1, {(0, 1): Poly.one(bv)})
-    return x.mul(wy, order=w + 1), y.mul(wx, order=w + 1), x, y
-
-
 def compute_A(fgl):
     """Fill A = F * (x omega(y) - y omega(x)), whose coefficients are the A_ij.
 
@@ -135,17 +116,9 @@ def compute_A(fgl):
     return fgl
 
 
-def omega_hat(fgl):
-    """(omega'(x) - omega'(0)) / (2x), with the evenness check of verify_proposition_i."""
-    if fgl.omega_hat is None:
-        rep = verify_proposition_i(fgl)
-        if not rep.passed:
-            raise AssertionError(f"omega' evenness failed: {rep.first_failure}")
-    return fgl.omega_hat
-
-
 def verify_proposition_i(fgl):
-    """Every coefficient of omega'(x) - omega'(0) is even, so omega_hat is integral.
+    """Every coefficient of omega'(x) - omega'(0) is even, so
+    (omega'(x) - omega'(0)) / 2x is integral.
 
     Cross-checked through d^2F/dy^2(x,0) = omega' omega - omega'(0) omega,
     whose left side visibly carries a factor 2.
@@ -161,49 +134,57 @@ def verify_proposition_i(fgl):
     rep = compare_slots("proposition-i", w, odd, dict.fromkeys(odd, "even coefficients"))
     if not rep.passed:
         return rep
-    fgl.omega_hat = centered.shift_down().scale(Fraction(1, 2))
     # cross-check: d^2F/dy^2(x, 0) = omega' omega - omega'(0) omega
     lhs = fgl.F.dy().dy().at_y_zero()
     rhs = dw.mul(fgl.omega) - fgl.omega.truncate(w - 1).mul_poly(dw.coeffs[0])
     return compare_slots("proposition-i", w, lhs.coeffs, rhs.coeffs)
 
 
-def _proposition_ii_rhs(fgl):
-    """(x w(y) + y w(x) - w'(0) xy)(x w(y) - y w(x)) + (w what(x) - w what(y)) x^2 y^2.
+def _proposition_ii_rhs(omega):
+    """The closed form of A as a {(i, j): Poly} map, from the one square omega^2.
 
-    Built on the first call and kept in ``fgl.closed_form``.
+    With w = omega, w_1 = omega'(0) and what = (w' - w_1) / 2x, the
+    quotient-law numerator with b := w and beta := what is
+        N = (x w(y) + y w(x) - w_1 xy)(x w(y) - y w(x))
+            + (w what(x) - w what(y)) x^2 y^2.
+    Since (x w(y) + y w(x))(x w(y) - y w(x)) = x^2 w(y)^2 - y^2 w(x)^2,
+    every term of N has i = 2 or j = 2, and N is antisymmetric.  On row 2,
+    with what_m = (m + 2) w_(m+2) / 2,
+        [x^2 y^k] N = [w^2]_k - w_1 w_(k-1) - sum_{a+b=k, b>=2} (b/2) w_a w_b,
+    and pairing b with k - b sums (b/2) w_a w_b over every a + b = k to
+    (k/4) [w^2]_k, of which b = 1 is w_1 w_(k-1) / 2.  So
+        R[2, k] = (1 - k/4) [x^k] omega^2 - omega_1 omega_(k-1) / 2
+    for k = 0..W, k != 2, with omega_(-1) = 0, and R[k, 2] = -R[2, k].  At
+    k = 2 the row and the column cancel.
     """
-    if fgl.closed_form is not None:
-        return fgl.closed_form
-    w, bv = fgl.weight, fgl.vars
-    hat = omega_hat(fgl)
-    xwy, ywx, x, y = _xwy_ywx(fgl)
-    wprime0 = fgl.omega.derivative().coeffs[0]
-    sym = xwy + ywx - x.mul(y, order=w + 1).mul_poly(wprime0)
-    whx = fgl.omega.truncate(w - 2).mul(hat)
-    diff = Series2.from_series1(whx, w - 2, 0) - Series2.from_series1(whx, w - 2, 1)
-    x2y2 = Series2(bv, w + 2, {(2, 2): Poly.one(bv)})
-    fgl.closed_form = sym.mul(xwy - ywx, order=w + 2) + diff.mul(x2y2, order=w + 2)
-    return fgl.closed_form
+    w = omega.coeffs
+    rhs = {}
+    for k, square in enumerate(omega.mul(omega).coeffs):
+        if k != 2:
+            r = square.scale(Fraction(4 - k, 4))
+            if k:
+                r -= (w[1] * w[k - 1]).scale(Fraction(1, 2))
+            rhs[2, k], rhs[k, 2] = r, -r
+    return rhs
 
 
 def verify_proposition_ii(fgl):
     """A_ij matches the closed expansion on every slot with min(i,j) <= 2."""
-    rhs = _proposition_ii_rhs(fgl)
-    low = [{k: v for k, v in s.coeffs.items() if min(k) <= 2} for s in (fgl.A, rhs)]
-    return compare_slots("proposition-ii", fgl.weight, *low)
+    low = {k: v for k, v in fgl.A.coeffs.items() if min(k) <= 2}
+    return compare_slots("proposition-ii", fgl.weight, low, _proposition_ii_rhs(fgl.omega))
 
 
 def verify_krichever_form(fgl):
     """A minus the closed-form numerator is exactly the A_ij with i, j >= 3.
 
     The numerator is ``_proposition_ii_rhs``, the quotient-law form with
-    b := omega and beta := omega_hat multiplied through.  ``proposition-ii``
-    already matches it with A on the slots with min(i, j) <= 2; what this
-    check adds is that the numerator vanishes on i, j >= 3, so the residual
-    there is A_ij itself.
+    b := omega and beta := (omega' - omega'(0)) / 2x multiplied through.  It
+    is built on row and column 2 alone, so its vanishing on i, j >= 3 is
+    visible from how it is built, and this suite passes exactly when
+    ``proposition-ii`` does: it restates the paper's Krichever form as a
+    residual, A_ij on i, j >= 3 and zero elsewhere.
     """
-    residual = fgl.A - _proposition_ii_rhs(fgl)
+    residual = fgl.A - Series2(fgl.vars, fgl.A.order, _proposition_ii_rhs(fgl.omega))
     support = "0 (support must have i,j >= 3)"
     high = {k: fgl.A.coefficient(*k) if min(k) >= 3 else support for k in residual.coeffs}
     return compare_slots("krichever-form", fgl.weight, residual.coeffs, high)

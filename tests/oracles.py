@@ -5,8 +5,10 @@ oracles the tests check the package against, the earlier grading gate, quotient 
 check, ideal piece (every shift of every A_ij), omega (exp_b' composed
 with log_b) and ``Series2.subs_xy`` (two series, powers by repeated
 multiplication), the earlier kappa^{-1} and phi_KH tables (back-substitution
-weight by weight, then psi substituted into it), and a counter of the
-kernel's term products.
+weight by weight, then psi substituted into it), omega_hat = (omega' -
+omega'(0)) / 2x and the Proposition II numerator as the paper writes it (a
+sum of bivariate products, against the row-2 map read off omega^2), and a
+counter of the kernel's term products.
 """
 
 import re
@@ -249,6 +251,46 @@ def composed_omega(fgl):
     """exp_b'(log_b(x)), composed: the earlier omega, an oracle for the one
     ``build_universal_fgl`` reads off the law."""
     return fgl.exp_b.derivative().compose(fgl.log_b.truncate(fgl.weight))
+
+
+def omega_hat(omega):
+    """(omega'(x) - omega'(0)) / 2x, the beta of the quotient law, at the
+    order of omega less 2."""
+    dw = omega.derivative()
+    return Series1(omega.vars, dw.order - 1, dw.coeffs[1:]).scale(Fraction(1, 2))
+
+
+def invariant_pair(omega):
+    """The pair (x omega(y), y omega(x)) as bivariate series at order W + 2,
+    for omega known to order W.
+
+    Both are known only to degree W + 1.  In a product of two series with
+    zero constant term, a term of degree W + 2 or less reads each factor only
+    to degree W + 1, so a product of two such series at order W + 2 is exact.
+    """
+    n = omega.order + 2
+    xwy = Series2(omega.vars, n, {(1, k): c for k, c in enumerate(omega.coeffs)})
+    ywx = Series2(omega.vars, n, {(k, 1): c for k, c in enumerate(omega.coeffs)})
+    return xwy, ywx
+
+
+def proposition_ii_numerator(omega):
+    """The paper's closed form of A as a bivariate series at order W + 2,
+        (x w(y) + y w(x) - w_1 xy)(x w(y) - y w(x)) + (w what(x) - w what(y)) x^2 y^2,
+    with w = omega and what = ``omega_hat(omega)``: the earlier build, an
+    oracle for the row-2 map ``fgl._proposition_ii_rhs``.  Every factor has
+    zero constant term, so each is built straight at order W + 2 (see
+    ``invariant_pair``).
+    """
+    vars, n = omega.vars, omega.order + 2
+    xwy, ywx = invariant_pair(omega)
+    sym = xwy + ywx - Series2(vars, n, {(1, 1): omega.coeffs[1]})
+    whw = omega.mul(omega_hat(omega)).coeffs
+    diff = Series2(vars, n, {(k, 0): c for k, c in enumerate(whw)}) - Series2(
+        vars, n, {(0, k): c for k, c in enumerate(whw)}
+    )
+    x2y2 = Series2(vars, n, {(2, 2): Poly.one(vars)})
+    return sym.mul(xwy - ywx) + diff.mul(x2y2)
 
 
 def shift_ideal_piece(model, n):
