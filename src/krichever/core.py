@@ -432,9 +432,6 @@ class Series1:
     def scale(self, c):
         return Series1(self.vars, self.order, [p.scale(c) for p in self.coeffs])
 
-    def mul_poly(self, p):
-        return Series1(self.vars, self.order, [c * p for c in self.coeffs])
-
     def mul(self, other):
         """Exact truncated product, to the lower of the two orders."""
         self._check(other)
@@ -569,17 +566,6 @@ class Series2:
         if any(i + j > order for i, j in self.coeffs):
             raise ValueError("coefficient beyond truncation order")
 
-    @classmethod
-    def from_series1(cls, s, order, slot):
-        """Embed a univariate series as a series in x (slot 0) or y (slot 1)."""
-        coeffs = {}
-        for k, c in enumerate(s.coeffs):
-            if k > order:
-                break
-            key = (k, 0) if slot == 0 else (0, k)
-            coeffs[key] = c
-        return cls(s.vars, min(order, s.order), coeffs)
-
     def _check(self, other):
         if self.vars != other.vars:
             raise ValueError("mismatched variable tables")
@@ -663,11 +649,6 @@ class Series2:
             if j == 0:
                 cs[i] = c
         return Series1(self.vars, self.order, cs)
-
-    def dy(self):
-        """The partial derivative in y, one order lower."""
-        coeffs = {(i, j - 1): c.scale(j) for (i, j), c in self.coeffs.items() if j}
-        return Series2(self.vars, self.order - 1, coeffs)
 
     def is_integral(self):
         return all(c.is_integral() for c in self.coeffs.values())

@@ -203,7 +203,7 @@ def unpacked_is_homogeneous(poly, weight=None):
     return weight is None or ws == {weight}
 
 
-def literal_associativity(fgl, degree=6):
+def literal_associativity(fgl, degree):
     """F(F(x,y),z) = F(x,F(y,z)) to the given total degree, by trivariate
     substitution: the earlier check, an oracle for ``verify_associativity``.
 

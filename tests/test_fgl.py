@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -75,7 +76,7 @@ class TestBuild:
         assert data.F.is_graded(-1)
 
     def test_associativity_degree_six(self, data):
-        rep = fgl.verify_associativity(data, 6)
+        rep = fgl.verify_associativity(data)
         assert rep.passed, rep.first_failure
 
     def test_work_of_the_law_build(self, monkeypatch):
@@ -225,7 +226,7 @@ class TestKricheverForm:
             },
         }
 
-    def test_closed_form_built_once_per_data(self):
+    def test_replace_keeps_A(self):
         data = fgl.compute_A(fgl.build_universal_fgl(4))
         copy = data.replace(A=data.A)
         assert copy.A is data.A
@@ -346,7 +347,7 @@ FAILURE_PINS = {
             "suite": "associativity",
             "order": 5,
             "pass": False,
-            "first_failure": {"monomial": "x^2*y^1", "lhs": "-4*b1*b2 + 12*b3", "rhs": "12*b3"},
+            "first_failure": {"monomial": "x^1*y^2", "lhs": "-4*b1*b2 + 12*b3", "rhs": "12*b3"},
         },
     ),
 }
@@ -355,7 +356,8 @@ FAILURE_PINS = {
 @pytest.mark.parametrize("w", [6, 7])
 def test_associativity_agrees_with_the_literal_check(w):
     """The invariant-differential check and the trivariate substitution give
-    the same verdict on seeded single and paired bumps of F's slots.
+    the same verdict on seeded single and paired bumps of F's slots, both at
+    the law's own degree w.
 
     The one allowed difference is a bump of F(x, 0) = x: only the
     invariant-differential check reads that axiom on its own, so it must fail
@@ -363,7 +365,6 @@ def test_associativity_agrees_with_the_literal_check(w):
     """
     data = fgl.build_universal_fgl(w)
     F = data.F
-    degree = min(6, w)
     slots = [(i, k - i) for k in range(F.order + 1) for i in range(k + 1)]
     rng = random.Random(w)
     bumps = [[slot] for slot in slots] + [rng.sample(slots, 2) for _ in range(40)]
@@ -375,13 +376,41 @@ def test_associativity_agrees_with_the_literal_check(w):
             coeffs = _bump(coeffs, [slot], var)
         bad = data.replace(F=Series2(F.vars, F.order, coeffs))
         new = fgl.verify_associativity(bad).passed
-        if any(j == 0 and i <= degree for i, j in bumped):
+        if any(j == 0 and i <= w for i, j in bumped):
             assert not new, bumped
         else:
-            assert new == literal_associativity(bad).passed, bumped
+            assert new == literal_associativity(bad, w).passed, bumped
         verdicts.add(new)
-    # bumps past the checked degree pass both checks
+    # bumps at degree w + 1, past the checked degree, pass both checks
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("slots", [[(3, 4), (4, 3)], [(4, 4)], [(1, 7), (7, 1)]])
+def test_associativity_reaches_the_law_degree(slots):
+    # symmetric bumps at degrees 7 and 8 of a W = 8 law; a check capped at
+    # degree 6 passed each of them
+    data = fgl.build_universal_fgl(8)
+    F = data.F
+    i, j = slots[0]
+    coeffs = _bump(F.coeffs, slots, Poly.var(F.vars, f"b{i + j - 1}"))
+    rep = fgl.verify_associativity(data.replace(F=Series2(F.vars, F.order, coeffs)))
+    assert rep.order == 8
+    assert not rep.passed
+
+
+def test_unit_axiom_is_read_at_the_law_degree():
+    # F + c (x + y)^W still solves omega(x) dF/dx = omega(y) dF/dy to degree
+    # W - 1, and it is not associative; only F(x, 0) = x at degree W sees it
+    w = 8
+    data = fgl.build_universal_fgl(w)
+    F = data.F
+    coeffs = dict(F.coeffs)
+    for i in range(w + 1):
+        coeffs = _bump(coeffs, [(i, w - i)], Poly.var(F.vars, f"b{w - 1}", coeff=comb(w, i)))
+    bad = data.replace(F=Series2(F.vars, F.order, coeffs))
+    rep = fgl.verify_associativity(bad)
+    assert rep.first_failure["monomial"] == f"x^{w}"
+    assert not literal_associativity(bad, w).passed
 
 
 @pytest.mark.parametrize("suite", FAILURE_PINS)
