@@ -470,9 +470,9 @@ class Series1:
     def compose(self, g):
         """(self o g) for g with zero constant term, as sum_j f_j g^j.
 
-        The powers g^j are read off the table ``_powers`` fills, up to the
-        degree d of f, so [x^k] (self o g) = sum_{j <= min(k, d)} f_j [x^k] g^j
-        is one ``Poly.dot``.
+        The powers g^j are read off the table ``_powers`` fills from the
+        known g, up to the degree d of f, so
+        [x^k] (self o g) = sum_{j <= min(k, d)} f_j [x^k] g^j is one ``Poly.dot``.
         """
         self._check(g)
         if g.coeffs[0]:
@@ -489,25 +489,29 @@ class Series1:
         ]
         return Series1(self.vars, n, out)
 
-    def revert(self):
-        """Compositional inverse g of f = x + O(x^2), from a table of powers.
+    def compose_inverse(self, g):
+        """h = self o g^{-1} for g = x + O(x^2), solved from h o g = self.
 
-        ``P[j][k]`` is the x^k coefficient of g^j.  Its recurrence
-        ``P[j][k] = sum_{i=1}^{k-j+1} g_i * P[j-1][k-i]`` uses only g_1 ..
-        g_{k-1} for j >= 2, so column k of the table is known before g_k,
-        which then solves [x^k] f(g) = 0 as ``g_k = -sum_{j=2}^k f_j P[j][k]``.
-        That is about n^3/6 products, all in the coefficient ring.
+        With ``P = _powers(g)`` the table of the known g, [x^k] (h o g) is
+        sum_{j <= k} h_j P[j][k] and P[k][k] = 1, so each coefficient is one
+        ``Poly.dot``: h_k = self_k - sum_{j < k} h_j P[j][k].  Both series
+        are taken to the lower of their orders.
         """
-        if self.coeffs[0] or self.coeffs[1] != Poly.one(self.vars):
+        self._check(g)
+        if g.order < 1 or g.coeffs[0] or g.coeffs[1] != Poly.one(self.vars):
             raise ValueError("reversion needs f = x + higher order")
-        f = self.coeffs
-        g = [Poly.zero(self.vars), Poly.one(self.vars)]
-        P = [None, g]
-        for k in range(2, self.order + 1):
-            _power_column(self.vars, P, k, k)
-            pairs = [(f[j], P[j][k]) for j in range(2, k + 1) if f[j] and P[j][k]]
-            g.append(-Poly.dot(self.vars, pairs))
-        return Series1(self.vars, self.order, g)
+        n = min(self.order, g.order)
+        P = _powers(self.vars, g.coeffs, n, n)
+        h = []
+        for k, f_k in enumerate(self.coeffs[: n + 1]):
+            pairs = [(h[j], P[j][k]) for j in range(k) if h[j] and P[j][k]]
+            h.append(f_k - Poly.dot(self.vars, pairs))
+        return Series1(self.vars, n, h)
+
+    def revert(self):
+        """Compositional inverse of f = x + O(x^2): x o f^{-1}, solved
+        against the table of powers of the known f (``compose_inverse``)."""
+        return Series1.identity(self.vars, self.order).compose_inverse(self)
 
     def inv_sqrt(self):
         """Series r with r^2 * f = 1, for f with constant coefficient 1.
@@ -682,33 +686,23 @@ def keys_of_weight(weights, w):
     return frozenset(k for k in keys if not k & guard)
 
 
-def _power_column(vars, P, k, top):
-    """Append column k to rows 2..min(k, top) of the table of powers of g = P[1].
-
-    ``P[j][k]`` is the x^k coefficient of g^j, for a g with zero constant term,
-    by the recurrence of ``Series1.revert``; it reads only g_1 .. g_{k-1}.
-    Row j >= 2 holds zeros below column j.  ``revert`` adds one column per
-    g_k it solves for; ``_powers`` fills a whole table.
-    """
-    g = P[1]
-    for j in range(2, min(k, top) + 1):
-        if j == len(P):
-            P.append([Poly.zero(vars)] * j)
-        prev = P[j - 1]
-        pairs = [(g[i], prev[k - i]) for i in range(1, k - j + 2) if g[i] and prev[k - i]]
-        P[j].append(Poly.dot(vars, pairs))
-
-
 def _powers(vars, g, n, top):
     """The table ``P[j][k] = [x^k] g^j``, 0 <= j <= top, 0 <= k <= n, of the
     series g with coefficients ``g[0] = 0, g[1] .. g[n]`` (any past g[n] are
-    ignored).  Rows 0 and 1 are 1 and g; ``_power_column`` fills the rest
-    (Brent & Kung, JACM 1978) in about n^3/6 coefficient products when
-    top = n, and fewer when the caller needs only the low powers.
+    ignored).  Rows 0 and 1 are 1 and g; row j >= 2 is zero below column j
+    and is filled from the row above by
+    ``P[j][k] = sum_{i=1}^{k-j+1} g_i P[j-1][k-i]`` (Brent & Kung, JACM 1978),
+    about n^3/6 coefficient products when top = n, and fewer when the caller
+    needs only the low powers.
     """
-    P = [[Poly.one(vars)] + [Poly.zero(vars)] * n, g[: n + 1]]
-    for k in range(2, n + 1):
-        _power_column(vars, P, k, top)
+    zero = Poly.zero(vars)
+    P = [[Poly.one(vars)] + [zero] * n, g[: n + 1]]
+    for j in range(2, top + 1):
+        prev, row = P[j - 1], [zero] * j
+        for k in range(j, n + 1):
+            pairs = [(g[i], prev[k - i]) for i in range(1, k - j + 2) if g[i] and prev[k - i]]
+            row.append(Poly.dot(vars, pairs))
+        P.append(row)
     return P[: top + 1]
 
 

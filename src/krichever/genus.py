@@ -115,8 +115,7 @@ def nu_series(vars, order):
 
 def mog_series(vars, order):
     """mog = log o nu^{-1}, the logarithm of the twisted law."""
-    log = mishchenko_log(vars, order)
-    return log.compose(nu_series(vars, order).revert())
+    return mishchenko_log(vars, order).compose_inverse(nu_series(vars, order))
 
 
 def kappa_table(n=DEFAULT_ORDER):
@@ -204,7 +203,7 @@ def verify_lemma1(n=DEFAULT_ORDER, nu=None):
     lhs = u.revert()
     if nu is None:
         nu = nu_series(cv, n + 1)
-    rhs = log.compose(nu.revert()).truncate(n)
+    rhs = log.compose_inverse(nu).truncate(n)
     return compare_slots("lemma1", n, lhs.coeffs, rhs.coeffs)
 
 

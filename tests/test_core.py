@@ -45,8 +45,8 @@ def scalar_series(coeffs, order=None):
 
 # Reference oracles: composition by Horner's rule, and reversion that
 # recomposes f o g at every step.  Slow, but independent of the sums of
-# powers and the table of powers that compose, compose1, revert and
-# formal_group_law use.
+# powers and the table of powers that compose, compose_inverse, compose1,
+# revert and formal_group_law use.
 def horner_compose(f, g):
     n = min(f.order, g.order)
     acc = Series1(f.vars, n, [f.coeffs[n]] + [Poly.zero(f.vars)] * n)
@@ -383,6 +383,9 @@ class TestSeries1:
     def test_revert_needs_unit_linear_term(self):
         with pytest.raises(ValueError):
             scalar_series([0, 2, 1]).revert()
+        # an order-0 series has no linear term to read
+        with pytest.raises(ValueError, match="reversion needs f = x"):
+            scalar_series([0]).revert()
 
     def test_revert_matches_lagrange_inversion(self):
         # independent oracle: g_n = (1/n) [x^(n-1)] (x/f)^n
@@ -506,7 +509,25 @@ class TestSeriesAgainstReference:
             if ring.startswith("Z"):
                 assert _all_int(g.coeffs)
 
+        @given(series(vars, scalars, [], max_tail=6), series(vars, scalars, [0, 1]))
+        @settings(max_examples=40, deadline=None)
+        def check_compose_inverse(f, g):
+            h = f.compose_inverse(g)
+            n = min(f.order, g.order)
+            assert h.order == n
+            assert h == horner_compose(f, recompose_revert(g))
+            assert h.compose(g) == f.truncate(n)
+            if ring.startswith("Z"):
+                assert _all_int(h.coeffs)
+            for bad in (g + 1, g + Series1(vars, 1, [Poly.zero(vars), Poly.one(vars)])):
+                with pytest.raises(ValueError, match="reversion needs f = x"):
+                    f.compose_inverse(bad)
+            other = Series1.identity(VarTable(["t"], [1]), g.order)
+            with pytest.raises(ValueError, match="mismatched variable tables"):
+                f.compose_inverse(other)
+
         check()
+        check_compose_inverse()
 
     @pytest.mark.parametrize("ring", RINGS)
     def test_compose_matches_horner(self, ring):

@@ -99,6 +99,16 @@ class TestBuild:
         assert F.order == w + 1
         assert 0 < products[0] <= 25_000
 
+    def test_work_of_the_log_reversion(self, monkeypatch):
+        # log_b = x o exp_b^{-1} solved against the table of exp_b, whose
+        # coefficients are monomials: 4,746 term products at W = 13; 8,902
+        # when the table was of the unknown log_b
+        w = 13
+        bv = b_vars(w)
+        bs = [Poly.var(bv, f"b{i}") for i in range(1, w + 1)]
+        exp_b = Series1(bv, w + 1, [Poly.zero(bv), Poly.one(bv), *bs])
+        assert 0 < products_formed(monkeypatch, exp_b.revert) <= 5_000
+
 
 def test_b_model_coefficients_are_int():
     small = fgl.compute_A(fgl.build_universal_fgl(6))

@@ -346,6 +346,14 @@ def test_work_of_the_ode_quartic(monkeypatch):
     assert 0 < products_formed(monkeypatch, lambda: quartic.compose(u)) <= 7_000
 
 
+def test_work_of_mog(monkeypatch):
+    # log o nu^{-1} solved against the table of nu, whose coefficients are
+    # monomials: 3,061 term products; 11,268 by reverting nu and composing
+    # log with the reversion
+    work = products_formed(monkeypatch, lambda: genus.mog_series(cp_vars(12), 13))
+    assert 0 < work <= 3_500
+
+
 def _bad_t_psi(monkeypatch):
     # part (a) of lemma 2 determines phi_1..phi_n, so any change to phi fails
     # there first; the strict isomorphism of part (b) is reached through t o psi
