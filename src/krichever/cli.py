@@ -191,8 +191,16 @@ def _reproduce_paper(args):
     return "\n".join(lines), ok
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are one line, as ``_usage_error``
+    prints them; its subparsers are of the same class."""
+
+    def error(self, message):
+        _usage_error(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="krichever",
         description="Exact computations with elliptic genera and the universal formal group law",
     )

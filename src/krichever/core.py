@@ -387,11 +387,6 @@ class Series1:
         if self.vars != other.vars:
             raise ValueError("mismatched variable tables")
 
-    def coefficient(self, k):
-        if k > self.order:
-            raise IndexError(f"coefficient {k} beyond truncation order {self.order}")
-        return self.coeffs[k]
-
     def truncate(self, order):
         if order > self.order:
             raise ValueError("cannot extend a truncated series")
@@ -542,18 +537,6 @@ class Series1:
             for k, c in enumerate(self.coeffs)
         )
 
-    def text(self, varname="x"):
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if not c and k > 0:
-                continue
-            xs = "" if k == 0 else (varname if k == 1 else f"{varname}^{k}")
-            body = c.text()
-            if xs:
-                body = f"({body})*{xs}"
-            parts.append(body)
-        return " + ".join(parts) + f" + O({varname}^{self.order + 1})"
-
 
 class Series2:
     """Truncated bivariate power series with Poly coefficients.
@@ -630,21 +613,37 @@ class Series2:
     def subs_xy(self, s):
         """self(s(x), s(y)) for a univariate s with zero constant term.
 
-        Both s^i and s^j are read off one ``_powers`` table: the x^a y^b
-        coefficient of s(x)^i s(y)^j is [x^a] s^i times [x^b] s^j.
+        With G the coefficients of self and P = ``_powers(s)``, split at s(x):
+            self(s(x), s(y)) = sum_i s(x)^i H_i(y),  H_i(y) = sum_j G_ij s(y)^j,
+        so H_i[b] = sum_{j <= b} G_ij P[j][b] and
+        [x^a y^b] = sum_{i <= a} P[i][a] H_i[b].  Each is one ``Poly.dot``,
+        about n^3 coefficient products in all.  When self is symmetric so is
+        the result: then only a <= b is computed, with a <= n/2 and H_i[b]
+        for b >= i, and the rest mirrored.
         """
         if s.coeffs[0]:
             raise ValueError("substitution needs zero constant terms")
-        n = self.order
-        P = _powers(self.vars, s.truncate(n).coeffs, n, n)
-        pairs = {}
-        for (i, j), c in self.coeffs.items():
-            # row i of the table is zero below column i
-            for a in range(i, n - j + 1):
-                for b in range(j, n - a + 1):
-                    if P[i][a] and P[j][b]:
-                        pairs.setdefault((a, b), []).append((P[i][a] * P[j][b], c))
-        return Series2(self.vars, n, {k: Poly.dot(self.vars, v) for k, v in pairs.items()})
+        vars, n, G = self.vars, self.order, self.coeffs
+        P = _powers(vars, s.truncate(n).coeffs, n, n)
+        sym = all(G.get((j, i)) == c for (i, j), c in G.items())
+        top = n // 2 if sym else n
+        H = [
+            {
+                b: Poly.dot(
+                    vars, [(G[i, j], P[j][b]) for j in range(b + 1) if (i, j) in G and P[j][b]]
+                )
+                for b in range(i if sym else 0, n - i + 1)
+            }
+            for i in range(top + 1)
+        ]
+        coeffs = {}
+        for a in range(top + 1):
+            for b in range(a if sym else 0, n - a + 1):
+                pairs = [(P[i][a], H[i][b]) for i in range(a + 1) if P[i][a] and H[i][b]]
+                coeffs[a, b] = Poly.dot(vars, pairs)
+                if sym:
+                    coeffs[b, a] = coeffs[a, b]
+        return Series2(vars, n, coeffs)
 
     def at_y_zero(self):
         """Restriction y = 0, as a univariate series."""
@@ -693,7 +692,8 @@ def _powers(vars, g, n, top):
     and is filled from the row above by
     ``P[j][k] = sum_{i=1}^{k-j+1} g_i P[j-1][k-i]`` (Brent & Kung, JACM 1978),
     about n^3/6 coefficient products when top = n, and fewer when the caller
-    needs only the low powers.
+    needs only the low powers.  ``compose``, ``compose_inverse`` and
+    ``Series2.subs_xy``, and so every law, read it.
     """
     zero = Poly.zero(vars)
     P = [[Poly.one(vars)] + [zero] * n, g[: n + 1]]
@@ -730,38 +730,16 @@ def compose1(f, g2):
 
 
 def formal_group_law(exp, log):
-    """F(x, y) = exp(log(x) + log(y)), by a Taylor split of exp at log(y).
+    """F(x, y) = exp(log(x) + log(y)), as E(log x, log y) by ``Series2.subs_xy``.
 
-    With e_n the coefficients of exp and P[k][i] = [x^i] log^k,
-        F(x, y) = sum_k log(x)^k G_k(y),
-        G_k(y) = exp^(k)(log y) / k! = sum_l C(k+l, k) e_{k+l} log(y)^l,
-    so [x^i y^m] F = sum_{k <= i} P[k][i] [y^m] G_k.  One ``_powers`` table
-    of the univariate log gives both factors in about n^3 coefficient
-    products; composing exp with the bivariate log(x) + log(y)
-    (``compose1``) takes every power of it, about n^5.  F is symmetric, so
-    only i <= m is computed and the rest mirrored.  Each coefficient goes
-    to the kernel as one ``Poly.dot``, and over Z[b] every step is
+    With e_k the coefficients of exp, E(X, Y) = exp(X + Y) has
+    [X^i Y^j] E = C(i+j, i) e_{i+j} by the binomial theorem.  E is
+    symmetric, and the H_i of ``subs_xy`` is the Taylor coefficient
+    exp^(i)(log y) / i! of exp at log(y).  Over Z[b] every step is
     integral.  Both series are taken to the lower of their orders; F is
     truncated there.
     """
-    if log.coeffs[0]:
-        raise ValueError("composition needs zero constant term")
     vars, e = exp.vars, exp.coeffs
     n = min(exp.order, log.order)
-    P = _powers(vars, log.coeffs, n, n)
-    # G[k][m] = [y^m] G_k, for the k <= i <= m with i + m <= n that F needs
-    G = []
-    for k in range(n // 2 + 1):
-        c = [e[k + l].scale(comb(k + l, k)) for l in range(n - k + 1)]
-        G.append(
-            {
-                m: Poly.dot(vars, [(c[l], P[l][m]) for l in range(m + 1) if c[l] and P[l][m]])
-                for m in range(k, n - k + 1)
-            }
-        )
-    coeffs = {}
-    for i in range(n // 2 + 1):
-        for m in range(i, n - i + 1):
-            pairs = [(P[k][i], G[k][m]) for k in range(i + 1) if P[k][i] and G[k][m]]
-            coeffs[i, m] = coeffs[m, i] = Poly.dot(vars, pairs)
-    return Series2(vars, n, coeffs)
+    E = {(i, k - i): e[k].scale(comb(k, i)) for k in range(n + 1) for i in range(k + 1)}
+    return Series2(vars, n, E).subs_xy(log)

@@ -216,8 +216,8 @@ def verify_lemma2_theorem1(n=DEFAULT_ORDER):
         with logarithm from the phi_KH table and the one from t o psi, to
         total degree min(n, 6).  Part (b) composes two laws, so it stops at
         degree 6; its log form, log_tpsi(s(x)) = log_phi(x) to order n,
-        would leave ``Series2.subs_xy`` with no caller, and ``perfbench``
-        pins that every function it traces runs on its ``paper`` workload.
+        would leave ``compose1`` with no caller, and ``perfbench`` pins
+        that every function it traces runs on its ``paper`` workload.
     """
     iso_degree = min(n, 6)
     qv = q_vars()

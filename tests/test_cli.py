@@ -146,12 +146,18 @@ class TestUsageErrors:
             ["psi", "--frobnicate"],
             # the report is text only, so --format is an unknown flag here
             ["reproduce-paper", "--max-weight", "3", "--order", "3", "--format", "json"],
+            ["psi", "--order", "abc"],
         ],
     )
     def test_exit_code_two(self, argv, capsys):
+        # argparse's own errors are one line too, with no usage block
         with pytest.raises(SystemExit) as exc:
             cli.run(argv)
         assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("krichever: error: ")
 
 
     # A generated id embeds the expected message, so the cases whose message

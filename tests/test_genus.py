@@ -8,6 +8,7 @@ from krichever.core import (
     Poly,
     Series1,
     cp_vars,
+    formal_group_law,
     p_vars,
     q_vars,
 )
@@ -352,6 +353,21 @@ def test_work_of_mog(monkeypatch):
     # log with the reversion
     work = products_formed(monkeypatch, lambda: genus.mog_series(cp_vars(12), 13))
     assert 0 < work <= 3_500
+
+
+def test_work_of_the_strict_iso_substitution(monkeypatch):
+    # F_tpsi(s(x), s(y)) as verify_lemma2_theorem1 builds it, at degree 12:
+    # the split at s(x) forms 14,285 term products; a product of two table
+    # entries for every pair of powers formed 52,677
+    degree = 12
+    qv = q_vars()
+    phi = genus.phi_kh_table(degree)
+    log = genus._log_from_table(genus.t_psi_table(degree), degree + 1)
+    f_tpsi = formal_group_law(log.revert(), log)
+    s = Series1(
+        qv, degree + 1, [Poly.zero(qv), Poly.one(qv)] + [phi[i] for i in range(1, degree + 1)]
+    )
+    assert 0 < products_formed(monkeypatch, lambda: f_tpsi.subs_xy(s)) <= 16_000
 
 
 def _bad_t_psi(monkeypatch):
