@@ -30,7 +30,7 @@ def _usage_error(message):
 
 def _emit(text, out):
     data = text if text.endswith("\n") else text + "\n"
-    if out:
+    if out is not None:
         try:
             with open(out, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(data)

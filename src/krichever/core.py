@@ -4,7 +4,7 @@ Everything is immutable after construction and exact, with no floating
 point anywhere.  A polynomial is an integer numerator polynomial over one
 positive denominator, so every coefficient operation is on plain ``int``;
 a ``fractions.Fraction`` appears only where a coefficient is read out
-(``coefficient``, ``sorted_terms`` and the text and JSON built on it).
+(``sorted_terms`` and the text and JSON built on it).
 Monomials are packed exponent vectors over a fixed ``VarTable``; univariate
 and bivariate truncated power series carry polynomial coefficients.
 """
@@ -117,9 +117,10 @@ class Poly:
     ints, and ``den`` is a positive int coprime to the gcd of the numerators,
     with ``den == 1`` for zero.  That form is unique, so equal polynomials
     have equal ``(den, terms)``.  The constructor takes exponent vectors and
-    exact scalars (int or Fraction).  Canonical ordering of monomials is
-    graded lex descending: higher weight first, ties broken by the exponent
-    vector.
+    exact scalars (int or Fraction).  The arithmetic operators take Poly
+    operands only: a scalar enters through ``scale`` or ``const``.
+    Canonical ordering of monomials is graded lex descending: higher weight
+    first, ties broken by the exponent vector.
     """
 
     __slots__ = ("vars", "terms", "den")
@@ -176,15 +177,9 @@ class Poly:
     def __bool__(self):
         return bool(self.terms)
 
-    @property
-    def is_zero(self):
-        return not self.terms
-
     def __eq__(self, other):
         if not isinstance(other, Poly):
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            other = Poly.const(self.vars, other)
+            return NotImplemented
         return (
             self.vars == other.vars
             and self.den == other.den
@@ -193,7 +188,7 @@ class Poly:
 
     def __add__(self, other):
         if not isinstance(other, Poly):
-            other = Poly.const(self.vars, other)
+            return NotImplemented
         self._check(other)
         den = lcm(self.den, other.den)
         sa, sb = den // self.den, den // other.den
@@ -209,22 +204,17 @@ class Poly:
                 del terms[e]
         return Poly._canonical(self.vars, terms, den)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return Poly._canonical(self.vars, {e: -c for e, c in self.terms.items()}, self.den)
 
     def __sub__(self, other):
         if not isinstance(other, Poly):
-            other = Poly.const(self.vars, other)
+            return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if not isinstance(other, Poly):
-            return self.scale(other)
+            return NotImplemented
         self._check(other)
         # the degree in each variable of a product is the sum of the degrees,
         # so an exponent past MAX_EXPONENT survives into a guard bit
@@ -253,27 +243,16 @@ class Poly:
             tpairs.append((a, b))
         return cls._canonical(vars, kernels.poly_dot_terms(tpairs, vars.guard), den)
 
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
     def scale(self, c):
         """Multiply by an exact scalar (int or Fraction)."""
         num = c.numerator
         terms = {e: num * v for e, v in self.terms.items()} if num else {}
         return Poly._canonical(self.vars, terms, self.den * c.denominator)
 
-    def coefficient(self, exps):
-        return Fraction(self.terms.get(self.vars.pack(exps), 0), self.den)
-
-    def is_homogeneous(self, weight=None):
-        """Every term of weight ``weight``, or of one common weight if None.
-        The zero polynomial is homogeneous of every weight."""
-        if not self.terms:
-            return True
-        vars = self.vars
-        if weight is None:
-            weight = vars.monomial_weight(vars.unpack(next(iter(self.terms))))
-        return self.terms.keys() <= keys_of_weight(vars.weights, weight)
+    def is_homogeneous(self, weight):
+        """Every term of weight ``weight``; the zero polynomial is homogeneous
+        of every weight."""
+        return self.terms.keys() <= keys_of_weight(self.vars.weights, weight)
 
     def is_integral(self):
         return self.den == 1
@@ -371,10 +350,6 @@ class Series1:
         return cls(vars, order, cs[: order + 1])
 
     @classmethod
-    def zero(cls, vars, order):
-        return cls(vars, order, [Poly.zero(vars)] * (order + 1))
-
-    @classmethod
     def one(cls, vars, order):
         return cls.from_scalars(vars, order, [1])
 
@@ -400,33 +375,6 @@ class Series1:
             and self.coeffs == other.coeffs
         )
 
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction, Poly)):
-            other = Series1(
-                self.vars,
-                self.order,
-                [other if isinstance(other, Poly) else Poly.const(self.vars, other)]
-                + [Poly.zero(self.vars)] * self.order,
-            )
-        self._check(other)
-        n = min(self.order, other.order)
-        return Series1(
-            self.vars, n, [a + b for a, b in zip(self.coeffs, other.coeffs)][: n + 1]
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Series1(self.vars, self.order, [-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        if isinstance(other, Series1):
-            return self + (-other)
-        return self + (-Poly.const(self.vars, other) if not isinstance(other, Poly) else -other)
-
-    def scale(self, c):
-        return Series1(self.vars, self.order, [p.scale(c) for p in self.coeffs])
-
     def mul(self, other):
         """Exact truncated product, to the lower of the two orders."""
         self._check(other)
@@ -444,7 +392,7 @@ class Series1:
 
     def derivative(self):
         if self.order == 0:
-            return Series1.zero(self.vars, 0)
+            return Series1.from_scalars(self.vars, 0, [])
         return Series1(
             self.vars,
             self.order - 1,
@@ -527,16 +475,6 @@ class Series1:
             r.append(Poly.dot(self.vars, pairs).scale(Fraction(1, 2 * k)))
         return Series1(self.vars, self.order, r)
 
-    def is_integral(self):
-        return all(c.is_integral() for c in self.coeffs)
-
-    def is_graded(self, shift=0):
-        """Coefficient of x^k homogeneous of weight k + shift."""
-        return all(
-            c.is_zero or c.is_homogeneous(k + shift)
-            for k, c in enumerate(self.coeffs)
-        )
-
 
 class Series2:
     """Truncated bivariate power series with Poly coefficients.
@@ -568,33 +506,6 @@ class Series2:
         return Series2(
             self.vars, order, {k: v for k, v in self.coeffs.items() if k[0] + k[1] <= order}
         )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Series2)
-            and self.vars == other.vars
-            and self.order == other.order
-            and self.coeffs == other.coeffs
-        )
-
-    def __add__(self, other):
-        self._check(other)
-        n = min(self.order, other.order)
-        coeffs = {k: v for k, v in self.coeffs.items() if k[0] + k[1] <= n}
-        for k, v in other.coeffs.items():
-            if k[0] + k[1] <= n:
-                s = coeffs.get(k, Poly.zero(self.vars)) + v
-                if s:
-                    coeffs[k] = s
-                elif k in coeffs:
-                    del coeffs[k]
-        return Series2(self.vars, n, coeffs)
-
-    def __neg__(self):
-        return Series2(self.vars, self.order, {k: -v for k, v in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def mul(self, other):
         """Exact truncated product, to the lower of the two orders."""

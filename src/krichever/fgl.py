@@ -19,6 +19,7 @@ through ``report.compare_slots``.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 
 # compose1 has no caller here; the benchmark wraps it under this module's name
@@ -28,28 +29,15 @@ from .report import compare_slots
 DEFAULT_WEIGHT = 8
 
 
-class FglData:
-    """Universal law truncated at total degree W+1 over Z[b_1..b_W].
+class FglData(namedtuple("FglData", "weight vars exp_b log_b F omega A", defaults=(None,))):
+    """Universal law truncated at total degree W+1 over Z[b_1..b_W], an
+    immutable record.
 
-    ``A`` is filled in by ``compute_A``.
+    ``A`` is None in the record ``build_universal_fgl`` returns;
+    ``compute_A`` returns a copy that carries it.
     """
 
-    __slots__ = ("weight", "vars", "exp_b", "log_b", "F", "omega", "A")
-
-    def __init__(self, weight, vars, exp_b, log_b, F, omega, A=None):
-        self.weight = weight
-        self.vars = vars
-        self.exp_b = exp_b
-        self.log_b = log_b
-        self.F = F
-        self.omega = omega
-        self.A = A
-
-    def replace(self, **changes):
-        """A new FglData with the fields of this one, updated by ``changes``."""
-        fields = {name: getattr(self, name) for name in self.__slots__}
-        fields.update(changes)
-        return FglData(**fields)
+    __slots__ = ()
 
 
 def build_universal_fgl(w=DEFAULT_WEIGHT):
@@ -88,7 +76,8 @@ def _sanity(fgl):
 
 
 def compute_A(fgl):
-    """Fill A = F * (x omega(y) - y omega(x)), whose coefficients are the A_ij.
+    """A copy of ``fgl`` carrying A = F * (x omega(y) - y omega(x)), whose
+    coefficients are the A_ij.
 
     The product is valid to total degree W+2 because the second factor has
     no constant term, so it holds A_ij for every i + j <= W+2.  Only the
@@ -114,8 +103,7 @@ def compute_A(fgl):
         raise AssertionError("A is not integral")
     if not A.is_graded(-2):
         raise AssertionError("A is not graded")
-    fgl.A = A
-    return fgl
+    return fgl._replace(A=A)
 
 
 def verify_proposition_i(fgl):
@@ -127,7 +115,7 @@ def verify_proposition_i(fgl):
     """
     w, F = fgl.weight, fgl.F.coeffs
     dw = fgl.omega.derivative()
-    centered = dw - dw.coeffs[0]
+    centered = Series1(fgl.vars, dw.order, [Poly.zero(fgl.vars)] + dw.coeffs[1:])
     odd = {
         k: c
         for k, c in enumerate(centered.coeffs)
@@ -184,10 +172,12 @@ def verify_krichever_form(fgl):
     ``proposition-ii`` does: it restates the paper's Krichever form as a
     residual, A_ij on i, j >= 3 and zero elsewhere.
     """
-    residual = fgl.A - Series2(fgl.vars, fgl.A.order, _proposition_ii_rhs(fgl.omega))
+    A, rhs, zero = fgl.A.coeffs, _proposition_ii_rhs(fgl.omega), Poly.zero(fgl.vars)
+    residual = {k: A.get(k, zero) - rhs.get(k, zero) for k in A.keys() | rhs.keys()}
+    residual = {k: r for k, r in residual.items() if r}
     support = "0 (support must have i,j >= 3)"
-    high = {k: fgl.A.coefficient(*k) if min(k) >= 3 else support for k in residual.coeffs}
-    return compare_slots("krichever-form", fgl.weight, residual.coeffs, high)
+    high = {k: A[k] if min(k) >= 3 else support for k in residual}
+    return compare_slots("krichever-form", fgl.weight, residual, high)
 
 
 def verify_associativity(fgl):

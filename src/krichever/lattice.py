@@ -29,7 +29,6 @@ arithmetic is exact.
 from __future__ import annotations
 
 from collections import namedtuple
-from math import comb, gcd
 
 from .backend import kernels
 from .core import Poly, keys_of_weight
@@ -390,22 +389,3 @@ def partitions_at_most_four_parts(n):
         for m in range(part, n + 1):
             counts[m] += counts[m - part]
     return counts[n]
-
-
-def indecomposables_closed_form(n):
-    """Indec_n for n >= 1 from binomial coefficients alone.
-
-    In b-coordinates [b_n] a_ij = C(n+1, i) and, for i, j >= 3,
-    [b_n] A_ij = C(n+1, i-1) - C(n+1, i).  The indecomposables of the
-    coefficient ring embed in Z b_n with image g_a Z, g_a = gcd_i C(n+1, i),
-    and the products A_ij L_{>0} are decomposable, so the weight-n A_ij cut
-    Indec_n down to Z / (g_A / g_a), g_A the gcd of their b_n coefficients.
-    With g_A = 0 (n <= 4) Indec_n is Z.  An oracle for
-    :meth:`LazardModel.quotient_groups` that needs no lattice at all.
-    """
-    g_A = gcd(*(comb(n + 1, i - 1) - comb(n + 1, i) for i in range(3, n)))
-    if g_A == 0:
-        return InvariantFactors((), 1)
-    g_a = gcd(*(comb(n + 1, i) for i in range(1, n + 1)))
-    d = g_A // g_a
-    return InvariantFactors((d,) if d != 1 else (), 0)

@@ -1,7 +1,8 @@
 """Test-only helpers: a polynomial parser, JSON reader, weight, power, the
-monomials of one weight, constant term, the swap and symmetry test of a
-bivariate series, and the independent rank, partition and lattice-span
-oracles the tests check the package against, the earlier grading gate, quotient path, associativity
+monomials of one weight, constant term, the grading test of a univariate
+series, the sum, swap and symmetry test of bivariate series, and the
+independent rank, partition, lattice-span and closed-form Indec_n oracles
+the tests check the package against, the earlier grading gate, quotient path, associativity
 check, ideal piece (every shift of every A_ij), omega (exp_b' composed
 with log_b) and ``Series2.subs_xy`` (two series, powers by repeated
 multiplication), the earlier kappa^{-1} and phi_KH tables (back-substitution
@@ -14,6 +15,7 @@ counter of the kernel's term products.
 import re
 from fractions import Fraction
 from functools import lru_cache
+from math import comb, gcd
 
 from krichever import _kernels_py, genus
 from krichever.core import Poly, Series1, Series2, keys_of_weight, p_vars, q_vars
@@ -112,13 +114,26 @@ def constant_term(poly):
     return Fraction(poly.terms.get(0, 0), poly.den)
 
 
+def is_graded(s, shift):
+    """Coefficient of x^k of the univariate s homogeneous of weight k + shift."""
+    return all(c.is_homogeneous(k + shift) for k, c in enumerate(s.coeffs))
+
+
+def add2(a, b, sign=1):
+    """a + sign * b for bivariate series, slot by slot, at the lower order."""
+    n, zero = min(a.order, b.order), Poly.zero(a.vars)
+    slots = [k for k in a.coeffs.keys() | b.coeffs.keys() if sum(k) <= n]
+    coeffs = {k: a.coeffs.get(k, zero) + b.coeffs.get(k, zero).scale(sign) for k in slots}
+    return Series2(a.vars, n, coeffs)
+
+
 def swap(s):
     """The bivariate series s(y, x)."""
     return Series2(s.vars, s.order, {(j, i): v for (i, j), v in s.coeffs.items()})
 
 
 def is_symmetric(s):
-    return s == swap(s)
+    return s.coeffs == swap(s).coeffs
 
 
 def two_series_subs_xy(F, sx, sy):
@@ -192,15 +207,10 @@ def poly_weight(poly):
     return ws.pop()
 
 
-def unpacked_is_homogeneous(poly, weight=None):
+def unpacked_is_homogeneous(poly, weight):
     """``Poly.is_homogeneous`` by unpacking every key: the earlier gate."""
     unpack, w = poly.vars.unpack, poly.vars.monomial_weight
-    ws = {w(unpack(e)) for e in poly.terms}
-    if not ws:
-        return True
-    if len(ws) > 1:
-        return False
-    return weight is None or ws == {weight}
+    return {w(unpack(e)) for e in poly.terms} <= {weight}
 
 
 def literal_associativity(fgl, degree):
@@ -257,7 +267,7 @@ def omega_hat(omega):
     """(omega'(x) - omega'(0)) / 2x, the beta of the quotient law, at the
     order of omega less 2."""
     dw = omega.derivative()
-    return Series1(omega.vars, dw.order - 1, dw.coeffs[1:]).scale(Fraction(1, 2))
+    return Series1(omega.vars, dw.order - 1, [c.scale(Fraction(1, 2)) for c in dw.coeffs[1:]])
 
 
 def invariant_pair(omega):
@@ -284,13 +294,15 @@ def proposition_ii_numerator(omega):
     """
     vars, n = omega.vars, omega.order + 2
     xwy, ywx = invariant_pair(omega)
-    sym = xwy + ywx - Series2(vars, n, {(1, 1): omega.coeffs[1]})
+    sym = add2(add2(xwy, ywx), Series2(vars, n, {(1, 1): omega.coeffs[1]}), -1)
     whw = omega.mul(omega_hat(omega)).coeffs
-    diff = Series2(vars, n, {(k, 0): c for k, c in enumerate(whw)}) - Series2(
-        vars, n, {(0, k): c for k, c in enumerate(whw)}
+    diff = add2(
+        Series2(vars, n, {(k, 0): c for k, c in enumerate(whw)}),
+        Series2(vars, n, {(0, k): c for k, c in enumerate(whw)}),
+        -1,
     )
     x2y2 = Series2(vars, n, {(2, 2): Poly.one(vars)})
-    return sym.mul(xwy - ywx) + diff.mul(x2y2)
+    return add2(sym.mul(add2(xwy, ywx, -1)), diff.mul(x2y2))
 
 
 def shift_ideal_piece(model, n):
@@ -407,3 +419,22 @@ def products_spans(model, max_weight):
         basis, _ = hnf_columns(lazard, len(bi))
         bases[n] = [Poly(model.vars, dict(zip(bi.monomials, c))) for c in basis]
     return out
+
+
+def indecomposables_closed_form(n):
+    """Indec_n for n >= 1 from binomial coefficients alone.
+
+    In b-coordinates [b_n] a_ij = C(n+1, i) and, for i, j >= 3,
+    [b_n] A_ij = C(n+1, i-1) - C(n+1, i).  The indecomposables of the
+    coefficient ring embed in Z b_n with image g_a Z, g_a = gcd_i C(n+1, i),
+    and the products A_ij L_{>0} are decomposable, so the weight-n A_ij cut
+    Indec_n down to Z / (g_A / g_a), g_A the gcd of their b_n coefficients.
+    With g_A = 0 (n <= 4) Indec_n is Z.  An oracle for
+    :meth:`LazardModel.quotient_groups` that needs no lattice at all.
+    """
+    g_A = gcd(*(comb(n + 1, i - 1) - comb(n + 1, i) for i in range(3, n)))
+    if g_A == 0:
+        return InvariantFactors((), 1)
+    g_a = gcd(*(comb(n + 1, i) for i in range(1, n + 1)))
+    d = g_A // g_a
+    return InvariantFactors((d,) if d != 1 else (), 0)

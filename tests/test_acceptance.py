@@ -9,7 +9,7 @@ import time
 import pytest
 
 from krichever import fgl, genus, lattice
-from oracles import omega_hat, parse_poly, swap
+from oracles import indecomposables_closed_form, omega_hat, parse_poly, swap
 
 
 def _done(name, t0=None):
@@ -79,7 +79,7 @@ def test_criterion_5_lemma1_and_strict_iso():
 def test_criterion_6_omega_prime_even(fgl10):
     rep = fgl.verify_proposition_i(fgl10)
     assert rep.passed, rep.first_failure
-    assert omega_hat(fgl10.omega).is_integral()
+    assert all(c.is_integral() for c in omega_hat(fgl10.omega).coeffs)
     _done("6. omega' - omega'(0) has even coefficients at weight <= 10")
 
 
@@ -116,7 +116,7 @@ def test_criterion_8_quotient_weight_thirteen(quotients13):
     computed = {n: indec for n, (_, indec) in groups.items()}
     for n, group in enumerate(expected, start=1):
         assert (computed[n].torsion, computed[n].free_rank) == group, (n, computed[n])
-        assert computed[n] == lattice.indecomposables_closed_form(n), n
+        assert computed[n] == indecomposables_closed_form(n), n
     assert elapsed < 600.0
     lines = ", ".join(f"Indec_{n}={g.describe()}" for n, g in computed.items())
     print(f"    computed: {lines}")
@@ -142,7 +142,7 @@ def test_criterion_9_property_suites(fgl10):
         assert v.is_homogeneous(i)
     assert fgl10.F.is_graded(-1) and fgl10.A.is_graded(-2)
     # antisymmetry
-    assert fgl10.A == -swap(fgl10.A)
+    assert swap(fgl10.A).coeffs == {k: -c for k, c in fgl10.A.coeffs.items()}
     # associativity to the law's own degree
     assert fgl.verify_associativity(fgl10).passed
     # round-trip identities live in tests/test_core.py (hypothesis suites);

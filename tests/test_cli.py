@@ -147,6 +147,8 @@ class TestUsageErrors:
             # the report is text only, so --format is an unknown flag here
             ["reproduce-paper", "--max-weight", "3", "--order", "3", "--format", "json"],
             ["psi", "--order", "abc"],
+            # an empty path is a path that cannot be opened, not "no --out"
+            ["psi", "--order", "2", "--out", ""],
         ],
     )
     def test_exit_code_two(self, argv, capsys):

@@ -22,6 +22,8 @@ from krichever.core import (
     q_vars,
 )
 from oracles import (
+    add2,
+    is_graded,
     is_symmetric,
     parse_poly,
     partition_count,
@@ -52,7 +54,8 @@ def horner_compose(f, g):
     acc = Series1(f.vars, n, [f.coeffs[n]] + [Poly.zero(f.vars)] * n)
     gt = g.truncate(n)
     for k in range(n - 1, -1, -1):
-        acc = acc.mul(gt) + f.coeffs[k]
+        acc = acc.mul(gt)
+        acc = Series1(f.vars, n, [acc.coeffs[0] + f.coeffs[k]] + acc.coeffs[1:])
     return acc
 
 
@@ -63,7 +66,7 @@ def horner_compose1(f, g2):
     for k in range(n - 1, -1, -1):
         acc = acc.mul(gt)
         if f.coeffs[k]:
-            acc = acc + Series2(f.vars, n, {(0, 0): f.coeffs[k]})
+            acc = add2(acc, Series2(f.vars, n, {(0, 0): f.coeffs[k]}))
     return acc
 
 
@@ -158,8 +161,8 @@ def exact_terms(nvars):
 @st.composite
 def graded_polys(draw):
     """(poly, weight to ask for): homogeneous, mixed or zero polynomials over
-    Z[b1..b5] or Q[q1..q4]; the weight asked for is None, the weight of a
-    term, or one that no term has."""
+    Z[b1..b5] or Q[q1..q4]; the weight asked for is the weight of a term or
+    one that no term has."""
     vars = draw(st.sampled_from([b_vars(5), q_vars()]))
     monomials = draw(st.lists(st.tuples(*[st.integers(0, 3)] * len(vars.names)), max_size=5))
     if monomials and draw(st.booleans()):
@@ -168,7 +171,7 @@ def graded_polys(draw):
     poly = Poly(vars, {m: draw(st.integers(1, 9)) for m in monomials})
     weights = [vars.monomial_weight(m) for m in monomials]
     absent = [-1, 0, max(weights, default=0) + 1]
-    weight = draw(st.one_of(st.none(), st.sampled_from(weights + absent)))
+    weight = draw(st.sampled_from(weights + absent))
     return poly, weight
 
 
@@ -179,15 +182,22 @@ class TestPoly:
         p2 = Poly.var(pv, "p2")
         q = (p1 + p2) * (p1 - p2)
         assert q == p1 * p1 - p2 * p2
-        assert (p1 - p1).is_zero
-        assert p1 * 0 == Poly.zero(pv)
-        assert (p1 * Fraction(1, 2)).coefficient((1, 0, 0, 0)) == Fraction(1, 2)
+        assert not p1 - p1
+        assert p1.scale(0) == Poly.zero(pv)
+        assert p1.scale(Fraction(1, 2)).sorted_terms() == [((1, 0, 0, 0), Fraction(1, 2))]
+        # a scalar enters through scale or const, never as an operand
+        for op in (lambda: p1 + 1, lambda: 1 - p1, lambda: p1 * Fraction(1, 2), lambda: 2 * p1):
+            with pytest.raises(TypeError):
+                op()
+        assert p1 != 1 and Poly.one(pv) != 1
 
     def test_pow(self):
         pv = p_vars()
         p1 = Poly.var(pv, "p1")
         assert poly_pow(p1, 0) == Poly.one(pv)
-        assert poly_pow(p1 + 1, 3) == poly_pow(p1, 3) + 3 * poly_pow(p1, 2) + 3 * p1 + 1
+        one = Poly.one(pv)
+        cube = poly_pow(p1, 3) + poly_pow(p1, 2).scale(3) + p1.scale(3) + one
+        assert poly_pow(p1 + one, 3) == cube
 
     def test_mismatched_tables(self):
         with pytest.raises(ValueError):
@@ -198,7 +208,8 @@ class TestPoly:
         m = Poly.var(pv, "p1", power=2) * Poly.var(pv, "p2")
         assert poly_weight(m) == 4
         assert m.is_homogeneous(4)
-        assert not (m + Poly.var(pv, "p1")).is_homogeneous()
+        mixed = m + Poly.var(pv, "p1")
+        assert not mixed.is_homogeneous(4) and not mixed.is_homogeneous(1)
 
     @given(graded_polys())
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -210,7 +221,7 @@ class TestPoly:
         pv = p_vars()
         p = parse_poly("35/128*p1^4 - 15/16*p1^2*p2 + 3/8*p2^2 + 3/4*p1*p3 - 1/2*p4", pv)
         assert parse_poly(p.text(), pv) == p
-        assert parse_poly("0", pv).is_zero
+        assert not parse_poly("0", pv)
         assert Poly.zero(pv).text() == "0"
         assert parse_poly("-CP1", cp_vars(1)) == -Poly.var(cp_vars(1), "CP1")
 
@@ -233,7 +244,7 @@ class TestPoly:
 
     def test_integral_product_keeps_int_coefficients(self):
         bv = b_vars(3)
-        p = poly_pow(Poly.var(bv, "b1", coeff=3) + Poly.var(bv, "b3") - 2, 4)
+        p = poly_pow(Poly.var(bv, "b1", coeff=3) + Poly.var(bv, "b3") - Poly.const(bv, 2), 4)
         assert len(p.terms) > 1
         assert all(type(c) is int for c in p.terms.values())
         halved = p.scale(2).scale(Fraction(1, 2))
@@ -273,9 +284,9 @@ class TestPoly:
     def test_product_reaching_a_guard_bit_raises(self):
         pv = p_vars()
         top = Poly.var(pv, "p2", power=MAX_EXPONENT)
-        assert (top * Poly.var(pv, "p1", power=MAX_EXPONENT)).coefficient(
-            (MAX_EXPONENT, MAX_EXPONENT, 0, 0)
-        ) == 1
+        assert (top * Poly.var(pv, "p1", power=MAX_EXPONENT)).sorted_terms() == [
+            ((MAX_EXPONENT, MAX_EXPONENT, 0, 0), 1)
+        ]
         with pytest.raises(OverflowError):
             top * Poly.var(pv, "p2")
         half = Poly.var(pv, "p1", power=64)
@@ -303,23 +314,22 @@ class TestPoly:
         with pytest.raises(ValueError):
             Poly.var(pv, "p3", power=-1)
         with pytest.raises(ValueError):
-            Poly.var(pv, "p1").coefficient((-1, 0, 0, 0))
+            pv.pack((-1, 0, 0, 0))
 
     def test_wrong_exponent_length_raises(self):
         pv = p_vars()
-        p1 = Poly.var(pv, "p1")
         for exps in ((1, 0, 0), (1, 0, 0, 0, 0), (0, 0, 0, 0, 1)):
             with pytest.raises(ValueError):
                 Poly(pv, {exps: 1})
             with pytest.raises(ValueError):
-                p1.coefficient(exps)
+                pv.pack(exps)
 
     def test_substitute(self):
         cv = cp_vars(2)
         pv = p_vars()
         img = {"CP1": Poly.var(pv, "p1"), "CP2": Poly.var(pv, "p1", power=2)}
         poly = Poly.var(cv, "CP1") * Poly.var(cv, "CP2") + Poly.const(cv, 2)
-        assert poly.substitute(img, pv) == Poly.var(pv, "p1", power=3) + 2
+        assert poly.substitute(img, pv) == Poly.var(pv, "p1", power=3) + Poly.const(pv, 2)
 
 
 class TestSeries1:
@@ -413,7 +423,7 @@ class TestSeries1:
     def test_derivative(self):
         f = scalar_series([0, 0, 1], 2)
         assert f.derivative() == scalar_series([0, 2], 1)
-        assert scalar_series([3], 0).derivative() == Series1.zero(SCALARS, 0)
+        assert scalar_series([3], 0).derivative() == scalar_series([0])
 
     def test_truncation_soundness(self):
         f = scalar_series([0, 1, 2, -3, 4, Fraction(1, 5)], 5)
@@ -519,7 +529,9 @@ class TestSeriesAgainstReference:
             assert h.compose(g) == f.truncate(n)
             if ring.startswith("Z"):
                 assert _all_int(h.coeffs)
-            for bad in (g + 1, g + Series1(vars, 1, [Poly.zero(vars), Poly.one(vars)])):
+            unit = Series1(vars, g.order, [Poly.one(vars)] + g.coeffs[1:])
+            doubled = Series1(vars, 1, [Poly.zero(vars), g.coeffs[1].scale(2)])
+            for bad in (unit, doubled):
                 with pytest.raises(ValueError, match="reversion needs f = x"):
                     f.compose_inverse(bad)
             other = Series1.identity(VarTable(["t"], [1]), g.order)
@@ -573,7 +585,7 @@ class TestSeriesAgainstReference:
         @settings(max_examples=40, deadline=None)
         def check(f, g2):
             h = compose1(f, g2)
-            assert h == horner_compose1(f, g2)
+            assert h.coeffs == horner_compose1(f, g2).coeffs
             assert h.order == min(f.order, g2.order)
             if ring.startswith("Z"):
                 assert _all_int(h.coeffs.values())
@@ -590,14 +602,14 @@ class TestSeriesAgainstReference:
             # subs_xy raises when F's order passes s's, as truncate does
             F = F.truncate(min(F.order, s.order))
             # F + swap(F) is symmetric, so subs_xy computes half and mirrors
-            for G in (F, F + swap(F)):
+            for G in (F, add2(F, swap(F))):
                 out = G.subs_xy(s)
-                assert out == two_series_subs_xy(G, s, s)
+                assert out.coeffs == two_series_subs_xy(G, s, s).coeffs
                 assert out.order == G.order
                 if ring.startswith("Z"):
                     assert _all_int(out.coeffs.values())
             with pytest.raises(ValueError, match="zero constant terms"):
-                F.subs_xy(s + 1)
+                F.subs_xy(Series1(vars, s.order, [Poly.one(vars)] + s.coeffs[1:]))
 
         check()
 
@@ -613,7 +625,7 @@ class TestSeriesAgainstReference:
             # log(x) + log(y); log has no constant term, so the slots are disjoint
             logs = {s: c for k, c in enumerate(log.coeffs[: n + 1]) for s in ((k, 0), (0, k))}
             F = formal_group_law(exp, log)
-            assert F == horner_compose1(exp, Series2(vars, n, logs))
+            assert F.coeffs == horner_compose1(exp, Series2(vars, n, logs)).coeffs
             assert F.order == n
             if ring.startswith("Z"):
                 assert _all_int(F.coeffs.values())
@@ -664,18 +676,17 @@ class TestSeries2:
         s = Series2(bv, 3, {(1, 0): Poly.one(bv), (0, 1): Poly.one(bv)})
         assert is_symmetric(s)
         t = Series2(bv, 3, {(2, 1): Poly.one(bv)})
-        assert swap(t) == Series2(bv, 3, {(1, 2): Poly.one(bv)})
+        assert swap(t).coeffs == {(1, 2): Poly.one(bv)}
 
     def test_mul_and_diagonal(self):
         bv = b_vars(1)
-        x = Series2(bv, 4, {(1, 0): Poly.one(bv)})
-        y = Series2(bv, 4, {(0, 1): Poly.one(bv)})
-        prod = (x - y).mul(x - y)
+        x_minus_y = Series2(bv, 4, {(1, 0): Poly.one(bv), (0, 1): -Poly.one(bv)})
+        prod = x_minus_y.mul(x_minus_y)
         assert prod.coefficient(1, 1) == Poly.const(bv, -2)
         # y = x: every antidiagonal of (x - y)^2 sums to 0
         for k in range(prod.order + 1):
             diagonal = [prod.coefficient(i, k - i) for i in range(k + 1)]
-            assert sum(diagonal, Poly.zero(bv)).is_zero
+            assert not sum(diagonal, Poly.zero(bv))
 
     def test_compose1_matches_univariate(self):
         # f(g(x) + 0*y) restricted to y=0 equals f o g
@@ -757,5 +768,5 @@ def test_grading_of_log_family():
     from krichever.genus import mishchenko_log, mog_series
 
     cv = cp_vars(6)
-    assert mishchenko_log(cv, 7).is_graded(-1)
-    assert mog_series(cv, 7).is_graded(-1)
+    assert is_graded(mishchenko_log(cv, 7), -1)
+    assert is_graded(mog_series(cv, 7), -1)

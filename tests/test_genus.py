@@ -128,7 +128,8 @@ class TestKappaInverse:
     def test_leading_coefficient_is_minus_weight(self):
         table = genus.kappa_table(8)
         for w in range(1, 9):
-            assert table[w].coefficient([int(i == w) for i in range(1, 9)]) == -w
+            cp_w = tuple(int(i == w) for i in range(1, 9))
+            assert dict(table[w].sorted_terms())[cp_w] == -w
 
     def test_missing_linear_term_is_refused(self, monkeypatch):
         # the reversion divides by no c_w; the back-substitution oracle does
@@ -210,7 +211,7 @@ class TestPhiKh:
         zero = {f"q{i}": Poly.zero(qv) for i in range(1, 5)}
         table = genus.phi_kh_table(6)
         for i in range(1, 7):
-            assert table[i].substitute(zero, qv).is_zero
+            assert not table[i].substitute(zero, qv)
 
     def test_json_keys(self):
         payload = genus.phi_kh_table(3).to_json()
@@ -291,7 +292,7 @@ class TestLemma2Theorem1:
         images = phi.images()
         sq = Series1(qv, omega_t.order, [c.substitute(images, qv) for c in omega_t.coeffs])
         sq = sq.mul(sq)
-        assert sq.coeffs[5].is_zero and sq.coeffs[6].is_zero
+        assert not sq.coeffs[5] and not sq.coeffs[6]
         assert sq.coeffs[1] == Poly.var(qv, "q1")
         assert sq.coeffs[4] == Poly.var(qv, "q4")
 
