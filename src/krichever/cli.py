@@ -114,18 +114,13 @@ def _quotient_output(max_weight, args):
     model = lattice.LazardModel(max_weight)
     reports = [model.quotient_report(n) for n in range(1, max_weight + 1)]
     if args.format == "json":
-        return _json_dumps(
-            {"max_weight": max_weight, "format": "json", "weights": reports}
-        )
-    lines = []
-    for rep in reports:
-        q = lattice.InvariantFactors.from_json(rep["Q"])
-        ind = lattice.InvariantFactors.from_json(rep["Indec"])
-        lines.append(
-            f"n={rep['n']:>2}  rank L={rep['rank_L']:>3}  rank I={rep['rank_I']:>3}  "
-            f"Q = {q.describe():<24} Indec = {ind.describe()}"
-        )
-    return "\n".join(lines)
+        weights = [r.to_json() for r in reports]
+        return _json_dumps({"max_weight": max_weight, "format": "json", "weights": weights})
+    return "\n".join(
+        f"n={r.n:>2}  rank L={r.rank_L:>3}  rank I={r.rank_I:>3}  "
+        f"Q = {r.Q.describe():<24} Indec = {r.Indec.describe()}"
+        for r in reports
+    )
 
 
 def golden_table(name):
@@ -177,8 +172,7 @@ def _reproduce_paper(args):
 
     model = lattice.LazardModel(args.max_weight)
     for n in range(1, args.max_weight + 1):
-        rep = model.quotient_report(n)
-        ind = lattice.InvariantFactors.from_json(rep["Indec"])
+        ind = model.quotient_report(n).Indec
         expected = lattice.InvariantFactors(*EXPECTED_INDEC[n])
         good = ind == expected
         ok &= good

@@ -83,12 +83,6 @@ def psi_table(n=DEFAULT_ORDER):
     return GenusTable("psi", n, pv, {i: logd.coeffs[i] for i in range(1, n + 1)})
 
 
-def cp_series(vars, order):
-    """CP(x) = 1 + sum CP_i x^i over Q[CP_1..CP_order]."""
-    cps = [Poly.var(vars, f"CP{i}") for i in range(1, order + 1)]
-    return Series1(vars, order, [Poly.one(vars)] + cps)
-
-
 def _cp_table(vars, n):
     """The identity table CP_i -> CP_i, i = 1 .. n."""
     return GenusTable("CP", n, vars, {i: Poly.var(vars, f"CP{i}") for i in range(1, n + 1)})
@@ -108,9 +102,9 @@ def _log_from_table(table, order):
 
 
 def nu_series(vars, order):
-    """The strict isomorphism nu(x) = x * CP(x)."""
-    cp = cp_series(vars, order - 1)
-    return Series1(vars, order, [Poly.zero(vars)] + cp.coeffs)
+    """The strict isomorphism nu(x) = x * CP(x), CP(x) = 1 + sum CP_i x^i."""
+    cps = [Poly.var(vars, f"CP{i}") for i in range(1, order)]
+    return Series1(vars, order, [Poly.zero(vars), Poly.one(vars)] + cps)
 
 
 def mog_series(vars, order):

@@ -73,10 +73,15 @@ class InvariantFactors(namedtuple("InvariantFactors", "torsion free_rank")):
     def to_json(self):
         return {"free": self.free_rank, "torsion": list(self.torsion)}
 
-    @classmethod
-    def from_json(cls, data):
-        """Inverse of :meth:`to_json`."""
-        return cls(tuple(data["torsion"]), data["free"])
+
+class Quotient(namedtuple("Quotient", "n rank_L rank_I Q Indec")):
+    """Weight-n answer: the ranks of L_n and I_n, Q_n = L_n / I_n and
+    Indec_n = L_n / (I_n + D_n), the groups as InvariantFactors."""
+
+    __slots__ = ()
+
+    def to_json(self):
+        return {**self._asdict(), "Q": self.Q.to_json(), "Indec": self.Indec.to_json()}
 
 
 class BasisIndex:
@@ -309,36 +314,25 @@ class LazardModel:
         return self._square[n]
 
     def quotient_report(self, n):
-        """JSON form of :meth:`quotient_groups`, with the ranks of L_n and I_n.
+        """Quotient record of weight n: ranks of L_n and I_n, Q_n and Indec_n.
 
         Raises AssertionError if the free rank of Q_n is not
         p(n; parts <= 4), the rank of Z[q1..q4] in weight n.
         """
-        q, indec = self.quotient_groups(n)
+        q = self.ideal_piece(n).cokernel()
         free = partitions_at_most_four_parts(n)
         if q.free_rank != free:
             raise AssertionError(
                 f"Q_{n} has free rank {q.free_rank}, not p({n}; parts <= 4) = {free}"
             )
-        return {
-            "n": n,
-            "rank_L": self.lazard_piece(n).rank,
-            "rank_I": self.ideal_piece(n).rank,
-            "Q": q.to_json(),
-            "Indec": indec.to_json(),
-        }
-
-    def quotient_groups(self, n):
-        """(Q_n, Indec_n) as InvariantFactors: ring/ideal and indecomposables."""
-        q = self.ideal_piece(n).cokernel()
         # D_n is spanned by the g-monomials of two or more parts, so L_n / D_n
         # is free on the one-part row: g_n alone.  The shifts A_ij g_mu with
         # mu nonempty lie in D_n, so only the weight-n A_ij present
         # Indec_n = L_n / (I_n + D_n).
-        free = [i for i, m in enumerate(self.basis_index(n).monomials) if sum(m) == 1]
-        relations = [[x[r] for r in free] for x in self._ideal_coordinates(n)]
-        indec = InvariantFactors.from_presentation(len(free), relations)
-        return q, indec
+        one_part = [i for i, m in enumerate(self.basis_index(n).monomials) if sum(m) == 1]
+        relations = [[x[r] for r in one_part] for x in self._ideal_coordinates(n)]
+        indec = InvariantFactors.from_presentation(len(one_part), relations)
+        return Quotient(n, self.lazard_piece(n).rank, self.ideal_piece(n).rank, q, indec)
 
 
 def _gcd_combination(polys, key):

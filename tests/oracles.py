@@ -430,7 +430,7 @@ def indecomposables_closed_form(n):
     and the products A_ij L_{>0} are decomposable, so the weight-n A_ij cut
     Indec_n down to Z / (g_A / g_a), g_A the gcd of their b_n coefficients.
     With g_A = 0 (n <= 4) Indec_n is Z.  An oracle for
-    :meth:`LazardModel.quotient_groups` that needs no lattice at all.
+    :meth:`LazardModel.quotient_report` that needs no lattice at all.
     """
     g_A = gcd(*(comb(n + 1, i - 1) - comb(n + 1, i) for i in range(3, n)))
     if g_A == 0:

@@ -93,10 +93,10 @@ def test_criterion_7_A_expansion_and_residual(fgl10):
 
 @pytest.fixture(scope="module")
 def quotients13():
-    """{n: (Q_n, Indec_n)} for n = 1..13, and the seconds it took."""
+    """{n: Quotient record} for n = 1..13, and the seconds it took."""
     t0 = time.perf_counter()
     model = lattice.LazardModel(13)
-    groups = {n: model.quotient_groups(n) for n in range(1, 14)}
+    groups = {n: model.quotient_report(n) for n in range(1, 14)}
     return groups, time.perf_counter() - t0
 
 
@@ -113,7 +113,7 @@ def test_criterion_8_quotient_weight_thirteen(quotients13):
         ((), 0),
         ((13,), 0),
     ]
-    computed = {n: indec for n, (_, indec) in groups.items()}
+    computed = {n: r.Indec for n, r in groups.items()}
     for n, group in enumerate(expected, start=1):
         assert (computed[n].torsion, computed[n].free_rank) == group, (n, computed[n])
         assert computed[n] == indecomposables_closed_form(n), n
@@ -130,9 +130,9 @@ def test_criterion_8_quotient_rings(quotients13):
     ranks = [lattice.partitions_at_most_four_parts(n) for n in range(1, 14)]
     assert ranks == [1, 2, 3, 5, 6, 9, 11, 15, 18, 23, 27, 34, 39]
     two_torsion = {6: 1, 8: 1, 10: 2, 12: 3}
-    for n, (q, _) in groups.items():
-        assert q.free_rank == ranks[n - 1], (n, q)
-        assert q.torsion == (2,) * two_torsion.get(n, 0), (n, q)
+    for n, r in groups.items():
+        assert r.Q.free_rank == ranks[n - 1], (n, r.Q)
+        assert r.Q.torsion == (2,) * two_torsion.get(n, 0), (n, r.Q)
     _done("8. Q_n = Z^p(n; parts <= 4) + (Z/2)^k for n <= 13")
 
 

@@ -134,6 +134,21 @@ class TestQuotient:
         assert by_n[5]["Indec"] == {"free": 0, "torsion": [5]}
         assert by_n[5]["rank_L"] == 7
 
+    def test_text_groups_match_json(self, capsys):
+        # both formats render the same records, weight by weight
+        _, text = run(capsys, "quotient", "--max-weight", "8")
+        _, out = run(capsys, "quotient", "--max-weight", "8", "--format", "json")
+        weights = json.loads(out)["weights"]
+        lines = text.strip().splitlines()
+        assert len(lines) == len(weights) == 8
+        for line, w in zip(lines, weights):
+            groups = [
+                lattice.InvariantFactors(tuple(w[k]["torsion"]), w[k]["free"]).describe()
+                for k in ("Q", "Indec")
+            ]
+            assert line.startswith(f"n={w['n']:>2}  ")
+            assert [g.strip() for g in line.split("Q = ")[1].split("Indec = ")] == groups
+
 
 class TestUsageErrors:
     @pytest.mark.parametrize(
@@ -284,6 +299,12 @@ class TestGoldenDigests:
                 ["kappa-inv", "--order", "18", "--format", "json"],
                 "be536439198d5e1ae4da30319682763c31aa54b7d320608fb5e4dc7b1bdc30e3",
             ),
+            # the quotient text renderer at the weight ceiling
+            pytest.param(
+                ["quotient", "--max-weight", "16"],
+                "7020794113012dfee1eb0c99c357c9a5809e400ccf0f7e5eb03c06d11ad7020a",
+                id="quotient-16-text",
+            ),
         ],
     )
     def test_stdout_digest(self, argv, digest, capsys):
@@ -345,9 +366,7 @@ class TestReproducePaper:
 
         def trivial_indec_5(self, n):
             rep = real(self, n)
-            if n == 5:
-                rep["Indec"] = {"free": 0, "torsion": []}
-            return rep
+            return rep._replace(Indec=lattice.InvariantFactors((), 0)) if n == 5 else rep
 
         monkeypatch.setattr(lattice.LazardModel, "quotient_report", trivial_indec_5)
         code, out = run(capsys, "reproduce-paper", "--max-weight", "5", "--order", "2")

@@ -19,6 +19,7 @@ from krichever.lattice import (
     Lattice,
     WEIGHT_CEILING,
     LazardModel,
+    Quotient,
     hnf_columns,
 )
 from oracles import (
@@ -261,7 +262,7 @@ class TestHnf:
         monkeypatch.setattr(_kernels_py, "_xgcd", checked_xgcd)
         model10 = LazardModel(10)
         for n in range(1, 11):
-            model10.quotient_groups(n)
+            model10.quotient_report(n)
         for n, pieces in products_spans(model10, 10).items():
             for cols in pieces:
                 hnf_columns(cols, len(model10.basis_index(n)))
@@ -281,7 +282,7 @@ class TestHnf:
         monkeypatch.setattr(_kernels_py, "_col_submul", counted_submul)
         model10 = LazardModel(10)
         for n in range(1, 11):
-            model10.quotient_groups(n)
+            model10.quotient_report(n)
         assert 0 < calls[0] <= 6000
 
     def test_entries_read_on_lattice_pieces(self, monkeypatch):
@@ -311,7 +312,7 @@ def entries_read(monkeypatch, w):
     monkeypatch.setattr(_kernels_py, "_col_submul", counted_submul)
     model = LazardModel(w)
     for n in range(1, w + 1):
-        model.quotient_groups(n)
+        model.quotient_report(n)
     return entries[0]
 
 
@@ -411,7 +412,7 @@ class TestInvariantFactors:
     def test_json_round_trip(self):
         for inv in (InvariantFactors((2, 4), 3), InvariantFactors((), 0)):
             data = json.loads(json.dumps(inv.to_json()))
-            assert InvariantFactors.from_json(data) == inv
+            assert data == {"free": inv.free_rank, "torsion": list(inv.torsion)}
 
 
 def rank_mod_p(columns, p):
@@ -450,7 +451,8 @@ class TestSmithOracle:
 
         monkeypatch.setattr(InvariantFactors, "from_presentation", classmethod(record))
         model10 = LazardModel(10)
-        groups = [g for n in range(1, 11) for g in model10.quotient_groups(n)]
+        reports = [model10.quotient_report(n) for n in range(1, 11)]
+        groups = [g for r in reports for g in (r.Q, r.Indec)]
         assert len(presentations) == len(groups) == 20
         torsion_seen = set()
         for (r, cols), group in zip(presentations, groups):
@@ -474,7 +476,7 @@ class TestCokernel:
         # F_2 of the generator columns.  21 of the 62 pivots of I_13 are 1.
         model13 = LazardModel(13)
         for n in range(1, 14):
-            q, _ = model13.quotient_groups(n)
+            q = model13.quotient_report(n).Q
             ideal = model13.ideal_piece(n)
             assert q == full_hnf_cokernel(ideal)
             cols, nrows = ideal.columns, len(ideal.basis)
@@ -551,13 +553,13 @@ class TestRowOrder:
     def test_lex_order_gives_the_same_groups_and_lattices(self, monkeypatch):
         pieces = ("lazard_piece", "ideal_piece", "decomposables_piece")
         model10 = LazardModel(10)
-        ours = [model10.quotient_groups(n) for n in range(1, 11)]
+        ours = [model10.quotient_report(n) for n in range(1, 11)]
         ours_pieces = [[getattr(model10, p)(n) for p in pieces] for n in range(1, 11)]
         monkeypatch.setattr(lattice, "BasisIndex", LexBasisIndex)
         lex10 = LazardModel(10, fgl=model10.fgl)
         for n in range(1, 11):
             assert lex10.basis_index(n).monomials[0] == (n,) + (0,) * 9
-            assert lex10.quotient_groups(n) == ours[n - 1]
+            assert lex10.quotient_report(n) == ours[n - 1]
             for a, piece in zip(ours_pieces[n - 1], pieces):
                 b = getattr(lex10, piece)(n)
                 assert a.rank == b.rank
@@ -704,9 +706,9 @@ class TestGBasis:
         A = Series2(data.vars, data.A.order, coeffs)
         broken = LazardModel(7, fgl=data._replace(A=A))
         for n in range(1, 7):
-            broken.quotient_groups(n)
+            broken.quotient_report(n)
         with pytest.raises(ValueError, match="weight-7 A_ij"):
-            broken.quotient_groups(7)
+            broken.quotient_report(7)
 
     def test_work_guard(self, monkeypatch):
         # One Poly product per g-monomial of two or more parts (128 here);
@@ -727,7 +729,7 @@ class TestGBasis:
         monkeypatch.setattr(_kernels_py, "poly_mul_terms", counted_mul)
         monkeypatch.setattr(_kernels_py, "hnf_cols", counted_hnf)
         for n in range(1, 11):
-            model10.quotient_groups(n)
+            model10.quotient_report(n)
         assert 0 < counts["mul"] <= 200
         assert 0 < counts["hnf"] <= 30
 
@@ -735,20 +737,20 @@ class TestGBasis:
 class TestQuotient:
     def test_free_below_weight_four(self, model):
         for n in range(1, 4):
-            q, indec = model.quotient_groups(n)
+            indec = model.quotient_report(n).Indec
             assert indec.free_rank == 1 and not indec.torsion
 
     def test_printed_relations(self, model):
         expected = {5: (5,), 6: (2,), 7: (7,), 8: (2,)}
         for n, torsion in expected.items():
-            _, indec = model.quotient_groups(n)
+            indec = model.quotient_report(n).Indec
             assert indec.free_rank == 0
             assert indec.torsion == torsion
 
     def test_indecomposables_cyclic(self, model):
         expected = [((), 1)] * 4 + [((5,), 0), ((2,), 0), ((7,), 0), ((2,), 0)]
         for n, group in enumerate(expected, start=1):
-            _, indec = model.quotient_groups(n)
+            indec = model.quotient_report(n).Indec
             assert (indec.torsion, indec.free_rank) == group
 
     def test_table_covers_every_weight_up_to_the_ceiling(self):
@@ -766,14 +768,19 @@ class TestQuotient:
         coeffs = {k: v for k, v in data.A.coeffs.items() if k not in ((3, 4), (4, 3))}
         A = Series2(data.vars, data.A.order, coeffs)
         broken = LazardModel(5, fgl=data._replace(A=A))
-        assert broken.quotient_groups(5)[0] == InvariantFactors((), 7)
+        assert broken.ideal_piece(5).cokernel() == InvariantFactors((), 7)
         with pytest.raises(AssertionError, match="free rank 7"):
             broken.quotient_report(5)
-        assert LazardModel(5).quotient_report(5)["Q"] == {"free": 6, "torsion": []}
+        assert LazardModel(5).quotient_report(5).Q == InvariantFactors((), 6)
+
+    def test_weight_zero(self):
+        # L_0 = Z holds no A_ij and no one-part monomial
+        expected = Quotient(0, 1, 0, InvariantFactors((), 1), InvariantFactors((), 0))
+        assert LazardModel(4).quotient_report(0) == expected
 
     def test_report_schema_and_determinism(self, model):
-        rep1 = model.quotient_report(6)
-        rep2 = LazardModel(6).quotient_report(6)
+        rep1 = model.quotient_report(6).to_json()
+        rep2 = LazardModel(6).quotient_report(6).to_json()
         assert json.dumps(rep1, sort_keys=True) == json.dumps(rep2, sort_keys=True)
         assert set(rep1) == {"n", "rank_L", "rank_I", "Q", "Indec"}
 
