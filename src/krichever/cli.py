@@ -17,6 +17,7 @@ not need is time it does not spend.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 
 from . import genus
@@ -286,6 +287,8 @@ def run(argv=None):
 
 
 def main():
+    # one short run whose data lives to exit and forms no cycles worth collecting
+    gc.disable()
     sys.exit(run())
 
 

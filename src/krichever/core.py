@@ -2,16 +2,18 @@
 
 Everything is immutable after construction and exact, with no floating
 point anywhere.  A polynomial is an integer numerator polynomial over one
-positive denominator, so every coefficient operation is on plain ``int``;
-a ``fractions.Fraction`` appears only where a coefficient is read out
-(``sorted_terms`` and the text and JSON built on it).
+positive denominator, so every coefficient operation is on plain ``int``.
+A scalar is an int numerator over a positive int denominator, and a
+coefficient is read out (``sorted_terms`` and the text and JSON built on it)
+as its numerator and denominator reduced by ``math.gcd``.  No module of the
+package builds a ``Fraction``, whose import would cost every CLI process
+``decimal`` and ``numbers`` as well.
 Monomials are packed exponent vectors over a fixed ``VarTable``; univariate
 and bivariate truncated power series carry polynomial coefficients.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache, reduce
 from math import comb, gcd, lcm
 from operator import mul
@@ -117,8 +119,10 @@ class Poly:
     ints, and ``den`` is a positive int coprime to the gcd of the numerators,
     with ``den == 1`` for zero.  That form is unique, so equal polynomials
     have equal ``(den, terms)``.  The constructor takes exponent vectors and
-    exact scalars (int or Fraction).  The arithmetic operators take Poly
-    operands only: a scalar enters through ``scale`` or ``const``.
+    exact scalars: anything with int ``numerator`` and ``denominator``,
+    such as an int (or a ``Fraction``, which the package itself never
+    builds).  The arithmetic operators take Poly operands only: a
+    scalar enters through ``scale`` or ``const``.
     Canonical ordering of monomials is graded lex descending: higher weight
     first, ties broken by the exponent vector.
     """
@@ -243,11 +247,16 @@ class Poly:
             tpairs.append((a, b))
         return cls._canonical(vars, kernels.poly_dot_terms(tpairs, vars.guard), den)
 
-    def scale(self, c):
-        """Multiply by an exact scalar (int or Fraction)."""
-        num = c.numerator
+    def scale(self, num, den=1):
+        """Multiply by the exact scalar ``num / den``, for an int ``den > 0``.
+
+        ``num`` is an int, or any exact scalar with int ``numerator`` and
+        ``denominator``; the product is reduced to lowest terms.
+        """
+        den *= num.denominator
+        num = num.numerator
         terms = {e: num * v for e, v in self.terms.items()} if num else {}
-        return Poly._canonical(self.vars, terms, self.den * c.denominator)
+        return Poly._canonical(self.vars, terms, self.den * den)
 
     def is_homogeneous(self, weight):
         """Every term of weight ``weight``; the zero polynomial is homogeneous
@@ -285,12 +294,16 @@ class Poly:
             last = factors.pop() if factors else Poly.one(target)
             head = reduce(mul, factors).scale(c) if factors else Poly.const(target, c)
             pairs.append((head, last))
-        return Poly.dot(target, pairs).scale(Fraction(1, self.den))
+        return Poly.dot(target, pairs).scale(1, self.den)
 
     def sorted_terms(self):
-        """(exponent vector, Fraction coefficient) pairs in canonical order."""
-        w = self.vars.monomial_weight
-        terms = [(self.vars.unpack(e), Fraction(c, self.den)) for e, c in self.terms.items()]
+        """(exponent vector, (numerator, denominator)) pairs in canonical
+        order, each coefficient in lowest terms with a positive denominator."""
+        w, unpack, den = self.vars.monomial_weight, self.vars.unpack, self.den
+        terms = []
+        for e, c in self.terms.items():
+            g = gcd(c, den)
+            terms.append((unpack(e), (c // g, den // g)))
         return sorted(terms, key=lambda t: (w(t[0]), t[0]), reverse=True)
 
     def text(self):
@@ -298,32 +311,36 @@ class Poly:
         if not self.terms:
             return "0"
         parts = []
-        for e, c in self.sorted_terms():
+        for e, (num, den) in self.sorted_terms():
             factors = []
             for name, p in zip(self.vars.names, e):
                 if p == 1:
                     factors.append(name)
                 elif p > 1:
                     factors.append(f"{name}^{p}")
-            mag = abs(c)
-            if factors and mag == 1:
+            if factors and den == 1 and abs(num) == 1:
                 body = "*".join(factors)
-            elif factors:
-                body = "*".join([str(mag)] + factors)
             else:
-                body = str(mag)
+                body = "*".join([_ratio(abs(num), den)] + factors)
             if not parts:
-                parts.append(body if c > 0 else f"-{body}")
+                parts.append(body if num > 0 else f"-{body}")
             else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
+                parts.append(f"+ {body}" if num > 0 else f"- {body}")
         return " ".join(parts)
 
     __repr__ = text
 
     def to_json(self):
         return [
-            {"coeff": str(c), "exps": list(e)} for e, c in self.sorted_terms()
+            {"coeff": _ratio(num, den), "exps": list(e)}
+            for e, (num, den) in self.sorted_terms()
         ]
+
+
+def _ratio(num, den):
+    """The text of a coefficient in lowest terms, as ``str`` of a Fraction
+    gives it: ``-3/8``, or ``4`` when ``den == 1``."""
+    return f"{num}/{den}" if den != 1 else str(num)
 
 
 class Series1:
@@ -472,7 +489,7 @@ class Series1:
             pairs = [
                 (f[l].scale(l - 2 * k), r[k - l]) for l in range(1, k + 1) if f[l] and r[k - l]
             ]
-            r.append(Poly.dot(self.vars, pairs).scale(Fraction(1, 2 * k)))
+            r.append(Poly.dot(self.vars, pairs).scale(1, 2 * k))
         return Series1(self.vars, self.order, r)
 
 

@@ -20,7 +20,6 @@ through ``report.compare_slots``.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 
 # compose1 has no caller here; the benchmark wraps it under this module's name
 from .core import Poly, Series1, Series2, b_vars, compose1, formal_group_law
@@ -149,9 +148,9 @@ def _proposition_ii_rhs(omega):
     rhs = {}
     for k, square in enumerate(omega.mul(omega).coeffs):
         if k != 2:
-            r = square.scale(Fraction(4 - k, 4))
+            r = square.scale(4 - k, 4)
             if k:
-                r -= (w[1] * w[k - 1]).scale(Fraction(1, 2))
+                r -= (w[1] * w[k - 1]).scale(1, 2)
             rhs[2, k], rhs[k, 2] = r, -r
     return rhs
 

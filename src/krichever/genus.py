@@ -12,8 +12,6 @@ tables; these suites and the ones in ``fgl`` all report through
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .core import (
     Poly,
     Series1,
@@ -97,7 +95,7 @@ def _log_from_table(table, order):
     """x + sum table[i] x^(i+1)/(i+1) over the table's variables."""
     if order - 1 > table.max_index:
         raise ValueError("table too short for requested order")
-    tail = [table[k - 1].scale(Fraction(1, k)) for k in range(2, order + 1)]
+    tail = [table[k - 1].scale(1, k) for k in range(2, order + 1)]
     return Series1(table.vars, order, [Poly.zero(table.vars), Poly.one(table.vars)] + tail)
 
 
@@ -137,7 +135,7 @@ def kappa_inverse_table(n=DEFAULT_ORDER, rho=None):
     e = [Poly.one(vars)]
     for k in range(1, n + 1):
         pairs = [(rho[i], e[k - i]) for i in range(1, k + 1) if rho[i] and e[k - i]]
-        e.append(Poly.dot(vars, pairs).scale(Fraction(1, k)))
+        e.append(Poly.dot(vars, pairs).scale(1, k))
     N = Series1(vars, n + 1, [Poly.zero(vars)] + e).revert()
     table = GenusTable("kappa_inv", n, vars, {i: N.coeffs[i + 1] for i in range(1, n + 1)})
     # rho(L) = rho(log) o N, which revert does not solve; for rho = id, kappa o table = id
@@ -230,7 +228,7 @@ def verify_lemma2_theorem1(n=DEFAULT_ORDER):
         return rep
     # (b)
     laws = []
-    for table in (phi, t_psi_table(n)):
+    for table in (phi, t_psi_table(iso_degree)):
         log = _log_from_table(table, iso_degree + 1)
         laws.append(formal_group_law(log.revert(), log))
     f_phi, f_tpsi = laws

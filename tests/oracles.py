@@ -1,4 +1,6 @@
-"""Test-only helpers: a polynomial parser, JSON reader, weight, power, the
+"""Test-only helpers: a polynomial parser, JSON reader, the earlier
+``Fraction``-based formatter of ``Poly`` (``ref_sorted_terms``, ``ref_text``
+and ``ref_to_json``) as the reference for its text and JSON, weight, power, the
 monomials of one weight, constant term, the grading test of a univariate
 series, the sum, swap and symmetry test of bivariate series, and the
 independent rank, partition, lattice-span and closed-form Indec_n oracles
@@ -68,6 +70,44 @@ def _parse_term(tok, vars, sign):
 def poly_from_json(data, vars):
     """Inverse of ``Poly.to_json``; ``Poly`` rejects a wrong exponent length."""
     return Poly(vars, {tuple(item["exps"]): Fraction(item["coeff"]) for item in data})
+
+
+def ref_sorted_terms(poly):
+    """(exponent vector, Fraction coefficient) pairs in canonical order."""
+    w = poly.vars.monomial_weight
+    terms = [(poly.vars.unpack(e), Fraction(c, poly.den)) for e, c in poly.terms.items()]
+    return sorted(terms, key=lambda t: (w(t[0]), t[0]), reverse=True)
+
+
+def ref_text(poly):
+    """``Poly.text`` as the earlier formatter built it from Fractions."""
+    if not poly.terms:
+        return "0"
+    parts = []
+    for e, c in ref_sorted_terms(poly):
+        factors = []
+        for name, p in zip(poly.vars.names, e):
+            if p == 1:
+                factors.append(name)
+            elif p > 1:
+                factors.append(f"{name}^{p}")
+        mag = abs(c)
+        if factors and mag == 1:
+            body = "*".join(factors)
+        elif factors:
+            body = "*".join([str(mag)] + factors)
+        else:
+            body = str(mag)
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(parts)
+
+
+def ref_to_json(poly):
+    """``Poly.to_json`` as the earlier formatter built it from Fractions."""
+    return [{"coeff": str(c), "exps": list(e)} for e, c in ref_sorted_terms(poly)]
 
 
 def products_formed(monkeypatch, build):

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -20,17 +21,21 @@ def run(capsys, *argv):
     return code, capsys.readouterr().out
 
 
-def _modules_loaded(*args):
-    """The modules a fresh ``python -X importtime *args`` imports."""
+def _fresh(*args, **kwargs):
+    """``python *args`` in a fresh interpreter that imports this krichever."""
     src = os.path.dirname(os.path.dirname(krichever.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-X", "importtime", *args],
+    return subprocess.run(
+        [sys.executable, *args],
         env=dict(os.environ, PYTHONPATH=path),
         capture_output=True,
-        text=True,
-        check=True,
+        **kwargs,
     )
+
+
+def _modules_loaded(*args):
+    """The modules a fresh ``python -X importtime *args`` imports."""
+    proc = _fresh("-X", "importtime", *args, text=True, check=True)
     # one "import time: self | cumulative | name" line per module imported
     return {
         line.rsplit("|", 1)[1].strip()
@@ -39,12 +44,17 @@ def _modules_loaded(*args):
     }
 
 
+# fractions pulls in decimal, _decimal and numbers: 1.5 ms of every CLI process
+NO_FRACTIONS = {"fractions", "decimal", "numbers"}
+
+
 def test_import_loads_no_dataclasses():
     # dataclasses pulls in inspect, ast and dis, about a third of what
     # importing the package cost; every CLI process pays the import
     loaded = _modules_loaded("-c", "import krichever.cli")
     assert "krichever.cli" in loaded
     assert not loaded & {"dataclasses", "inspect", "ast", "dis"}
+    assert not loaded & NO_FRACTIONS
 
 
 @pytest.mark.parametrize("module", ["krichever.lattice", "krichever.fgl"])
@@ -58,8 +68,12 @@ def test_lazard_side_loads_no_genus(module):
 @pytest.mark.parametrize(
     "suite, needed, unneeded",
     [
-        ("lemma1", {"krichever.genus"}, {"krichever.fgl", "krichever.lattice", "json"}),
-        ("proposition-i", {"krichever.fgl"}, {"krichever.lattice"}),
+        (
+            "lemma1",
+            {"krichever.genus"},
+            {"krichever.fgl", "krichever.lattice", "json", *NO_FRACTIONS},
+        ),
+        ("proposition-i", {"krichever.fgl"}, {"krichever.lattice", *NO_FRACTIONS}),
     ],
 )
 def test_verify_imports_only_what_its_suites_run(suite, needed, unneeded):
@@ -68,6 +82,22 @@ def test_verify_imports_only_what_its_suites_run(suite, needed, unneeded):
     loaded = _modules_loaded("-m", "krichever.cli", "verify", "--suite", suite, "--order", "3")
     assert needed <= loaded
     assert not loaded & unneeded
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["quotient", "--max-weight", "3", "--format", "json"],
+        ["reproduce-paper", "--max-weight", "3", "--order", "2"],
+    ],
+    ids=["quotient", "reproduce-paper"],
+)
+def test_lazard_runs_load_no_fractions(argv):
+    # the b-model law and the lattice are integral, and every rational
+    # coefficient is a numerator over a denominator
+    loaded = _modules_loaded("-m", "krichever.cli", *argv)
+    assert {"krichever.fgl", "krichever.lattice"} <= loaded
+    assert not loaded & NO_FRACTIONS
 
 
 class TestTables:
@@ -311,6 +341,41 @@ class TestGoldenDigests:
         code, out = run(capsys, *argv)
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+class TestGcPolicy:
+    """``main`` runs the process without cyclic GC; ``run``, which tests and
+    the benchmark's traced pass call in a long-lived process, leaves GC as
+    it found it."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["reproduce-paper", "--max-weight", "8", "--order", "6"],
+            ["verify", "--suite", "all", "--order", "8", "--format", "json"],
+        ],
+        ids=["reproduce-paper", "verify-json"],
+    )
+    def test_process_prints_what_run_prints(self, argv, capsys):
+        enabled = gc.isenabled()
+        code, out = run(capsys, *argv)
+        assert gc.isenabled() == enabled
+        proc = _fresh("-m", "krichever.cli", *argv)
+        assert proc.returncode == code == 0
+        assert proc.stdout == out.encode("utf-8")
+
+    def test_main_runs_without_gc(self, monkeypatch):
+        enabled = gc.isenabled()
+        seen = []
+        monkeypatch.setattr(cli, "run", lambda: seen.append(gc.isenabled()) or 0)
+        try:
+            with pytest.raises(SystemExit) as exc:
+                cli.main()
+        finally:
+            if enabled:
+                gc.enable()
+        assert exc.value.code == 0
+        assert seen == [False]
 
 
 class TestDeterminism:

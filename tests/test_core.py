@@ -30,6 +30,8 @@ from oracles import (
     poly_from_json,
     poly_pow,
     poly_weight,
+    ref_text,
+    ref_to_json,
     swap,
     two_series_subs_xy,
     unpacked_is_homogeneous,
@@ -158,6 +160,15 @@ def exact_terms(nvars):
     return st.dictionaries(monomials, exact_scalars, max_size=4)
 
 
+# Terms the formatter writes apart: a constant, a coefficient of +-1, an
+# integer, and a denominator above 1 of either sign.
+formatted_terms = st.dictionaries(
+    st.one_of(st.just((0, 0, 0, 0)), st.tuples(*[st.integers(0, 2)] * 4)),
+    st.one_of(st.sampled_from([1, -1]), exact_scalars),
+    max_size=6,
+)
+
+
 @st.composite
 def graded_polys(draw):
     """(poly, weight to ask for): homogeneous, mixed or zero polynomials over
@@ -184,7 +195,7 @@ class TestPoly:
         assert q == p1 * p1 - p2 * p2
         assert not p1 - p1
         assert p1.scale(0) == Poly.zero(pv)
-        assert p1.scale(Fraction(1, 2)).sorted_terms() == [((1, 0, 0, 0), Fraction(1, 2))]
+        assert p1.scale(Fraction(1, 2)).sorted_terms() == [((1, 0, 0, 0), (1, 2))]
         # a scalar enters through scale or const, never as an operand
         for op in (lambda: p1 + 1, lambda: 1 - p1, lambda: p1 * Fraction(1, 2), lambda: 2 * p1):
             with pytest.raises(TypeError):
@@ -236,6 +247,32 @@ class TestPoly:
         assert poly_from_json(p.to_json(), pv) == p
         assert p.to_json()[0]["coeff"] == "3/8"
 
+    @given(formatted_terms)
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    def test_formatter_matches_fraction_reference(self, terms):
+        p = Poly(p_vars(), terms)
+        assert p.text() == ref_text(p)
+        assert p.to_json() == ref_to_json(p)
+
+    def test_formatter_cases(self):
+        pv = p_vars()
+        p = parse_poly("-p1*p2 + 3/8*p3 + p1^2 - 5/4*p2 - 4", pv)
+        assert p.text() == ref_text(p) == "-p1*p2 + 3/8*p3 + p1^2 - 5/4*p2 - 4"
+        assert [t["coeff"] for t in p.to_json()] == ["-1", "3/8", "1", "-5/4", "-4"]
+        assert p.to_json() == ref_to_json(p)
+        # a common denominator of 8 that the integral terms divide out
+        assert p.sorted_terms()[-1] == ((0, 0, 0, 0), (-4, 1))
+
+    @given(exact_terms(3), st.integers(-9, 9), st.integers(1, 12))
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    def test_scale_matches_reference(self, terms, num, den):
+        got = Poly(cp_vars(3), terms).scale(num, den)
+        want = ref_scale(ref_terms(terms), Fraction(num, den))
+        assert {e: Fraction(n, d) for e, (n, d) in got.sorted_terms()} == want
+        assert got.den > 0 and math.gcd(got.den, *got.terms.values()) == 1
+        assert got.terms or got.den == 1
+        assert got == Poly(cp_vars(3), terms).scale(Fraction(num, den))
+
     def test_json_rejects_wrong_exponent_length(self):
         pv = p_vars()
         for exps in ([1, 0, 0], [1, 0, 0, 0, 0]):
@@ -279,13 +316,13 @@ class TestPoly:
             assert all(type(v) is int for v in got.terms.values())
             assert math.gcd(got.den, *got.terms.values()) == 1
             assert got.terms or got.den == 1
-            assert dict(got.sorted_terms()) == want
+            assert {e: Fraction(n, d) for e, (n, d) in got.sorted_terms()} == want
 
     def test_product_reaching_a_guard_bit_raises(self):
         pv = p_vars()
         top = Poly.var(pv, "p2", power=MAX_EXPONENT)
         assert (top * Poly.var(pv, "p1", power=MAX_EXPONENT)).sorted_terms() == [
-            ((MAX_EXPONENT, MAX_EXPONENT, 0, 0), 1)
+            ((MAX_EXPONENT, MAX_EXPONENT, 0, 0), (1, 1))
         ]
         with pytest.raises(OverflowError):
             top * Poly.var(pv, "p2")
