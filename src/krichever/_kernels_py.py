@@ -25,12 +25,15 @@ def poly_dot_terms(pairs, guard=0):
     written once, after all its like terms are summed (the rule of Monagan
     & Pearce, CASC 2007), and the zero sums are dropped once at the end.
     With packed keys (``core.VarTable.pack``) the key of a monomial product
-    is the sum of the keys, so the loop does int arithmetic only.  Raises
-    OverflowError if a product key has a bit of ``guard`` set; the keys are
-    checked before zero sums are dropped, since two products can cancel on
-    a monomial past the guard.
+    is the sum of the keys, so the loop does int arithmetic only, on
+    one-digit ints over ``b_vars(n)`` and ``cp_vars(n)`` for n <= 14 and
+    over ``p_vars()``.  Raises OverflowError if a product key has a bit of
+    ``guard`` set, as a product past the table's top weight does; the keys
+    are checked before zero sums are dropped, since two products can cancel
+    on a monomial past the guard.
     """
     out = {}
+    get = out.get
     for aterms, bterms in pairs:
         if len(aterms) > len(bterms):
             aterms, bterms = bterms, aterms
@@ -38,12 +41,9 @@ def poly_dot_terms(pairs, guard=0):
         for ea, ca in aterms.items():
             for eb, cb in bitems:
                 key = ea + eb
-                if key in out:
-                    out[key] += ca * cb
-                else:
-                    out[key] = ca * cb
+                out[key] = get(key, 0) + ca * cb
     if guard and reduce(or_, out, 0) & guard:
-        raise OverflowError("exponent in a product past its guard bit")
+        raise OverflowError("a product past the top weight of its variable table")
     return {e: c for e, c in out.items() if c}
 
 

@@ -14,19 +14,50 @@ and bivariate truncated power series carry polynomial coefficients.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from functools import lru_cache, reduce
 from math import comb, gcd, lcm
 from operator import mul
 
 from .backend import kernels
 
-# Packed monomial keys (Monagan & Pearce, CASC 2007).  The exponent of each
-# variable takes one byte of an int, variable 0 most significant, so integer
-# order on keys is lex order on exponent vectors and the key of a monomial
-# product is the sum of the keys.  The top bit of each byte is a guard:
-# exponents stay at or below MAX_EXPONENT, so a sum of two of them that
-# passes it sets the guard bit and never carries into the next byte.
-MAX_EXPONENT = 127
+# Packed monomial keys (Monagan & Pearce, CASC 2007).  A key is one int with
+# the monomial's weight in its top field and the exponent of each variable in
+# a field below it, variable 0 most significant, so integer order on keys is
+# graded lex order (weight first, then lex on the exponent vectors) and the
+# key of a monomial product is the sum of the keys.  The weight field holds
+# 0..top, top = 2**B - 1, and variable i gets the bits of top // weights[i],
+# the largest exponent it can have in a monomial of weight at most top.  So
+# a product of weight at most top carries between no fields, and one past top
+# sets the single guard bit above the weight field.  ``_layout`` picks B from
+# the weights alone: as large as keeps a key, guard bit included, in one
+# 30-bit CPython digit, but never so small that top falls below the largest
+# weight of one variable.
+DIGIT_BITS = 30
+
+
+@lru_cache(maxsize=None)
+def _layout(weights):
+    """The key layout over variables of the given weights, as
+    ``(top, guard, fields, starts, units)``: the top weight, the guard bit,
+    the (shift, mask) of each exponent field, the field starts ascending
+    (variable n-1 first) and the key of each variable."""
+
+    def widths(b):
+        top = (1 << b) - 1
+        return [(top // w).bit_length() for w in weights]
+
+    b = max(weights, default=1).bit_length()
+    while 2 + b + sum(widths(b + 1)) <= DIGIT_BITS:
+        b += 1
+    starts = [0]
+    for width in reversed(widths(b)):
+        starts.append(starts[-1] + width)
+    shift = starts.pop()  # the start of the weight field
+    shifts = starts[::-1]
+    fields = [(s, (1 << width) - 1) for s, width in zip(shifts, widths(b))]
+    units = [(w << shift) + (1 << s) for w, s in zip(weights, shifts)]
+    return (1 << b) - 1, 1 << (shift + b), fields, starts, units
 
 
 class VarTable:
@@ -35,10 +66,14 @@ class VarTable:
     The weight of a monomial is the weight-sum of its factors; series in the
     logarithm family are graded with the coefficient of x^k homogeneous of
     weight k.  ``pack`` and ``unpack`` convert between exponent vectors and
-    the packed keys that ``Poly`` stores.
+    the packed keys that ``Poly`` stores, ``unit(i)`` is the key of variable
+    i and ``last_var(key)`` the variable of its lowest nonzero field.  Keys
+    add as their monomials multiply and sort in graded lex order.  Only
+    monomials of weight at most ``top`` have a key; a product key past it
+    has the ``guard`` bit set.  No other code reads the layout of a key.
     """
 
-    __slots__ = ("names", "weights", "index", "guard")
+    __slots__ = ("names", "weights", "index", "top", "guard", "_fields", "_starts", "_units")
 
     def __init__(self, names, weights):
         names = tuple(names)
@@ -50,7 +85,7 @@ class VarTable:
         self.names = names
         self.weights = weights
         self.index = {n: i for i, n in enumerate(names)}
-        self.guard = int.from_bytes(b"\x80" * len(names), "big")
+        self.top, self.guard, self._fields, self._starts, self._units = _layout(weights)
 
     @classmethod
     def generators(cls, prefix, n):
@@ -69,13 +104,23 @@ class VarTable:
             )
         if min(exps, default=0) < 0:
             raise ValueError(f"negative exponent in {list(exps)}")
-        if max(exps, default=0) > MAX_EXPONENT:
-            raise OverflowError(f"exponent in {list(exps)} above the maximum {MAX_EXPONENT}")
-        return int.from_bytes(bytes(exps), "big")
+        w = self.monomial_weight(exps)
+        if w > self.top:
+            raise OverflowError(f"monomial {list(exps)} of weight {w} above the top {self.top}")
+        return sum(map(mul, exps, self._units))
 
     def unpack(self, key):
         """The exponent vector of a packed key."""
-        return tuple(key.to_bytes(len(self.names), "big"))
+        return tuple([key >> s & m for s, m in self._fields])
+
+    def unit(self, i):
+        """The key of variable i."""
+        return self._units[i]
+
+    def last_var(self, key):
+        """The variable of the lowest nonzero exponent field of a key of
+        weight above 0: the last variable of the monomial."""
+        return len(self.names) - bisect_right(self._starts, (key & -key).bit_length() - 1)
 
     def __eq__(self, other):
         return (
@@ -220,8 +265,8 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         self._check(other)
-        # the degree in each variable of a product is the sum of the degrees,
-        # so an exponent past MAX_EXPONENT survives into a guard bit
+        # the weight of a product is the sum of the weights, so a product past
+        # the table's top weight survives into the guard bit
         terms = kernels.poly_mul_terms(self.terms, other.terms, self.vars.guard)
         return Poly._canonical(self.vars, terms, self.den * other.den)
 
@@ -298,13 +343,14 @@ class Poly:
 
     def sorted_terms(self):
         """(exponent vector, (numerator, denominator)) pairs in canonical
-        order, each coefficient in lowest terms with a positive denominator."""
-        w, unpack, den = self.vars.monomial_weight, self.vars.unpack, self.den
+        order, each coefficient in lowest terms with a positive denominator.
+        Key order is the canonical order (see ``VarTable``)."""
+        unpack, den = self.vars.unpack, self.den
         terms = []
-        for e, c in self.terms.items():
+        for e, c in sorted(self.terms.items(), reverse=True):
             g = gcd(c, den)
             terms.append((unpack(e), (c // g, den // g)))
-        return sorted(terms, key=lambda t: (w(t[0]), t[0]), reverse=True)
+        return terms
 
     def text(self):
         """Canonical text form, e.g. ``3/8*p1^2 - 1/2*p2``."""
@@ -596,21 +642,19 @@ def keys_of_weight(weights, w):
     given weights, as a frozenset.
 
     A monomial of weight w is one of weight w - weights[i] times variable i,
-    so each set is built from the lower ones by adding a unit key.  The sets
-    are cached by the weights alone, so tables with equal weights, such as
-    ``p_vars()`` and ``q_vars()``, share them.  Exponents above MAX_EXPONENT
-    have no key, so those monomials are left out.
+    so each set is built from the lower ones by adding a unit key.  The key
+    layout and the sets are cached by the weights alone, so tables with equal
+    weights, such as ``p_vars()`` and ``q_vars()``, share them.  Monomials of
+    weight above the layout's top have no key, so that set is empty.
     """
-    if w <= 0:
+    top, _, _, _, units = _layout(weights)
+    if w <= 0 or w > top:
         return frozenset((0,) if w == 0 else ())
-    n = len(weights)
     keys = set()
-    for i, wi in enumerate(weights):
+    for wi, unit in zip(weights, units):
         if wi <= w:
-            unit = 1 << 8 * (n - 1 - i)
             keys.update(k + unit for k in keys_of_weight(weights, w - wi))
-    guard = int.from_bytes(b"\x80" * n, "big")
-    return frozenset(k for k in keys if not k & guard)
+    return frozenset(keys)
 
 
 def _powers(vars, g, n, top):

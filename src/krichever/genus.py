@@ -155,8 +155,9 @@ def phi_kh_table(n=DEFAULT_ORDER):
 def _p_to_q(poly):
     """The rename p_i -> q_i from Q[p1..p4] to Q[q1..q4].
 
-    Both tables give variable i weight i, so a monomial packs to the same key
-    in either, and the rename only relabels the table.
+    Both tables give variable i weight i, and the key layout is a function
+    of the weights alone, so a monomial packs to the same key in either and
+    the rename only relabels the table.
     """
     return Poly._canonical(q_vars(), poly.terms, poly.den)
 

@@ -236,17 +236,17 @@ class LazardModel:
     def _g_monomial(self, key):
         """g_1^e_1 g_2^e_2 ... for the packed key of (e_1, e_2, ...), as the
         g-monomial without its largest part k times g_k: one polynomial
-        product per monomial of two or more parts.  The exponent of g_k sits
-        in byte W - k of the key (byte 0 the lowest), so ``key & -key`` lies
-        in the byte of the largest part."""
+        product per monomial of two or more parts.  The largest part is the
+        monomial's last variable (``VarTable.last_var``): g_k is variable
+        k - 1."""
         if key not in self._g:
             if not key:
                 g = Poly.one(self.vars)
             else:
-                unit = 1 << ((key & -key).bit_length() - 1) // 8 * 8
+                i = self.vars.last_var(key)
+                unit = self.vars.unit(i)
                 if key == unit:
-                    k = len(self.vars.names) - unit.bit_length() // 8
-                    g = _gcd_combination(self._law_gens[k], key)
+                    g = _gcd_combination(self._law_gens[i + 1], key)
                 else:
                     g = self._g_monomial(key - unit) * self._g_monomial(unit)
             self._g[key] = g
@@ -294,7 +294,7 @@ class LazardModel:
             cols = list(self._ideal_coordinates(n))
             for m in range(1, n):
                 lower = self.ideal_piece(n - m)
-                unit = 1 << 8 * (len(self.vars.names) - m)
+                unit = self.vars.unit(m - 1)
                 shifted = [bi.pos[key + unit] for key in lower.basis.keys]
                 for x in lower.hnf_basis():
                     col = [0] * len(bi)

@@ -343,6 +343,29 @@ class TestGoldenDigests:
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+class TestKeyLayoutReach:
+    """The runs where a key layout's top weight is tightest run through.
+
+    ``b_vars(n)`` and ``cp_vars(n)`` share a layout; its top weight is 15 for
+    n = 13, 14, 15 and 31 for n = 16 and 18, and the law, ``compute_A``, the
+    suites and the quotient at weight n form products up to weight n.  The
+    genus tables over ``p_vars()``/``q_vars()`` form products up to the order.
+    A product past the top raises OverflowError, so every run must exit 0.
+    """
+
+    @pytest.mark.parametrize("n", [13, 14, 15, 16, 18])
+    def test_every_suite_at_the_edge(self, n, capsys):
+        code, out = run(capsys, "verify", "--suite", "all", "--order", str(n))
+        assert code == 0
+        assert out.count("[PASS]") == len(cli.VERIFY_SUITES) - 1
+        if n <= lattice.WEIGHT_CEILING:
+            assert run(capsys, "quotient", "--max-weight", str(n))[0] == 0
+
+    @pytest.mark.parametrize("table", cli.TABLES)
+    def test_every_table_at_the_order_ceiling(self, table, capsys):
+        assert run(capsys, table, "--order", str(genus.ORDER_CEILING))[0] == 0
+
+
 class TestGcPolicy:
     """``main`` runs the process without cyclic GC; ``run``, which tests and
     the benchmark's traced pass call in a long-lived process, leaves GC as

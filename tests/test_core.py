@@ -1,14 +1,15 @@
 import math
 from fractions import Fraction
+from functools import lru_cache
+from itertools import product
 from operator import add
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from krichever import _kernels_py
+from krichever import _kernels_py, genus
 from krichever.core import (
-    MAX_EXPONENT,
     Poly,
     Series1,
     Series2,
@@ -176,6 +177,8 @@ def graded_polys(draw):
     one that no term has."""
     vars = draw(st.sampled_from([b_vars(5), q_vars()]))
     monomials = draw(st.lists(st.tuples(*[st.integers(0, 3)] * len(vars.names)), max_size=5))
+    # only monomials within the layout's top weight have a key
+    monomials = [m for m in monomials if vars.monomial_weight(m) <= vars.top]
     if monomials and draw(st.booleans()):
         w = vars.monomial_weight(monomials[0])
         monomials = [m for m in monomials if vars.monomial_weight(m) == w]
@@ -320,29 +323,36 @@ class TestPoly:
 
     def test_product_reaching_a_guard_bit_raises(self):
         pv = p_vars()
-        top = Poly.var(pv, "p2", power=MAX_EXPONENT)
-        assert (top * Poly.var(pv, "p1", power=MAX_EXPONENT)).sorted_terms() == [
-            ((MAX_EXPONENT, MAX_EXPONENT, 0, 0), (1, 1))
-        ]
+        # p1^a p2^b p4^c has weight a + 2b + 4c; pv.top (odd) is the largest
+        # weight with a key
+        p1, p4 = Poly.var(pv, "p1"), Poly.var(pv, "p4")
+        high = Poly.var(pv, "p2", power=pv.top // 2)
+        assert (high * p1).sorted_terms() == [((1, pv.top // 2, 0, 0), (1, 1))]
         with pytest.raises(OverflowError):
-            top * Poly.var(pv, "p2")
-        half = Poly.var(pv, "p1", power=64)
+            high * Poly.var(pv, "p2")
+        # every exponent field has room, but the weight passes top
+        with pytest.raises(OverflowError):
+            Poly.var(pv, "p4", power=pv.top // 4) * p4
+        e = pv.top // 2 + 1
+        half = Poly.var(pv, "p1", power=e)
         with pytest.raises(OverflowError):
             half * half
-        # p1^128 cancels, but the degree p1^129 of the product survives
+        # p1^(2e) cancels, but the weight 2e + 1 of the product survives
         with pytest.raises(OverflowError):
-            (half + Poly.var(pv, "p1", power=65)) * (half - Poly.var(pv, "p1", power=63))
+            (half + Poly.var(pv, "p1", power=e + 1)) * (half - Poly.var(pv, "p1", power=e - 1))
         with pytest.raises(OverflowError):
-            Poly.var(pv, "p1", power=MAX_EXPONENT + 1)
-        # the two products of p1^128 cancel in the sum, but each one alone
+            Poly.var(pv, "p1", power=pv.top + 1)
+        with pytest.raises(OverflowError):
+            Poly(pv, {(0, 0, 0, pv.top // 4 + 1): 1})
+        # the two products of p1^(2e) cancel in the sum, but each one alone
         # raises, so their dot product does too, in the kernel and in Poly
         with pytest.raises(OverflowError):
             Poly.dot(pv, [(half, half), (-half, half)])
         dot_terms = _kernels_py.poly_dot_terms
         with pytest.raises(OverflowError):
             dot_terms([(half.terms, half.terms), ((-half).terms, half.terms)], pv.guard)
-        # a sum that cancels below the guard is zero, not an error
-        assert dot_terms([(top.terms, half.terms), ((-top).terms, half.terms)], pv.guard) == {}
+        # a sum that cancels at the top weight is zero, not an error
+        assert dot_terms([(high.terms, p1.terms), ((-high).terms, p1.terms)], pv.guard) == {}
 
     def test_negative_exponent_raises(self):
         pv = p_vars()
@@ -507,28 +517,46 @@ class TestRoundTripProperties:
         assert r.mul(r).mul(f.truncate(r.order)) == Series1.one(SCALARS, f.order)
 
 
-def polys(vars, scalars):
-    """Small polynomials, not necessarily homogeneous, over ``vars``."""
-    monomials = st.tuples(*[st.integers(0, 2)] * len(vars.names))
+@lru_cache(maxsize=None)
+def _monomials(vars, max_weight):
+    """Exponent vectors with entries 0..2 and weight at most ``max_weight``."""
+    cube = product(range(3), repeat=len(vars.names))
+    return [m for m in cube if vars.monomial_weight(m) <= max_weight]
+
+
+def polys(vars, scalars, max_weight):
+    """Small polynomials over ``vars``, not necessarily homogeneous, with every
+    monomial of weight at most ``max_weight``."""
+    monomials = st.sampled_from(_monomials(vars, max_weight))
     return st.dictionaries(monomials, scalars, max_size=3).map(
         lambda terms: Poly(vars, terms)
     )
 
 
+# Random series are filtered, not graded: the coefficient of x^k (of x^i y^j,
+# i + j = k) is any polynomial of weight at most k.  Every series operation
+# and reference here keeps its products within twice the order, so below the
+# top weight of the rings' key layouts.
 def series(vars, scalars, head, max_tail=4):
-    """Series with the given leading scalars and random polynomial tail."""
-    return st.lists(polys(vars, scalars), min_size=1, max_size=max_tail).map(
+    """Series with the given leading scalars and a random filtered tail."""
+    start = len(head)
+    tails = st.integers(1, max_tail).flatmap(
+        lambda t: st.tuples(*[polys(vars, scalars, start + i) for i in range(t)])
+    )
+    return tails.map(
         lambda tail: Series1(
-            vars, len(head) + len(tail) - 1, [Poly.const(vars, c) for c in head] + tail
+            vars, start + len(tail) - 1, [Poly.const(vars, c) for c in head] + list(tail)
         )
     )
 
 
 def bivariate(vars, scalars, order=4):
-    """Series2 of valuation >= 1 with a few random polynomial coefficients."""
+    """Filtered Series2 of valuation >= 1 with a few random coefficients."""
     slots = [(i, j) for i in range(order + 1) for j in range(order + 1 - i) if i + j]
-    return st.dictionaries(st.sampled_from(slots), polys(vars, scalars), max_size=4).map(
-        lambda coeffs: Series2(vars, order, coeffs)
+    return st.lists(st.sampled_from(slots), max_size=4, unique=True).flatmap(
+        lambda keys: st.tuples(*[polys(vars, scalars, i + j) for i, j in keys]).map(
+            lambda coeffs: Series2(vars, order, dict(zip(keys, coeffs)))
+        )
     )
 
 
@@ -599,7 +627,7 @@ class TestSeriesAgainstReference:
         @given(
             st.integers(0, 4).flatmap(
                 lambda d: st.tuples(
-                    st.lists(polys(vars, scalars), min_size=d + 1, max_size=d + 1),
+                    st.tuples(*[polys(vars, scalars, k) for k in range(d + 1)]),
                     st.integers(d, 8),
                 )
             ),
@@ -608,7 +636,7 @@ class TestSeriesAgainstReference:
         @settings(max_examples=40, deadline=None)
         def check_low_degree(head, g):
             coeffs, order = head
-            f = Series1(vars, order, coeffs + [Poly.zero(vars)] * (order + 1 - len(coeffs)))
+            f = Series1(vars, order, list(coeffs) + [Poly.zero(vars)] * (order + 1 - len(coeffs)))
             agrees(f, g)
 
         check()
@@ -691,7 +719,9 @@ class TestSeriesAgainstReference:
     @pytest.mark.parametrize("ring", RINGS)
     def test_dot_is_the_sum_of_its_products(self, ring):
         vars, scalars = RINGS[ring]
-        pairs = st.lists(st.tuples(polys(vars, scalars), polys(vars, scalars)), max_size=5)
+        # any two of these multiply within the top weight
+        factors = polys(vars, scalars, vars.top // 2)
+        pairs = st.lists(st.tuples(factors, factors), max_size=5)
 
         @given(pairs)
         @settings(max_examples=40, deadline=None)
@@ -781,6 +811,95 @@ def test_weighted_monomials_keep_their_order():
         assert weighted_monomials(uneven, w) == full_depth_monomials(uneven, w), w
 
 
+LAYOUT_TABLES = [
+    *(b_vars(n) for n in range(1, 19)),
+    *(cp_vars(n) for n in range(1, 19)),
+    p_vars(),
+    q_vars(),
+    VarTable(["u", "v", "z"], [3, 2, 5]),
+]
+
+
+@st.composite
+def monomials_within(draw, vars, budget):
+    """An exponent vector over ``vars`` of weight at most ``budget``: the
+    variables, in a drawn order, each take an exponent the rest allows."""
+    exps = [0] * len(vars.names)
+    for i in draw(st.permutations(range(len(exps)))):
+        exps[i] = draw(st.integers(0, budget // vars.weights[i]))
+        budget -= exps[i] * vars.weights[i]
+    return tuple(exps)
+
+
+def tables_and_monomials(count):
+    """A table of ``LAYOUT_TABLES`` and ``count`` monomials with keys over it."""
+    return st.sampled_from(LAYOUT_TABLES).flatmap(
+        lambda vars: st.tuples(st.just(vars), *[monomials_within(vars, vars.top)] * count)
+    )
+
+
+class TestKeyLayout:
+    @given(tables_and_monomials(1))
+    @settings(max_examples=300, deadline=None)
+    def test_pack_unpack_round_trip(self, case):
+        vars, m = case
+        key = vars.pack(m)
+        assert vars.unpack(key) == m
+        assert 0 <= key < vars.guard
+
+    def test_every_variable_at_its_largest_exponent(self):
+        for vars in LAYOUT_TABLES:
+            assert vars.top >= max(vars.weights)
+            for i, w in enumerate(vars.weights):
+                m = tuple(vars.top // w if j == i else 0 for j in range(len(vars.names)))
+                assert vars.unpack(vars.pack(m)) == m, (vars, i)
+                assert vars.unit(i) == vars.pack(tuple(int(j == i) for j in range(len(m))))
+
+    @given(tables_and_monomials(2))
+    @settings(max_examples=300, deadline=None)
+    def test_key_of_a_product_is_the_sum_of_the_keys(self, case):
+        vars, a, b = case
+        ab = tuple(map(add, a, b))
+        key = vars.pack(a) + vars.pack(b)
+        if vars.monomial_weight(ab) <= vars.top:
+            assert key == vars.pack(ab)
+        else:
+            # past the top weight the guard bit is set, and the product has no key
+            assert key & vars.guard
+            with pytest.raises(OverflowError):
+                vars.pack(ab)
+
+    @given(tables_and_monomials(1))
+    @settings(max_examples=200, deadline=None)
+    def test_last_var_is_the_last_variable_of_the_monomial(self, case):
+        vars, m = case
+        if any(m):
+            last = max(i for i, e in enumerate(m) if e)
+            assert vars.last_var(vars.pack(m)) == last
+
+    @given(monomials_within(p_vars(), p_vars().top))
+    @settings(max_examples=100, deadline=None)
+    def test_p_and_q_pack_a_monomial_to_the_same_key(self, m):
+        # genus._p_to_q relabels p_i -> q_i without repacking
+        key = p_vars().pack(m)
+        assert q_vars().pack(m) == key
+        assert q_vars().unpack(key) == m
+
+    def test_benchmark_tables_have_one_digit_keys(self):
+        """Every key, and every sum of two keys the product kernel forms, of
+        the tables of ``reproduce-paper --max-weight 13 --order 10`` fits in
+        one 30-bit CPython digit, with room for the products they form."""
+        for vars, need in ((b_vars(10), 10), (b_vars(13), 13), (cp_vars(12), 12)):
+            assert vars.top >= need
+            assert 2 * vars.guard <= 2**30, vars
+        for vars in (p_vars(), q_vars()):
+            assert vars.top > genus.ORDER_CEILING
+            assert 2 * vars.guard <= 2**30, vars
+        for vars in (b_vars(10), b_vars(13), cp_vars(12), p_vars()):
+            top = max(max(keys_of_weight(vars.weights, w)) for w in range(vars.top + 1))
+            assert top < 2**30
+
+
 def test_variable_tables_are_shared():
     # one table per argument, so state cached on a table is built once
     assert q_vars() is q_vars()
@@ -796,9 +915,12 @@ def test_keys_of_weight_are_the_packed_monomials():
         for w in range(-2, 14):
             packed = {vars.pack(m) for m in full_depth_monomials(vars, w)}
             assert keys_of_weight(vars.weights, w) == packed, (vars, w)
-    # an exponent past MAX_EXPONENT has no key
-    assert keys_of_weight((1,), MAX_EXPONENT) == {MAX_EXPONENT}
-    assert keys_of_weight((1,), MAX_EXPONENT + 1) == frozenset()
+    # a monomial past the top weight has no key
+    for vars in (b_vars(13), p_vars()):
+        packed = {vars.pack(m) for m in full_depth_monomials(vars, vars.top)}
+        assert keys_of_weight(vars.weights, vars.top) == packed
+        assert full_depth_monomials(vars, vars.top + 1)
+        assert keys_of_weight(vars.weights, vars.top + 1) == frozenset()
 
 
 def test_grading_of_log_family():
