@@ -51,10 +51,10 @@ def _table_output(table, args):
     if args.format == "json":
         payload = {
             "table": table.name,
-            "order": table.max_index,
+            "order": table.series.order,
             "format": "json",
             "values": table.to_json(),
-            "vars": [[n, w] for n, w in zip(table.vars.names, table.vars.weights)],
+            "vars": [[n, w] for n, w in zip(table.series.vars.names, table.series.vars.weights)],
         }
         return _json_dumps(payload)
     return table.text()

@@ -38,10 +38,10 @@ DIGIT_BITS = 30
 
 @lru_cache(maxsize=None)
 def _layout(weights):
-    """The key layout over variables of the given weights, as
-    ``(top, guard, fields, starts, units)``: the top weight, the guard bit,
-    the (shift, mask) of each exponent field, the field starts ascending
-    (variable n-1 first) and the key of each variable."""
+    """The key layout over variables of the given weights, as ``(top, guard,
+    shift, fields, starts, units)``: the top weight, the guard bit, the weight
+    field's start, the (shift, mask) of each exponent field, the field starts
+    ascending (variable n-1 first) and the key of each variable."""
 
     def widths(b):
         top = (1 << b) - 1
@@ -57,7 +57,7 @@ def _layout(weights):
     shifts = starts[::-1]
     fields = [(s, (1 << width) - 1) for s, width in zip(shifts, widths(b))]
     units = [(w << shift) + (1 << s) for w, s in zip(weights, shifts)]
-    return (1 << b) - 1, 1 << (shift + b), fields, starts, units
+    return (1 << b) - 1, 1 << (shift + b), shift, fields, starts, units
 
 
 class VarTable:
@@ -67,13 +67,16 @@ class VarTable:
     logarithm family are graded with the coefficient of x^k homogeneous of
     weight k.  ``pack`` and ``unpack`` convert between exponent vectors and
     the packed keys that ``Poly`` stores, ``unit(i)`` is the key of variable
-    i and ``last_var(key)`` the variable of its lowest nonzero field.  Keys
-    add as their monomials multiply and sort in graded lex order.  Only
-    monomials of weight at most ``top`` have a key; a product key past it
-    has the ``guard`` bit set.  No other code reads the layout of a key.
+    i, ``last_var(key)`` the variable of its lowest nonzero field and
+    ``key_weight(key)`` the weight of its monomial.  Keys add as their
+    monomials multiply and sort in graded lex order.  Only monomials of
+    weight at most ``top`` have a key; a product key past it has the
+    ``guard`` bit set.  No other code reads the layout of a key.
     """
 
-    __slots__ = ("names", "weights", "index", "top", "guard", "_fields", "_starts", "_units")
+    __slots__ = (
+        "names", "weights", "index", "top", "guard", "_shift", "_fields", "_starts", "_units"
+    )
 
     def __init__(self, names, weights):
         names = tuple(names)
@@ -85,7 +88,8 @@ class VarTable:
         self.names = names
         self.weights = weights
         self.index = {n: i for i, n in enumerate(names)}
-        self.top, self.guard, self._fields, self._starts, self._units = _layout(weights)
+        layout = _layout(weights)
+        self.top, self.guard, self._shift, self._fields, self._starts, self._units = layout
 
     @classmethod
     def generators(cls, prefix, n):
@@ -116,6 +120,10 @@ class VarTable:
     def unit(self, i):
         """The key of variable i."""
         return self._units[i]
+
+    def key_weight(self, key):
+        """The weight of the monomial of a key: its top field."""
+        return key >> self._shift
 
     def last_var(self, key):
         """The variable of the lowest nonzero exponent field of a key of
@@ -305,8 +313,10 @@ class Poly:
 
     def is_homogeneous(self, weight):
         """Every term of weight ``weight``; the zero polynomial is homogeneous
-        of every weight."""
-        return self.terms.keys() <= keys_of_weight(self.vars.weights, weight)
+        of every weight.  Keys sort by weight first, so the least and the
+        greatest key decide."""
+        key_weight, keys = self.vars.key_weight, self.terms
+        return not keys or key_weight(min(keys)) == weight == key_weight(max(keys))
 
     def is_integral(self):
         return self.den == 1
@@ -641,20 +651,20 @@ def keys_of_weight(weights, w):
     """The packed keys of every monomial of weight w over variables of the
     given weights, as a frozenset.
 
-    A monomial of weight w is one of weight w - weights[i] times variable i,
-    so each set is built from the lower ones by adding a unit key.  The key
-    layout and the sets are cached by the weights alone, so tables with equal
-    weights, such as ``p_vars()`` and ``q_vars()``, share them.  Monomials of
-    weight above the layout's top have no key, so that set is empty.
+    A monomial of weight v is one of weight v - weights[i] times variable i,
+    so the sets of weights 1 .. w are filled in turn by adding unit keys to
+    the lower ones.  The layout and the result are cached by the weights
+    alone, so tables with equal weights, such as ``p_vars()`` and
+    ``q_vars()``, share them.  Past the layout's top no monomial has a key.
     """
-    top, _, _, _, units = _layout(weights)
-    if w <= 0 or w > top:
-        return frozenset((0,) if w == 0 else ())
-    keys = set()
-    for wi, unit in zip(weights, units):
-        if wi <= w:
-            keys.update(k + unit for k in keys_of_weight(weights, w - wi))
-    return frozenset(keys)
+    top, _, _, _, _, units = _layout(weights)
+    if w < 0 or w > top:
+        return frozenset()
+    levels = [frozenset((0,))]
+    for v in range(1, w + 1):
+        pieces = [(unit, levels[v - wi]) for wi, unit in zip(weights, units) if wi <= v]
+        levels.append(frozenset(k + unit for unit, keys in pieces for k in keys))
+    return levels[w]
 
 
 def _powers(vars, g, n, top):

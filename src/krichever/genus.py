@@ -1,13 +1,14 @@
 """Genera on the generators of the rational complex bordism ring.
 
-Computes the square-root genus (values in Q[p1..p4]), the twist genus
-kappa attached to the strict isomorphism x*CP(x), its inverse, and the
-four-parameter complex elliptic genus obtained as the composite
-rename(p->q) o psi o kappa^{-1}, each of the last two by one series reversion.
-The checks apply a table as a ring map by ``Poly.substitute``, and re-derive each
-identity from scratch so they can serve as independent oracles for the
-tables; these suites and the ones in ``fgl`` all report through
-``report.compare_slots``.
+A genus g is held as its series log'(x) = 1 + sum g(CP_i) x^i
+(``GenusTable``): the square-root genus psi (values in Q[p1..p4]), whose log'
+is the inverse square root of a quartic, the twist genus kappa of the strict
+isomorphism x*CP(x), whose log' is mog', its inverse, and the four-parameter
+complex elliptic genus rename(p->q) o psi o kappa^{-1}, each of the last two
+read off one series reversion.  The checks apply a table as a ring map by
+``Poly.substitute`` and re-derive each identity from scratch, so they serve as
+independent oracles for the tables; these suites and the ones in ``fgl`` all
+report through ``report.compare_slots``.
 """
 
 from __future__ import annotations
@@ -29,34 +30,37 @@ ORDER_CEILING = 18
 
 
 class GenusTable:
-    """Values of a genus on CP_1 .. CP_N; entry i is homogeneous of weight i."""
+    """A genus on CP_1 .. CP_N as its series log'(x) = 1 + sum g(CP_i) x^i.
 
-    __slots__ = ("name", "max_index", "vars", "entries")
+    Coefficient i of ``series`` is g(CP_i), homogeneous of weight i, and N
+    is the series order.  ``table[i]`` reads coefficient i; ``table[0]`` is 1.
+    """
 
-    def __init__(self, name, max_index, vars, entries):
-        for i, v in entries.items():
-            if v and not v.is_homogeneous(i):
+    __slots__ = ("name", "series")
+
+    def __init__(self, name, series):
+        if series.coeffs[0] != Poly.one(series.vars):
+            raise ValueError(f"{name}(CP_0) is not 1")
+        for i, v in enumerate(series.coeffs):
+            if not v.is_homogeneous(i):
                 raise ValueError(f"{name}(CP_{i}) is not homogeneous of weight {i}")
         self.name = name
-        self.max_index = max_index
-        self.vars = vars
-        self.entries = entries
+        self.series = series
 
     def __getitem__(self, i):
-        return self.entries[i]
+        return self.series.coeffs[i]
 
     def text(self):
-        lines = []
-        for i in range(1, self.max_index + 1):
-            lines.append(f"{self.name}(CP_{i}) = {self.entries[i].text()}")
-        return "\n".join(lines)
+        return "\n".join(
+            f"{self.name}(CP_{i}) = {v.text()}" for i, v in enumerate(self.series.coeffs) if i
+        )
 
     def to_json(self):
-        return {f"CP_{i}": self.entries[i].to_json() for i in range(1, self.max_index + 1)}
+        return {f"CP_{i}": v.to_json() for i, v in enumerate(self.series.coeffs) if i}
 
     def images(self):
-        """The genus as a ring map CP_i -> entry i, in the form Poly.substitute takes."""
-        return {f"CP{i}": v for i, v in self.entries.items()}
+        """The genus as a ring map CP_i -> g(CP_i), in the form Poly.substitute takes."""
+        return {f"CP{i}": v for i, v in enumerate(self.series.coeffs) if i}
 
 
 def quartic_series(vars, order):
@@ -71,19 +75,15 @@ def quartic_series(vars, order):
 
 
 def psi_table(n=DEFAULT_ORDER):
-    """Genus with logarithm int dx / sqrt(1 + p1 x + ... + p4 x^4).
-
-    Entry i is the x^i coefficient of the inverse square root of the
-    quartic, i.e. of the logarithm's derivative.
-    """
-    pv = p_vars()
-    logd = quartic_series(pv, n).inv_sqrt()
-    return GenusTable("psi", n, pv, {i: logd.coeffs[i] for i in range(1, n + 1)})
+    """Genus with logarithm int dx / sqrt(1 + p1 x + ... + p4 x^4): its
+    log' is the inverse square root of the quartic."""
+    return GenusTable("psi", quartic_series(p_vars(), n).inv_sqrt())
 
 
 def _cp_table(vars, n):
-    """The identity table CP_i -> CP_i, i = 1 .. n."""
-    return GenusTable("CP", n, vars, {i: Poly.var(vars, f"CP{i}") for i in range(1, n + 1)})
+    """The identity table CP_i -> CP_i, i = 1 .. n: log' = CP(x)."""
+    cps = [Poly.var(vars, f"CP{i}") for i in range(1, n + 1)]
+    return GenusTable("CP", Series1(vars, n, [Poly.one(vars)] + cps))
 
 
 def mishchenko_log(vars, order):
@@ -92,17 +92,16 @@ def mishchenko_log(vars, order):
 
 
 def _log_from_table(table, order):
-    """x + sum table[i] x^(i+1)/(i+1) over the table's variables."""
-    if order - 1 > table.max_index:
-        raise ValueError("table too short for requested order")
-    tail = [table[k - 1].scale(1, k) for k in range(2, order + 1)]
-    return Series1(table.vars, order, [Poly.zero(table.vars), Poly.one(table.vars)] + tail)
+    """The logarithm x + sum table[i] x^(i+1)/(i+1), the integral of the
+    table's series, to the given order."""
+    logd = table.series.truncate(order - 1)
+    zero = Poly.zero(logd.vars)
+    return Series1(logd.vars, order, [zero] + [c.scale(1, k) for k, c in enumerate(logd.coeffs, 1)])
 
 
 def nu_series(vars, order):
     """The strict isomorphism nu(x) = x * CP(x), CP(x) = 1 + sum CP_i x^i."""
-    cps = [Poly.var(vars, f"CP{i}") for i in range(1, order)]
-    return Series1(vars, order, [Poly.zero(vars), Poly.one(vars)] + cps)
+    return Series1(vars, order, [Poly.zero(vars)] + _cp_table(vars, order - 1).series.coeffs)
 
 
 def mog_series(vars, order):
@@ -111,12 +110,8 @@ def mog_series(vars, order):
 
 
 def kappa_table(n=DEFAULT_ORDER):
-    """kappa(CP_i) read off from mog = log o nu^{-1}."""
-    cv = cp_vars(n)
-    mog = mog_series(cv, n + 1)
-    return GenusTable(
-        "kappa", n, cv, {i: mog.coeffs[i + 1].scale(i + 1) for i in range(1, n + 1)}
-    )
+    """kappa, whose log' is mog' for mog = log o nu^{-1}."""
+    return GenusTable("kappa", mog_series(cp_vars(n), n + 1).derivative())
 
 
 def kappa_inverse_table(n=DEFAULT_ORDER, rho=None):
@@ -130,14 +125,14 @@ def kappa_inverse_table(n=DEFAULT_ORDER, rho=None):
     """
     if rho is None:
         rho = _cp_table(cp_vars(n), n)
-    vars = rho.vars
+    vars = rho.series.vars
     # E = exp(S) solves E' = S' E: k E_k = sum_{i<=k} rho(CP_i) E_{k-i}
     e = [Poly.one(vars)]
     for k in range(1, n + 1):
         pairs = [(rho[i], e[k - i]) for i in range(1, k + 1) if rho[i] and e[k - i]]
         e.append(Poly.dot(vars, pairs).scale(1, k))
     N = Series1(vars, n + 1, [Poly.zero(vars)] + e).revert()
-    table = GenusTable("kappa_inv", n, vars, {i: N.coeffs[i + 1] for i in range(1, n + 1)})
+    table = GenusTable("kappa_inv", Series1(vars, n, N.coeffs[1:]))
     # rho(L) = rho(log) o N, which revert does not solve; for rho = id, kappa o table = id
     lhs, rhs = _log_from_table(rho, n + 1).compose(N), _log_from_table(table, n + 1)
     w = next((k - 1 for k in range(2, n + 2) if lhs.coeffs[k] != rhs.coeffs[k]), None)
@@ -148,24 +143,24 @@ def kappa_inverse_table(n=DEFAULT_ORDER, rho=None):
 
 def phi_kh_table(n=DEFAULT_ORDER):
     """The four-parameter elliptic genus psi o kappa^{-1}, renamed p -> q."""
-    phi = kappa_inverse_table(n, psi_table(n))
-    return GenusTable("phi_kh", n, q_vars(), {i: _p_to_q(phi[i]) for i in range(1, n + 1)})
+    return _p_to_q("phi_kh", kappa_inverse_table(n, psi_table(n)))
 
 
-def _p_to_q(poly):
-    """The rename p_i -> q_i from Q[p1..p4] to Q[q1..q4].
+def _p_to_q(name, table):
+    """The table over Q[p1..p4] renamed p_i -> q_i, over Q[q1..q4].
 
-    Both tables give variable i weight i, and the key layout is a function
-    of the weights alone, so a monomial packs to the same key in either and
-    the rename only relabels the table.
+    Both variable tables give variable i weight i, and the key layout is a
+    function of the weights alone, so a monomial packs to the same key in
+    either and the rename only relabels each coefficient.
     """
-    return Poly._canonical(q_vars(), poly.terms, poly.den)
+    qv, s = q_vars(), table.series
+    coeffs = [Poly._canonical(qv, c.terms, c.den) for c in s.coeffs]
+    return GenusTable(name, Series1(qv, s.order, coeffs))
 
 
 def t_psi_table(n=DEFAULT_ORDER):
     """psi with p_i renamed to q_i (the classifying isomorphism's target)."""
-    psi = psi_table(n)
-    return GenusTable("t_psi", n, q_vars(), {i: _p_to_q(psi[i]) for i in range(1, n + 1)})
+    return _p_to_q("t_psi", psi_table(n))
 
 
 def verify_krichever_ode(n=DEFAULT_ORDER, table=None):
@@ -178,7 +173,7 @@ def verify_krichever_ode(n=DEFAULT_ORDER, table=None):
     """
     if table is None:
         table = phi_kh_table(n)
-    qv = table.vars
+    qv = table.series.vars
     f = _log_from_table(table, n + 1).revert()
     u = f.truncate(n).mul(f.derivative().reciprocal())
     du = u.derivative()
@@ -205,7 +200,7 @@ def verify_lemma2_theorem1(n=DEFAULT_ORDER):
 
     (a) pushing 1/mog' through phi_KH gives a series whose square is the
         monic-quartic 1 + q1 x + ... + q4 x^4 (all higher coefficients 0);
-    (b) s(x) = sum phi_KH(CP_i) x^(i+1) (CP_0 = 1) intertwines the law
+    (b) s(x) = x log_phi'(x) = sum phi_KH(CP_i) x^(i+1) intertwines the law
         with logarithm from the phi_KH table and the one from t o psi, to
         total degree min(n, 6).  Part (b) composes two laws, so it stops at
         degree 6; its log form, log_tpsi(s(x)) = log_phi(x) to order n,
@@ -216,10 +211,8 @@ def verify_lemma2_theorem1(n=DEFAULT_ORDER):
     qv = q_vars()
     kappa = kappa_table(n)
     phi = phi_kh_table(n)
-    # (a) mog' = 1 + sum kappa(CP_i) x^i, so the kappa table gives omega_t
-    cv = kappa.vars
-    mog_prime = Series1(cv, n, [Poly.one(cv)] + [kappa[i] for i in range(1, n + 1)])
-    omega_t = mog_prime.reciprocal()
+    # (a) the kappa table's series is mog', so omega_t = 1/mog'
+    omega_t = kappa.series.reciprocal()
     images = phi.images()
     pushed = Series1(qv, omega_t.order, [c.substitute(images, qv) for c in omega_t.coeffs])
     lhs = pushed.mul(pushed)
@@ -233,12 +226,7 @@ def verify_lemma2_theorem1(n=DEFAULT_ORDER):
         log = _log_from_table(table, iso_degree + 1)
         laws.append(formal_group_law(log.revert(), log))
     f_phi, f_tpsi = laws
-    s = Series1(
-        qv,
-        iso_degree + 1,
-        [Poly.zero(qv), Poly.one(qv)]
-        + [phi[i] for i in range(1, iso_degree + 1)],
-    )
+    s = Series1(qv, iso_degree + 1, [Poly.zero(qv)] + phi.series.coeffs[: iso_degree + 1])
     lhs2 = compose1(s, f_phi)
     rhs2 = f_tpsi.subs_xy(s)
     rep2 = compare_slots("theorem1-strict-iso", iso_degree, lhs2.coeffs, rhs2.coeffs)

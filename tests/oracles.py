@@ -10,8 +10,9 @@ with log_b) and ``Series2.subs_xy`` (two series, powers by repeated
 multiplication), the earlier kappa^{-1} and phi_KH tables (back-substitution
 weight by weight, then psi substituted into it), omega_hat = (omega' -
 omega'(0)) / 2x and the Proposition II numerator as the paper writes it (a
-sum of bivariate products, against the row-2 map read off omega^2), and a
-counter of the kernel's term products.
+sum of bivariate products, against the row-2 map read off omega^2), a
+counter of the kernel's term products, and a genus table with one entry
+perturbed.
 """
 
 import re
@@ -20,7 +21,7 @@ from functools import lru_cache
 from math import comb, gcd
 
 from krichever import _kernels_py, genus
-from krichever.core import Poly, Series1, Series2, keys_of_weight, p_vars, q_vars
+from krichever.core import Poly, Series1, Series2, keys_of_weight, p_vars
 from krichever.lattice import InvariantFactors, Lattice, hnf_columns
 from krichever.report import compare_slots
 
@@ -212,9 +213,9 @@ def back_substitution_kappa_inverse(n):
     A kappa with c_w = 0 is refused with ValueError.
     """
     kappa = genus.kappa_table(n)
-    cv = kappa.vars
+    cv = kappa.series.vars
     kappa_images = kappa.images()
-    entries = {}
+    coeffs = [Poly.one(cv)]
     for w in range(1, n + 1):
         target = Poly.var(cv, f"CP{w}")
         (key,) = target.terms
@@ -222,21 +223,28 @@ def back_substitution_kappa_inverse(n):
         if not c:
             raise ValueError(f"kappa(CP_{w}) has no CP_{w} term; kappa is not invertible")
         rest = kappa[w] - target.scale(c)
-        images = {f"CP{i}": entries[i] for i in range(1, w)}
-        entries[w] = (target - rest.substitute(images, cv)).scale(1 / c)
-        if entries[w].substitute(kappa_images, cv) != target:
+        images = {f"CP{i}": coeffs[i] for i in range(1, w)}
+        coeffs.append((target - rest.substitute(images, cv)).scale(1 / c))
+        if coeffs[w].substitute(kappa_images, cv) != target:
             raise AssertionError(f"kappa o kappa^-1 failed at weight {w}")
-    return genus.GenusTable("kappa_inv", n, cv, entries)
+    return genus.GenusTable("kappa_inv", Series1(cv, n, coeffs))
 
 
 def substituted_phi_kh(n):
     """psi substituted into the back-substituted kappa^{-1}, renamed p -> q:
     the earlier composite, an oracle for ``genus.phi_kh_table``."""
-    kinv = back_substitution_kappa_inverse(n)
+    kinv = back_substitution_kappa_inverse(n).series
     psi = genus.psi_table(n).images()
     pv = p_vars()
-    entries = {i: genus._p_to_q(kinv[i].substitute(psi, pv)) for i in range(1, n + 1)}
-    return genus.GenusTable("phi_kh", n, q_vars(), entries)
+    coeffs = [c.substitute(psi, pv) for c in kinv.coeffs]
+    return genus._p_to_q("phi_kh", genus.GenusTable("phi_kh", Series1(pv, n, coeffs)))
+
+
+def perturbed_table(table, i, delta):
+    """The table with ``delta``, a Poly of weight i, added to its entry i."""
+    coeffs = list(table.series.coeffs)
+    coeffs[i] = coeffs[i] + delta
+    return genus.GenusTable(table.name, Series1(table.series.vars, table.series.order, coeffs))
 
 
 def poly_weight(poly):

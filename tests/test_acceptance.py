@@ -25,7 +25,7 @@ def fgl10():
 def test_criterion_1_psi_table():
     t0 = time.perf_counter()
     table = genus.psi_table(4)
-    pv = table.vars
+    pv = table.series.vars
     expected = {
         1: "-1/2*p1",
         2: "3/8*p1^2 - 1/2*p2",
@@ -41,7 +41,7 @@ def test_criterion_1_psi_table():
 def test_criterion_2_kappa_table():
     t0 = time.perf_counter()
     table = genus.kappa_table(4)
-    cv = table.vars
+    cv = table.series.vars
     expected = {
         1: "-CP1",
         2: "3*CP1^2 - 2*CP2",
@@ -138,7 +138,7 @@ def test_criterion_8_quotient_rings(quotients13):
 
 def test_criterion_9_property_suites(fgl10):
     # grading
-    for i, v in genus.phi_kh_table(8).entries.items():
+    for i, v in enumerate(genus.phi_kh_table(8).series.coeffs):
         assert v.is_homogeneous(i)
     assert fgl10.F.is_graded(-1) and fgl10.A.is_graded(-2)
     # antisymmetry

@@ -9,8 +9,8 @@ import pytest
 
 import krichever
 from krichever import cli, genus, lattice
-from krichever.core import Poly, VarTable
-from oracles import parse_poly, poly_from_json
+from krichever.core import Poly, VarTable, q_vars
+from oracles import parse_poly, perturbed_table, poly_from_json
 
 
 MAX_WEIGHT_MESSAGE = f"--max-weight must be between 1 and {lattice.WEIGHT_CEILING}"
@@ -294,9 +294,10 @@ class TestGoldenDigests:
                 "a13e7e53f602ff821a0c8f08eab373c472065ec106f60cb6a55f7e71ffbe91c6",
             ),
             # psi carries the largest denominators, powers of 2 up to 2^31 here
-            (
+            pytest.param(
                 ["psi", "--order", "16", "--format", "json"],
                 "8447e0f5cdbaf20b418e0c464e1f2d4c897997c992427645b89184c8c9eee82b",
+                id="psi-16-json",
             ),
             # the ceiling before weight 16: Q_14 = Z^47 + (Z/2)^5, Q_15 = Z^54
             (
@@ -315,19 +316,22 @@ class TestGoldenDigests:
             ),
             # the genus substitutions at the order ceiling, which reproduce-paper
             # reports only as PASS lines
-            (
+            pytest.param(
                 ["phi-kh", "--order", "18", "--format", "json"],
                 "e2774a6cefa5620bb8bfa2881b3d225b5899324fb95198a67483414cae7c26fc",
+                id="phi-kh-18-json",
             ),
             # Series1.compose at the order ceiling: kappa is read off mog at order 19
-            (
+            pytest.param(
                 ["kappa", "--order", "18", "--format", "json"],
                 "3b5b16382d3ae80951e4d80500ea88258b24942adca3945bd38662ee9b1ae85b",
+                id="kappa-18-json",
             ),
             # kappa^{-1} at the order ceiling, the table phi-kh is read from
-            (
+            pytest.param(
                 ["kappa-inv", "--order", "18", "--format", "json"],
                 "be536439198d5e1ae4da30319682763c31aa54b7d320608fb5e4dc7b1bdc30e3",
+                id="kappa-inv-18-json",
             ),
             # the quotient text renderer at the weight ceiling
             pytest.param(
@@ -467,14 +471,8 @@ class TestFailurePath:
     @pytest.fixture(autouse=True)
     def perturbed_phi_kh(self, monkeypatch):
         real = genus.phi_kh_table
-
-        def perturbed(n):
-            table = real(n)
-            entries = dict(table.entries)
-            entries[1] = entries[1] + Poly.var(table.vars, "q1")
-            return genus.GenusTable(table.name, table.max_index, table.vars, entries)
-
-        monkeypatch.setattr(genus, "phi_kh_table", perturbed)
+        q1 = Poly.var(q_vars(), "q1")
+        monkeypatch.setattr(genus, "phi_kh_table", lambda n: perturbed_table(real(n), 1, q1))
 
     def test_text_report(self, capsys):
         code, out = run(capsys, "verify", "--suite", "krichever-ode", "--order", "4")

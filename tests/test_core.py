@@ -923,6 +923,13 @@ def test_keys_of_weight_are_the_packed_monomials():
         assert keys_of_weight(vars.weights, vars.top + 1) == frozenset()
 
 
+def test_weight_gates_take_no_recursion_per_unit_of_weight():
+    # both recursed once per unit of weight and overflowed the stack
+    x = VarTable(["x"], [1])
+    assert Poly.var(x, "x", power=3000).is_homogeneous(3000)
+    assert keys_of_weight(x.weights, x.top) == {x.pack((x.top,))}
+
+
 def test_grading_of_log_family():
     from krichever.genus import mishchenko_log, mog_series
 

@@ -16,6 +16,7 @@ from oracles import (
     back_substitution_kappa_inverse,
     gauss_jordan,
     parse_poly,
+    perturbed_table,
     products_formed,
     substituted_phi_kh,
     weighted_monomials,
@@ -36,10 +37,38 @@ KAPPA_VALUES = {
 }
 
 
+TABLE_BUILDERS = ["psi_table", "kappa_table", "kappa_inverse_table", "phi_kh_table", "t_psi_table"]
+
+
+class TestGenusTable:
+    @pytest.mark.parametrize("n", [1, 4, 12])
+    @pytest.mark.parametrize("build", TABLE_BUILDERS)
+    def test_a_table_is_its_log_derivative(self, build, n):
+        table = getattr(genus, build)(n)
+        assert table.series.order == n
+        assert table[0] == Poly.one(table.series.vars)
+
+    @pytest.mark.parametrize("n", [1, 4, 12])
+    def test_kappa_is_mog_derivative(self, n):
+        assert genus.kappa_table(n).series == genus.mog_series(cp_vars(n), n + 1).derivative()
+
+    def test_constant_term_must_be_one(self):
+        s = genus.psi_table(3).series
+        bad = Series1(s.vars, 3, [s.coeffs[0].scale(2)] + s.coeffs[1:])
+        with pytest.raises(ValueError, match=r"psi\(CP_0\) is not 1"):
+            genus.GenusTable("psi", bad)
+
+    def test_coefficient_must_have_its_weight(self):
+        s = genus.psi_table(3).series
+        bad = Series1(s.vars, 3, s.coeffs[:2] + [s.coeffs[3], s.coeffs[2]])
+        with pytest.raises(ValueError, match=r"psi\(CP_2\) is not homogeneous of weight 2"):
+            genus.GenusTable("psi", bad)
+
+
 class TestPsi:
     def test_printed_values(self):
         table = genus.psi_table(4)
-        pv = table.vars
+        pv = table.series.vars
         for i, text in PSI_VALUES.items():
             assert table[i] == parse_poly(text, pv), f"psi(CP_{i})"
 
@@ -49,19 +78,16 @@ class TestPsi:
             assert table[i].is_homogeneous(i)
 
     def test_defined_by_inverse_square_root(self):
-        # entries satisfy (sum psi_i x^i + 1)^2 * quartic = 1
+        # log' = 1 + sum psi_i x^i satisfies log'^2 * quartic = 1
         pv = p_vars()
-        table = genus.psi_table(6)
-        s = Series1(
-            pv, 6, [Poly.one(pv)] + [table[i] for i in range(1, 7)]
-        )
+        s = genus.psi_table(6).series
         assert s.mul(s).mul(genus.quartic_series(pv, 6)) == Series1.one(pv, 6)
 
 
 class TestKappa:
     def test_printed_values(self):
         table = genus.kappa_table(4)
-        cv = table.vars
+        cv = table.series.vars
         for i, text in KAPPA_VALUES.items():
             assert table[i] == parse_poly(text, cv), f"kappa(CP_{i})"
 
@@ -73,7 +99,7 @@ class TestKappa:
 
     def test_ring_map_multiplicative(self):
         table = genus.kappa_table(4)
-        cv = table.vars
+        cv = table.series.vars
         prod = Poly.var(cv, "CP1") * Poly.var(cv, "CP2")
         assert prod.substitute(table.images(), cv) == table[1] * table[2]
 
@@ -90,7 +116,7 @@ def gauss_jordan_kappa_inverse(n):
     [kappa | e_{CP_w}] leaves the preimage in the last column.
     """
     kappa = genus.kappa_table(n)
-    cv = kappa.vars
+    cv = kappa.series.vars
     images = kappa.images()
     entries = {}
     for w in range(1, n + 1):
@@ -123,7 +149,7 @@ class TestKappaInverse:
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_matches_back_substitution(self, n):
-        assert genus.kappa_inverse_table(n).entries == back_substitution_kappa_inverse(n).entries
+        assert genus.kappa_inverse_table(n).series == back_substitution_kappa_inverse(n).series
 
     def test_leading_coefficient_is_minus_weight(self):
         table = genus.kappa_table(8)
@@ -137,11 +163,10 @@ class TestKappaInverse:
 
         def no_cp2_term(n):
             table = real(n)
-            cv = table.vars
-            entries = dict(table.entries)
-            entries[2] = table[2] + Poly.var(cv, "CP2", coeff=2)
-            assert entries[2] == parse_poly("3*CP1^2", cv)
-            return genus.GenusTable("kappa", n, cv, entries)
+            cv = table.series.vars
+            bad = perturbed_table(table, 2, Poly.var(cv, "CP2", coeff=2))
+            assert bad[2] == parse_poly("3*CP1^2", cv)
+            return bad
 
         monkeypatch.setattr(genus, "kappa_table", no_cp2_term)
         with pytest.raises(ValueError, match="CP_2"):
@@ -149,7 +174,7 @@ class TestKappaInverse:
 
     def test_low_entries(self):
         table = genus.kappa_inverse_table(4)
-        cv = table.vars
+        cv = table.series.vars
         assert table[1] == parse_poly("-CP1", cv)
         assert table[2] == parse_poly("3/2*CP1^2 - 1/2*CP2", cv)
 
@@ -157,7 +182,7 @@ class TestKappaInverse:
         n = 6
         kinv = genus.kappa_inverse_table(n)
         kappa = genus.kappa_table(n).images()
-        cv = kinv.vars
+        cv = kinv.series.vars
         for i in range(1, n + 1):
             assert kinv[i].substitute(kappa, cv) == Poly.var(cv, f"CP{i}")
 
@@ -165,7 +190,7 @@ class TestKappaInverse:
         # kappa^{-1} o kappa is the identity on every monomial up to weight 5
         n = 5
         kinv = genus.kappa_inverse_table(n)
-        cv = kinv.vars
+        cv = kinv.series.vars
         kappa = genus.kappa_table(n).images()
         for w in range(1, n + 1):
             for e in weighted_monomials(cv, w):
@@ -194,7 +219,7 @@ def test_gate_catches_a_wrong_reversion(build, monkeypatch):
 class TestPhiKh:
     @pytest.mark.parametrize("n", range(1, 13))
     def test_matches_substituted_composite(self, n):
-        assert genus.phi_kh_table(n).entries == substituted_phi_kh(n).entries
+        assert genus.phi_kh_table(n).series == substituted_phi_kh(n).series
 
     def test_first_entry(self):
         table = genus.phi_kh_table(3)
@@ -246,7 +271,7 @@ class TestOde:
         # hand computation: the exponential of the order-2 solution starts
         # x - q1/4 x^2
         table = genus.phi_kh_table(2)
-        qv = table.vars
+        qv = table.series.vars
         f = genus._log_from_table(table, 3).revert()
         assert f.coeffs[2] == Poly.var(qv, "q1").scale(Fraction(-1, 4))
 
@@ -256,10 +281,7 @@ class TestOde:
 
     def test_perturbation_detected(self):
         table = genus.phi_kh_table(4)
-        qv = table.vars
-        entries = dict(table.entries)
-        entries[1] = entries[1] + Poly.var(qv, "q1")  # keep homogeneity
-        bad = genus.GenusTable("phi_kh", 4, qv, entries)
+        bad = perturbed_table(table, 1, Poly.var(table.series.vars, "q1"))
         rep = genus.verify_krichever_ode(4, table=bad)
         assert not rep.passed
         assert rep.first_failure["monomial"] == "x^1"
@@ -297,16 +319,10 @@ class TestLemma2Theorem1:
         assert sq.coeffs[4] == Poly.var(qv, "q4")
 
 
-def _perturbed(table, i, name):
-    """The table with the variable ``name`` added to entry i (weights kept)."""
-    entries = dict(table.entries)
-    entries[i] = entries[i] + Poly.var(table.vars, name)
-    return genus.GenusTable(table.name, table.max_index, table.vars, entries)
-
-
 def _bad_phi(monkeypatch):
     real = genus.phi_kh_table
-    monkeypatch.setattr(genus, "phi_kh_table", lambda n: _perturbed(real(n), 1, "q1"))
+    q1 = Poly.var(q_vars(), "q1")
+    monkeypatch.setattr(genus, "phi_kh_table", lambda n: perturbed_table(real(n), 1, q1))
 
 
 def test_work_of_the_phi_kh_table(monkeypatch):
@@ -366,9 +382,7 @@ def test_work_of_the_strict_iso_substitution(monkeypatch):
     phi = genus.phi_kh_table(degree)
     log = genus._log_from_table(genus.t_psi_table(degree), degree + 1)
     f_tpsi = formal_group_law(log.revert(), log)
-    s = Series1(
-        qv, degree + 1, [Poly.zero(qv), Poly.one(qv)] + [phi[i] for i in range(1, degree + 1)]
-    )
+    s = Series1(qv, degree + 1, [Poly.zero(qv)] + phi.series.coeffs)
     assert 0 < products_formed(monkeypatch, lambda: f_tpsi.subs_xy(s)) <= 16_000
 
 
@@ -376,7 +390,8 @@ def _bad_t_psi(monkeypatch):
     # part (a) of lemma 2 determines phi_1..phi_n, so any change to phi fails
     # there first; the strict isomorphism of part (b) is reached through t o psi
     real = genus.t_psi_table
-    monkeypatch.setattr(genus, "t_psi_table", lambda n: _perturbed(real(n), 2, "q2"))
+    q2 = Poly.var(q_vars(), "q2")
+    monkeypatch.setattr(genus, "t_psi_table", lambda n: perturbed_table(real(n), 2, q2))
 
 
 def _ode_fault(monkeypatch):
