@@ -60,6 +60,13 @@ def _table_output(table, args):
     return table.text()
 
 
+def _status(passed, what, order=None):
+    """The one status line of every report, ``[PASS] what`` or ``[FAIL] what``,
+    with `` (order N)`` after a suite's name."""
+    order = "" if order is None else f" (order {order})"
+    return f"[{'PASS' if passed else 'FAIL'}] {what}{order}"
+
+
 def _report_output(reports, args, params):
     if args.format == "json":
         payload = dict(params)
@@ -68,8 +75,7 @@ def _report_output(reports, args, params):
         return _json_dumps(payload)
     lines = []
     for r in reports:
-        status = "PASS" if r.passed else "FAIL"
-        lines.append(f"[{status}] {r.suite} (order {r.order})")
+        lines.append(_status(r.passed, r.suite, r.order))
         if r.first_failure:
             lines.append(f"    first failure at {r.first_failure['monomial']}:")
             lines.append(f"      lhs = {r.first_failure['lhs']}")
@@ -159,30 +165,19 @@ def _reproduce_paper(args):
     """Tables against golden files, every identity suite, quotient reports."""
     from . import lattice
 
-    lines = []
-    ok = True
-
-    for name, table in (("psi", genus.psi_table), ("kappa", genus.kappa_table)):
-        match = table(4).text() == golden_table(name)
-        ok &= match
-        lines.append(f"[{'PASS' if match else 'FAIL'}] {name} table (printed values)")
-
-    for rep in _run_verify_suite("all", args.order):
-        ok &= rep.passed
-        lines.append(f"[{'PASS' if rep.passed else 'FAIL'}] {rep.suite} (order {rep.order})")
-
+    checks = [
+        (table(4).text() == golden_table(name), f"{name} table (printed values)")
+        for name, table in (("psi", genus.psi_table), ("kappa", genus.kappa_table))
+    ]
+    checks += [(rep.passed, rep.suite, rep.order) for rep in _run_verify_suite("all", args.order)]
     model = lattice.LazardModel(args.max_weight)
     for n in range(1, args.max_weight + 1):
         ind = model.quotient_report(n).Indec
         expected = lattice.InvariantFactors(*EXPECTED_INDEC[n])
-        good = ind == expected
-        ok &= good
-        lines.append(
-            f"[{'PASS' if good else 'FAIL'}] quotient weight {n}: "
-            f"Indec = {ind.describe()} (expected {expected.describe()})"
-        )
-
-    lines.append(f"overall: {'PASS' if ok else 'FAIL'}")
+        what = f"quotient weight {n}: Indec = {ind.describe()} (expected {expected.describe()})"
+        checks.append((ind == expected, what))
+    ok = all(check[0] for check in checks)
+    lines = [_status(*check) for check in checks] + [f"overall: {'PASS' if ok else 'FAIL'}"]
     return "\n".join(lines), ok
 
 

@@ -15,6 +15,7 @@ and bivariate truncated power series carry polynomial coefficients.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import defaultdict
 from functools import lru_cache, reduce
 from math import comb, gcd, lcm
 from operator import mul
@@ -595,38 +596,38 @@ class Series2:
     __mul__ = mul
 
     def subs_xy(self, s):
-        """self(s(x), s(y)) for a univariate s with zero constant term.
+        """self(s(x), s(y)) for a symmetric self and a univariate s with zero
+        constant term.
 
         With G the coefficients of self and P = ``_powers(s)``, split at s(x):
             self(s(x), s(y)) = sum_i s(x)^i H_i(y),  H_i(y) = sum_j G_ij s(y)^j,
         so H_i[b] = sum_{j <= b} G_ij P[j][b] and
-        [x^a y^b] = sum_{i <= a} P[i][a] H_i[b].  Each is one ``Poly.dot``,
-        about n^3 coefficient products in all.  When self is symmetric so is
-        the result: then only a <= b is computed, with a <= n/2 and H_i[b]
-        for b >= i, and the rest mirrored.
+        [x^a y^b] = sum_{i <= a} P[i][a] H_i[b].  Each is one ``Poly.dot``.
+        The result is symmetric, so only a <= b is computed, with a <= n/2 and
+        H_i[b] for b >= i, and the rest mirrored.  Every law is
+        exp(log x + log y), symmetric by construction, so an asymmetric self
+        raises ValueError.
         """
         if s.coeffs[0]:
             raise ValueError("substitution needs zero constant terms")
         vars, n, G = self.vars, self.order, self.coeffs
+        if any(G.get((j, i)) != c for (i, j), c in G.items()):
+            raise ValueError("subs_xy needs a symmetric series")
         P = _powers(vars, s.truncate(n).coeffs, n, n)
-        sym = all(G.get((j, i)) == c for (i, j), c in G.items())
-        top = n // 2 if sym else n
         H = [
             {
                 b: Poly.dot(
                     vars, [(G[i, j], P[j][b]) for j in range(b + 1) if (i, j) in G and P[j][b]]
                 )
-                for b in range(i if sym else 0, n - i + 1)
+                for b in range(i, n - i + 1)
             }
-            for i in range(top + 1)
+            for i in range(n // 2 + 1)
         ]
         coeffs = {}
-        for a in range(top + 1):
-            for b in range(a if sym else 0, n - a + 1):
+        for a in range(n // 2 + 1):
+            for b in range(a, n - a + 1):
                 pairs = [(P[i][a], H[i][b]) for i in range(a + 1) if P[i][a] and H[i][b]]
-                coeffs[a, b] = Poly.dot(vars, pairs)
-                if sym:
-                    coeffs[b, a] = coeffs[a, b]
+                coeffs[a, b] = coeffs[b, a] = Poly.dot(vars, pairs)
         return Series2(vars, n, coeffs)
 
     def at_y_zero(self):
@@ -646,22 +647,26 @@ class Series2:
         )
 
 
-@lru_cache(maxsize=None)
+# keys_of_weight's levels per weights tuple: entry v is the frozenset of keys of weight v
+_KEY_LEVELS = defaultdict(lambda: [frozenset((0,))])
+
+
 def keys_of_weight(weights, w):
     """The packed keys of every monomial of weight w over variables of the
     given weights, as a frozenset.
 
     A monomial of weight v is one of weight v - weights[i] times variable i,
-    so the sets of weights 1 .. w are filled in turn by adding unit keys to
-    the lower ones.  The layout and the result are cached by the weights
-    alone, so tables with equal weights, such as ``p_vars()`` and
-    ``q_vars()``, share them.  Past the layout's top no monomial has a key.
+    so the set of weight v is filled by adding unit keys to the lower ones.
+    The sets are kept in one list of levels per weights tuple, extended from
+    the highest level built, so each level is built once and tables with
+    equal weights, such as ``p_vars()`` and ``q_vars()``, share them.  Past
+    the layout's top no monomial has a key.
     """
     top, _, _, _, _, units = _layout(weights)
     if w < 0 or w > top:
         return frozenset()
-    levels = [frozenset((0,))]
-    for v in range(1, w + 1):
+    levels = _KEY_LEVELS[weights]
+    for v in range(len(levels), w + 1):
         pieces = [(unit, levels[v - wi]) for wi, unit in zip(weights, units) if wi <= v]
         levels.append(frozenset(k + unit for unit, keys in pieces for k in keys))
     return levels[w]

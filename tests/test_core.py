@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from krichever import _kernels_py, genus
+from krichever import _kernels_py, core, genus
 from krichever.core import (
     Poly,
     Series1,
@@ -666,15 +666,18 @@ class TestSeriesAgainstReference:
         def check(F, s):
             # subs_xy raises when F's order passes s's, as truncate does
             F = F.truncate(min(F.order, s.order))
-            # F + swap(F) is symmetric, so subs_xy computes half and mirrors
-            for G in (F, add2(F, swap(F))):
-                out = G.subs_xy(s)
-                assert out.coeffs == two_series_subs_xy(G, s, s).coeffs
-                assert out.order == G.order
-                if ring.startswith("Z"):
-                    assert _all_int(out.coeffs.values())
+            # subs_xy takes only a symmetric series, such as F + swap(F)
+            G = add2(F, swap(F))
+            out = G.subs_xy(s)
+            assert out.coeffs == two_series_subs_xy(G, s, s).coeffs
+            assert out.order == G.order
+            if ring.startswith("Z"):
+                assert _all_int(out.coeffs.values())
+            if not is_symmetric(F):
+                with pytest.raises(ValueError, match="symmetric"):
+                    F.subs_xy(s)
             with pytest.raises(ValueError, match="zero constant terms"):
-                F.subs_xy(Series1(vars, s.order, [Poly.one(vars)] + s.coeffs[1:]))
+                G.subs_xy(Series1(vars, s.order, [Poly.one(vars)] + s.coeffs[1:]))
 
         check()
 
@@ -921,6 +924,24 @@ def test_keys_of_weight_are_the_packed_monomials():
         assert keys_of_weight(vars.weights, vars.top) == packed
         assert full_depth_monomials(vars, vars.top + 1)
         assert keys_of_weight(vars.weights, vars.top + 1) == frozenset()
+
+
+def test_keys_of_weight_builds_each_level_once(monkeypatch):
+    # with a cold cache, weights 1..13 build levels 0..13 once each, where
+    # refilling every lower level on each call built 104 sets
+    weights = b_vars(13).weights
+    monkeypatch.delitem(core._KEY_LEVELS, weights, raising=False)
+    built = []
+
+    def counted(keys):
+        built.append(1)
+        return frozenset(keys)
+
+    monkeypatch.setattr(core, "frozenset", counted, raising=False)
+    sets = [keys_of_weight(weights, w) for w in range(1, 14)]
+    assert len(built) == 14
+    assert keys_of_weight(weights, 5) is sets[4]
+    assert len(built) == 14
 
 
 def test_weight_gates_take_no_recursion_per_unit_of_weight():

@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from krichever import genus
 from krichever.core import (
     Poly,
     Series1,
+    VarTable,
     cp_vars,
     formal_group_law,
     p_vars,
@@ -260,6 +262,103 @@ class TestPhiKh:
         assert calls[0] == 1
         genus.phi_kh_table(10)
         assert calls[0] - 1 <= 60
+
+
+# Two planes of classical genera (Hirzebruch, Berger & Jung, Manifolds and
+# Modular Forms, 1992; Ochanine, Topology 26, 1987).  Each side that is
+# expected is written from its closed form, with no series code.  Both planes
+# set q3 = 0, and neither has both q1 and q4, so they add to the ODE and do
+# not replace it.
+AB = VarTable(["a", "b"], [1, 1])
+# delta and epsilon of the level-2 elliptic genus, of weights 2 and 4
+DE = VarTable(["d", "e"], [2, 4])
+
+
+def chi_y_value(n):
+    """sum_i a^(n-i) (-b)^i, the genus with log' = 1/((1 - ax)(1 + bx)) on CP_n."""
+    return Poly(AB, {(n - i, i): (-1) ** i for i in range(n + 1)})
+
+
+def ochanine_value(n):
+    """[x^n] (1 - 2d x^2 + e x^4)^(-1/2) by the binomial series: with
+    n = 2(k + j), the term of u^k, u = -2d x^2 + e x^4, that takes e^j."""
+    if n % 2:
+        return Poly.zero(DE)
+    terms = {}
+    for j in range(n // 4 + 1):
+        k = n // 2 - j
+        binom = Fraction(math.comb(2 * k, k), (-4) ** k)  # binom(-1/2, k)
+        terms[k - j, j] = binom * math.comb(k, j) * (-2) ** (k - j)
+    return Poly(DE, terms)
+
+
+def plane(vars, images):
+    """Images of q1..q4 (or p1..p4) given as {index: {exponents: scalar}}."""
+    return {i: Poly(vars, images.get(i, {})) for i in range(1, 5)}
+
+
+CHI_Y_PLANE = plane(AB, {1: {(1, 0): 2, (0, 1): -2}, 2: {(2, 0): 1, (1, 1): 2, (0, 2): 1}})
+OCHANINE_Q = plane(DE, {2: {(1, 0): 4}, 4: {(2, 0): 4, (0, 1): -4}})
+OCHANINE_P = plane(DE, {2: {(1, 0): -2}, 4: {(0, 1): 1}})
+WRONG_OCHANINE_Q = plane(DE, {2: {(1, 0): 4}, 4: {(2, 0): 2, (0, 1): -2}})
+
+
+def first_miss(table, images, expected):
+    """The first n at which the table, specialized by ``images`` (keyed by
+    variable index), differs from ``expected(n)``, or None."""
+    names = table.series.vars.names
+    target = images[1].vars
+    mapping = {names[i - 1]: img for i, img in images.items()}
+    for n in range(1, table.series.order + 1):
+        if table[n].substitute(mapping, target) != expected(n):
+            return n
+    return None
+
+
+class TestClassicalGenera:
+    ORDER = 18
+
+    @pytest.fixture(scope="class")
+    def phi(self):
+        return genus.phi_kh_table(self.ORDER)
+
+    def test_chi_y_plane(self, phi):
+        assert first_miss(phi, CHI_Y_PLANE, chi_y_value) is None
+
+    def test_ochanine_plane(self, phi):
+        assert first_miss(phi, OCHANINE_Q, ochanine_value) is None
+        # on the level-2 elliptic genus phi_KH agrees with psi
+        assert first_miss(genus.psi_table(self.ORDER), OCHANINE_P, ochanine_value) is None
+
+    def test_wrong_plane_fails(self, phi):
+        assert first_miss(phi, WRONG_OCHANINE_Q, ochanine_value) == 4
+
+    def test_q1_bump_fails(self, phi):
+        bad = perturbed_table(phi, 5, Poly.var(q_vars(), "q1", power=5))
+        assert first_miss(bad, CHI_Y_PLANE, chi_y_value) == 5
+
+    def test_q2_bump_fails(self, phi):
+        bad = perturbed_table(phi, 6, Poly.var(q_vars(), "q2", power=3))
+        assert first_miss(bad, CHI_Y_PLANE, chi_y_value) == 6
+        assert first_miss(bad, OCHANINE_Q, ochanine_value) == 6
+
+    def test_closed_forms_give_the_classical_values(self):
+        # Todd (b = 0) is 1, the signature (a = b = 1) is 1 on even CP_n and 0
+        # on odd, the Euler characteristic (a = 1, b = -1) is n + 1, and A-hat
+        # (d = -1/8, e = 0) is binom(-1/2, k) / 4^k on CP_2k
+        point = VarTable([], [])
+
+        def at(value, **values):
+            images = {name: Poly.const(point, Fraction(v)) for name, v in values.items()}
+            return value.substitute(images, point)
+
+        for n in range(1, self.ORDER + 1):
+            assert at(chi_y_value(n), a=1, b=0) == Poly.one(point)
+            assert at(chi_y_value(n), a=1, b=1) == Poly.const(point, (n + 1) % 2)
+            assert at(chi_y_value(n), a=1, b=-1) == Poly.const(point, n + 1)
+            k, odd = divmod(n, 2)
+            a_hat = 0 if odd else Fraction(math.comb(2 * k, k), (-4) ** k) / 4**k
+            assert at(ochanine_value(n), d=Fraction(-1, 8), e=0) == Poly.const(point, a_hat)
 
 
 class TestOde:
