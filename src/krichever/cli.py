@@ -7,7 +7,9 @@ success/pass, 1 on a verification failure, 2 on usage errors.
 
 Every subcommand loads ``core``, ``report`` and ``genus``, which ``TABLES``
 and the ``--order`` default need, so ``quotient`` loads ``genus`` and runs
-none of it.  The FGL suites of ``verify`` add ``fgl``; ``quotient`` and
+none of it.  The FGL suites of ``verify`` add ``fgl`` and build one law;
+only ``proposition-ii`` and ``krichever-form`` read the bilinear series
+``A``, so it is built only when one of them runs.  ``quotient`` and
 ``reproduce-paper`` add ``fgl`` and ``lattice``, which load no ``genus`` on
 their own.  ``json`` is imported only for ``--format json``.  A small genus
 suite costs about as much as starting the interpreter, so an import it does
@@ -84,7 +86,8 @@ def _report_output(reports, args, params):
 
 
 # Verification suites in report order.  A genus suite takes the series order;
-# the FGL suites take one universal law built at that weight and shared.  An
+# the FGL suites take one universal law built at that weight and shared, which
+# carries A only when a suite that reads it runs.  An
 # FGL suite is the name of its function, looked up on ``fgl`` when it runs, so
 # that a process running only genus suites never imports ``fgl``.
 GENUS_SUITES = {
@@ -110,7 +113,9 @@ def _run_verify_suite(suite, order):
     if fgl_suites:
         from . import fgl
 
-        data = fgl.compute_A(fgl.build_universal_fgl(order))
+        data = fgl.build_universal_fgl(order)
+        if suite in ("proposition-ii", "krichever-form", "all"):
+            data = fgl.compute_A(data)
         reports += [getattr(fgl, verify)(data) for verify in fgl_suites]
     return reports
 

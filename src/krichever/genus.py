@@ -163,6 +163,12 @@ def t_psi_table(n=DEFAULT_ORDER):
     return _p_to_q("t_psi", psi_table(n))
 
 
+def _u(log, n):
+    """The paper's u = f / f' to order n, with f the reversion of ``log``."""
+    f = log.revert()
+    return f.truncate(n).mul(f.derivative().reciprocal())
+
+
 def verify_krichever_ode(n=DEFAULT_ORDER, table=None):
     """Check (u')^2 = 1 + q1 u + q2 u^2 + q3 u^3 + q4 u^4 for u = f/f'.
 
@@ -174,24 +180,21 @@ def verify_krichever_ode(n=DEFAULT_ORDER, table=None):
     if table is None:
         table = phi_kh_table(n)
     qv = table.series.vars
-    f = _log_from_table(table, n + 1).revert()
-    u = f.truncate(n).mul(f.derivative().reciprocal())
+    u = _u(_log_from_table(table, n + 1), n)
     du = u.derivative()
     lhs = du.mul(du)
     rhs = quartic_series(qv, n - 1).compose(u.truncate(n - 1))
     return compare_slots("krichever-ode", n, lhs.coeffs, rhs.coeffs)
 
 
-def verify_lemma1(n=DEFAULT_ORDER, nu=None):
-    """revert(exp/exp') must equal log o nu^{-1} over Q[CP]."""
+def verify_lemma1(n=DEFAULT_ORDER):
+    """revert(exp/exp') must equal mog = log o nu^{-1} over Q[CP].
+
+    The right side is ``mog_series``, the series ``kappa_table`` runs.
+    """
     cv = cp_vars(n)
-    log = mishchenko_log(cv, n + 1)
-    exp = log.revert()
-    u = exp.truncate(n).mul(exp.derivative().reciprocal())
-    lhs = u.revert()
-    if nu is None:
-        nu = nu_series(cv, n + 1)
-    rhs = log.compose_inverse(nu).truncate(n)
+    lhs = _u(mishchenko_log(cv, n + 1), n).revert()
+    rhs = mog_series(cv, n + 1).truncate(n)
     return compare_slots("lemma1", n, lhs.coeffs, rhs.coeffs)
 
 

@@ -10,6 +10,8 @@ does a change to the call counts that ``perfbench/test_perfbench.py`` pins.
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 import krichever
 from krichever import cli, core, fgl, genus, lattice
 
@@ -40,16 +42,41 @@ def test_backend_is_named():
     assert isinstance(krichever.BACKEND, str) and krichever.BACKEND
 
 
-def test_phi_kh_table_builds_one_kappa_inverse_table(monkeypatch):
-    # the benchmark counts genus.kappa_inverse_table through the module
-    # global, and pins as many calls of it as of phi_kh_table
-    real = genus.kappa_inverse_table
+def _counted(monkeypatch, module, name):
+    """Count the calls of ``module.name`` made through the module global,
+    as the benchmark's wrappers do; the list holds the running count."""
+    real = getattr(module, name)
     calls = [0]
 
     def counted(*args, **kwargs):
         calls[0] += 1
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(genus, "kappa_inverse_table", counted)
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_phi_kh_table_builds_one_kappa_inverse_table(monkeypatch):
+    # the benchmark pins as many calls of kappa_inverse_table as of phi_kh_table
+    calls = _counted(monkeypatch, genus, "kappa_inverse_table")
     genus.phi_kh_table(3)
     assert calls[0] == 1
+
+
+@pytest.mark.parametrize(
+    "suite, a_builds",
+    [
+        ("all", 1),
+        ("proposition-ii", 1),
+        ("krichever-form", 1),
+        ("associativity", 0),
+        ("proposition-i", 0),
+    ],
+)
+def test_verify_builds_one_law_and_A_only_for_its_readers(suite, a_builds, monkeypatch, capsys):
+    # the benchmark traces both builders; its paper workload runs
+    # verify --suite all, so compute_A still fires there
+    laws = _counted(monkeypatch, fgl, "build_universal_fgl")
+    a_calls = _counted(monkeypatch, fgl, "compute_A")
+    assert cli.run(["verify", "--suite", suite, "--order", "4"]) == 0
+    assert (laws[0], a_calls[0]) == (1, a_builds)

@@ -10,7 +10,7 @@ import pytest
 import krichever
 from krichever import cli, genus, lattice
 from krichever.core import Poly, VarTable, q_vars
-from oracles import parse_poly, perturbed_table, poly_from_json
+from oracles import parse_poly, perturbed_table, poly_from_json, products_formed
 
 
 MAX_WEIGHT_MESSAGE = f"--max-weight must be between 1 and {lattice.WEIGHT_CEILING}"
@@ -138,6 +138,27 @@ class TestVerify:
         code, out = run(capsys, "verify", "--suite", "associativity", "--order", order)
         assert code == 0
         assert out == f"[PASS] associativity (order {order})\n"
+
+    @pytest.mark.parametrize(
+        "suite, most", [("associativity", 430_000), ("proposition-i", 270_000)]
+    )
+    def test_suite_builds_no_A_it_does_not_read(self, suite, most, capsys, monkeypatch):
+        # both read F and omega only: 426,513 and 265,784 term products at
+        # order 18, against 722,299 and 561,570 when A was built for them
+        codes = []
+        argv = ["verify", "--suite", suite, "--order", "18"]
+        products = products_formed(monkeypatch, lambda: codes.append(cli.run(argv)))
+        assert codes == [0]
+        assert capsys.readouterr().out == f"[PASS] {suite} (order 18)\n"
+        assert 0 < products <= most
+
+    def test_all_suites_form_a_fixed_number_of_products(self, capsys, monkeypatch):
+        # --suite all builds A, which proposition-ii and krichever-form read
+        codes = []
+        argv = ["verify", "--suite", "all", "--order", "10"]
+        products = products_formed(monkeypatch, lambda: codes.append(cli.run(argv)))
+        assert codes == [0]
+        assert products == 47_911
 
     def test_all_suites_json(self, capsys):
         code, out = run(capsys, "verify", "--order", "4", "--format", "json")

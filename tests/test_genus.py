@@ -392,10 +392,25 @@ class TestLemma1:
         rep = genus.verify_lemma1(n)
         assert rep.passed, rep.first_failure
 
-    def test_wrong_isomorphism_detected(self):
-        cv = cp_vars(4)
-        rep = genus.verify_lemma1(4, nu=Series1.identity(cv, 5))
+    def test_wrong_isomorphism_detected(self, monkeypatch):
+        monkeypatch.setattr(genus, "nu_series", Series1.identity)
+        rep = genus.verify_lemma1(4)
         assert not rep.passed
+
+    def test_right_side_is_the_series_kappa_runs(self, monkeypatch):
+        # a fault in mog_series, which kappa_table runs, fails the suite
+        real = genus.mog_series
+
+        def bumped(vars, order):
+            mog = real(vars, order)
+            coeffs = list(mog.coeffs)
+            coeffs[3] = coeffs[3] + Poly.var(vars, "CP1", 2)
+            return Series1(vars, order, coeffs)
+
+        monkeypatch.setattr(genus, "mog_series", bumped)
+        rep = genus.verify_lemma1(4)
+        assert not rep.passed
+        assert rep.first_failure["monomial"] == "x^3"
 
 
 class TestLemma2Theorem1:
@@ -499,7 +514,8 @@ def _ode_fault(monkeypatch):
 
 
 def _lemma1_fault(monkeypatch):
-    return genus.verify_lemma1(4, nu=Series1.identity(cp_vars(4), 5))
+    monkeypatch.setattr(genus, "nu_series", Series1.identity)
+    return genus.verify_lemma1(4)
 
 
 def _quartic_fault(monkeypatch):

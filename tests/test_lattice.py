@@ -773,6 +773,27 @@ class TestQuotient:
             broken.quotient_report(5)
         assert LazardModel(5).quotient_report(5).Q == InvariantFactors((), 6)
 
+    def test_quotient_rings_to_the_weight_ceiling(self):
+        # Q_n = Z^p(n; parts <= 4) + (Z/2)^k, with k = p((n - 6)/2; parts <= 4)
+        # for even n >= 6 and k = 0 otherwise
+        def parts_at_most_four(n):
+            # by conjugation, partitions of n into parts 1..4: choose how many
+            # 4s, 3s and 2s, and the 1s fill the rest
+            return sum(
+                (n - 4 * a - 3 * b) // 2 + 1
+                for a in range(n // 4 + 1)
+                for b in range((n - 4 * a) // 3 + 1)
+            )
+
+        def two_rank(n):
+            return parts_at_most_four((n - 6) // 2) if n >= 6 and n % 2 == 0 else 0
+
+        assert [two_rank(n) for n in range(6, 17, 2)] == [1, 1, 2, 3, 5, 6]
+        model = LazardModel(WEIGHT_CEILING)
+        for n in range(1, WEIGHT_CEILING + 1):
+            expected = InvariantFactors((2,) * two_rank(n), parts_at_most_four(n))
+            assert model.quotient_report(n).Q == expected, n
+
     def test_weight_zero(self):
         # L_0 = Z holds no A_ij and no one-part monomial
         expected = Quotient(0, 1, 0, InvariantFactors((), 1), InvariantFactors((), 0))
