@@ -15,7 +15,6 @@ and bivariate truncated power series carry polynomial coefficients.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import defaultdict
 from functools import lru_cache, reduce
 from math import comb, gcd, lcm
 from operator import mul
@@ -30,35 +29,11 @@ from .backend import kernels
 # 0..top, top = 2**B - 1, and variable i gets the bits of top // weights[i],
 # the largest exponent it can have in a monomial of weight at most top.  So
 # a product of weight at most top carries between no fields, and one past top
-# sets the single guard bit above the weight field.  ``_layout`` picks B from
-# the weights alone: as large as keeps a key, guard bit included, in one
+# sets the single guard bit above the weight field.  A ``VarTable`` picks B
+# from its weights alone: as large as keeps a key, guard bit included, in one
 # 30-bit CPython digit, but never so small that top falls below the largest
 # weight of one variable.
 DIGIT_BITS = 30
-
-
-@lru_cache(maxsize=None)
-def _layout(weights):
-    """The key layout over variables of the given weights, as ``(top, guard,
-    shift, fields, starts, units)``: the top weight, the guard bit, the weight
-    field's start, the (shift, mask) of each exponent field, the field starts
-    ascending (variable n-1 first) and the key of each variable."""
-
-    def widths(b):
-        top = (1 << b) - 1
-        return [(top // w).bit_length() for w in weights]
-
-    b = max(weights, default=1).bit_length()
-    while 2 + b + sum(widths(b + 1)) <= DIGIT_BITS:
-        b += 1
-    starts = [0]
-    for width in reversed(widths(b)):
-        starts.append(starts[-1] + width)
-    shift = starts.pop()  # the start of the weight field
-    shifts = starts[::-1]
-    fields = [(s, (1 << width) - 1) for s, width in zip(shifts, widths(b))]
-    units = [(w << shift) + (1 << s) for w, s in zip(weights, shifts)]
-    return (1 << b) - 1, 1 << (shift + b), shift, fields, starts, units
 
 
 class VarTable:
@@ -72,7 +47,9 @@ class VarTable:
     ``key_weight(key)`` the weight of its monomial.  Keys add as their
     monomials multiply and sort in graded lex order.  Only monomials of
     weight at most ``top`` have a key; a product key past it has the
-    ``guard`` bit set.  No other code reads the layout of a key.
+    ``guard`` bit set.  The layout of a key is chosen here, from the
+    weights, and no other code reads it: outside this class a key is made
+    by ``pack`` or ``unit`` or as a sum of keys.
     """
 
     __slots__ = (
@@ -89,8 +66,25 @@ class VarTable:
         self.names = names
         self.weights = weights
         self.index = {n: i for i, n in enumerate(names)}
-        layout = _layout(weights)
-        self.top, self.guard, self._shift, self._fields, self._starts, self._units = layout
+
+        def widths(b):
+            top = (1 << b) - 1
+            return [(top // w).bit_length() for w in weights]
+
+        b = max(weights, default=1).bit_length()
+        while 2 + b + sum(widths(b + 1)) <= DIGIT_BITS:
+            b += 1
+        # field starts ascending, variable n-1 first; the last is the weight field's
+        starts = [0]
+        for width in reversed(widths(b)):
+            starts.append(starts[-1] + width)
+        self._shift = shift = starts.pop()
+        self._starts = starts
+        shifts = starts[::-1]
+        self._fields = [(s, (1 << width) - 1) for s, width in zip(shifts, widths(b))]
+        self._units = [(w << shift) + (1 << s) for w, s in zip(weights, shifts)]
+        self.top = (1 << b) - 1
+        self.guard = 1 << (shift + b)
 
     @classmethod
     def generators(cls, prefix, n):
@@ -645,31 +639,6 @@ class Series2:
         return all(
             c.is_homogeneous(i + j + shift) for (i, j), c in self.coeffs.items()
         )
-
-
-# keys_of_weight's levels per weights tuple: entry v is the frozenset of keys of weight v
-_KEY_LEVELS = defaultdict(lambda: [frozenset((0,))])
-
-
-def keys_of_weight(weights, w):
-    """The packed keys of every monomial of weight w over variables of the
-    given weights, as a frozenset.
-
-    A monomial of weight v is one of weight v - weights[i] times variable i,
-    so the set of weight v is filled by adding unit keys to the lower ones.
-    The sets are kept in one list of levels per weights tuple, extended from
-    the highest level built, so each level is built once and tables with
-    equal weights, such as ``p_vars()`` and ``q_vars()``, share them.  Past
-    the layout's top no monomial has a key.
-    """
-    top, _, _, _, _, units = _layout(weights)
-    if w < 0 or w > top:
-        return frozenset()
-    levels = _KEY_LEVELS[weights]
-    for v in range(len(levels), w + 1):
-        pieces = [(unit, levels[v - wi]) for wi, unit in zip(weights, units) if wi <= v]
-        levels.append(frozenset(k + unit for unit, keys in pieces for k in keys))
-    return levels[w]
 
 
 def _powers(vars, g, n, top):

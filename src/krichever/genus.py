@@ -4,11 +4,13 @@ A genus g is held as its series log'(x) = 1 + sum g(CP_i) x^i
 (``GenusTable``): the square-root genus psi (values in Q[p1..p4]), whose log'
 is the inverse square root of a quartic, the twist genus kappa of the strict
 isomorphism x*CP(x), whose log' is mog', its inverse, and the four-parameter
-complex elliptic genus rename(p->q) o psi o kappa^{-1}, each of the last two
-read off one series reversion.  The checks apply a table as a ring map by
-``Poly.substitute`` and re-derive each identity from scratch, so they serve as
-independent oracles for the tables; these suites and the ones in ``fgl`` all
-report through ``report.compare_slots``.
+complex elliptic genus t o psi o kappa^{-1} (values in Q[q1..q4]), each of
+the last two read off one series reversion.  t o psi is the series of psi
+built over Q[q1..q4]: each table is built over the variables it lives in,
+and none is relabelled from another.  The checks apply a table as a ring
+map by ``Poly.substitute`` and re-derive each identity from scratch, so
+they serve as independent oracles for the tables; these suites and the ones
+in ``fgl`` all report through ``report.compare_slots``.
 """
 
 from __future__ import annotations
@@ -74,10 +76,15 @@ def quartic_series(vars, order):
     return Series1(vars, order, coeffs)
 
 
+def _psi(vars, n):
+    """1 / sqrt(1 + v1 x + ... + v4 x^4) to order n, over a four-variable table."""
+    return quartic_series(vars, n).inv_sqrt()
+
+
 def psi_table(n=DEFAULT_ORDER):
     """Genus with logarithm int dx / sqrt(1 + p1 x + ... + p4 x^4): its
     log' is the inverse square root of the quartic."""
-    return GenusTable("psi", quartic_series(p_vars(), n).inv_sqrt())
+    return GenusTable("psi", _psi(p_vars(), n))
 
 
 def _cp_table(vars, n):
@@ -142,25 +149,18 @@ def kappa_inverse_table(n=DEFAULT_ORDER, rho=None):
 
 
 def phi_kh_table(n=DEFAULT_ORDER):
-    """The four-parameter elliptic genus psi o kappa^{-1}, renamed p -> q."""
-    return _p_to_q("phi_kh", kappa_inverse_table(n, psi_table(n)))
+    """The four-parameter elliptic genus t o psi o kappa^{-1}, over Q[q1..q4].
 
-
-def _p_to_q(name, table):
-    """The table over Q[p1..p4] renamed p_i -> q_i, over Q[q1..q4].
-
-    Both variable tables give variable i weight i, and the key layout is a
-    function of the weights alone, so a monomial packs to the same key in
-    either and the rename only relabels each coefficient.
+    It reads ``_psi`` over ``q_vars()`` itself, not ``t_psi_table``, so the
+    strict-isomorphism check compares two tables built apart.
     """
-    qv, s = q_vars(), table.series
-    coeffs = [Poly._canonical(qv, c.terms, c.den) for c in s.coeffs]
-    return GenusTable(name, Series1(qv, s.order, coeffs))
+    t_psi = GenusTable("t_psi", _psi(q_vars(), n))
+    return GenusTable("phi_kh", kappa_inverse_table(n, t_psi).series)
 
 
 def t_psi_table(n=DEFAULT_ORDER):
-    """psi with p_i renamed to q_i (the classifying isomorphism's target)."""
-    return _p_to_q("t_psi", psi_table(n))
+    """t o psi: psi over Q[q1..q4], the classifying isomorphism's target."""
+    return GenusTable("t_psi", _psi(q_vars(), n))
 
 
 def _u(log, n):

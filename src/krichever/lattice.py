@@ -24,6 +24,11 @@ decomposables D_n are spanned by the g-monomials with two or more parts, so
 Indec_n = L_n / (I_n + D_n) is Z g_n modulo the g_n coefficients of the
 weight-n A_ij, read off the one-part row with no D_n lattice built.  All
 arithmetic is exact.
+
+One enumerator, ``partitions``, lists the monomials of both sides: the
+weight-n monomials in b_1 .. b_W are the partitions of n into parts of at
+most W, and the free rank of Q_n is the number of weight-n monomials in
+q_1 .. q_4, the partitions of n into parts of at most 4.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .backend import kernels
-from .core import Poly, keys_of_weight
+from .core import Poly
 from .fgl import build_universal_fgl, compute_A
 
 DEFAULT_MAX_WEIGHT = 8
@@ -87,24 +92,26 @@ class Quotient(namedtuple("Quotient", "n rank_L rank_I Q Indec")):
 class BasisIndex:
     """Monomial basis of the weight-n piece of Z[b], fewest b-factors first.
 
+    It serves tables whose variable i has weight i + 1, which is every
+    ``b_vars(W)``: a monomial of weight n is a partition of n (``partitions``),
+    part k the variable b_k, and its key is the sum of the parts' unit keys.
     Row i of every lattice matrix is the coefficient of ``monomials[i]``:
     of the b-monomial in b-coordinates, of the g-monomial with the same
     exponents in g-coordinates.  ``keys[i]`` is its packed key and ``pos``
-    maps a key back to its row.  The keys of ``core.keys_of_weight`` are
-    sorted by their number of factors, ascending, and descending within one
-    count, so row 0 is b_n and the last row b_1^n.  The HNF of the ideal's columns takes fewer
-    row operations in this order.  Ranks, invariant factors and the
+    maps a key back to its row.  Rows are sorted by their number of factors,
+    ascending, and by key descending within one count, so row 0 is b_n and
+    the last row b_1^n.  The HNF of the ideal's columns takes fewer row
+    operations in this order.  Ranks, invariant factors and the
     g-coordinate solve do not depend on the row order.
     """
 
     def __init__(self, vars, weight):
-        unpack = vars.unpack
-        self.vars = vars
-        self.weight = weight
-        self.keys = sorted(
-            keys_of_weight(vars.weights, weight), key=lambda k: (sum(unpack(k)), -k)
+        units = [0] + [vars.unit(i) for i in range(len(vars.names))]  # part k is b_k
+        rows = sorted(
+            (len(p), -sum(units[k] for k in p)) for p in partitions(weight, len(vars.names))
         )
-        self.monomials = [unpack(k) for k in self.keys]
+        self.keys = [-key for _, key in rows]
+        self.monomials = [vars.unpack(k) for k in self.keys]
         self.pos = {key: i for i, key in enumerate(self.keys)}
 
     def __len__(self):
@@ -320,7 +327,7 @@ class LazardModel:
         p(n; parts <= 4), the rank of Z[q1..q4] in weight n.
         """
         q = self.ideal_piece(n).cokernel()
-        free = partitions_at_most_four_parts(n)
+        free = len(partitions(n, 4))
         if q.free_rank != free:
             raise AssertionError(
                 f"Q_{n} has free rank {q.free_rank}, not p({n}; parts <= 4) = {free}"
@@ -370,16 +377,14 @@ def _generators(series, first, shift, max_weight):
     return gens
 
 
-def partitions_at_most_four_parts(n):
-    """p(n; parts <= 4), the number of partitions of n into parts 1..4.
+def partitions(n, largest):
+    """The partitions of n into parts of at most ``largest``, each a tuple,
+    largest part first.
 
-    A partition with at most four parts is conjugate to one with parts of
-    size at most four, so this counts the monomials of weight n in four
-    generators of weights 1, 2, 3, 4: the ranks of Z[q1..q4] by weight, and
-    the free rank of Q_n.
+    Part k is the variable of weight k, so these are the monomials of weight
+    n in variables of weights 1 .. largest: the rows of ``BasisIndex``, and
+    with ``largest = 4`` the ranks of Z[q1..q4], the free rank of Q_n.
     """
-    counts = [1] + [0] * n
-    for part in (1, 2, 3, 4):
-        for m in range(part, n + 1):
-            counts[m] += counts[m - part]
-    return counts[n]
+    if n == 0 or largest == 1:
+        return [(1,) * n]
+    return [(k, *rest) for k in range(min(n, largest), 0, -1) for rest in partitions(n - k, k)]

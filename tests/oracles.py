@@ -21,7 +21,7 @@ from functools import lru_cache
 from math import comb, gcd
 
 from krichever import _kernels_py, genus
-from krichever.core import Poly, Series1, Series2, keys_of_weight, p_vars
+from krichever.core import Poly, Series1, Series2, q_vars
 from krichever.lattice import InvariantFactors, Lattice, hnf_columns
 from krichever.report import compare_slots
 
@@ -143,11 +143,27 @@ def poly_pow(poly, n):
 def weighted_monomials(vars, w):
     """All exponent tuples over ``vars`` of total weight w, canonical order.
 
-    Canonical order matches Poly.sorted_terms: lex descending on the
-    exponent vector (all results share one weight), so these are the keys
-    of ``core.keys_of_weight`` in descending order, unpacked.
+    Each branch recurses over every variable, with no key and no code of the
+    package.  Canonical order matches Poly.sorted_terms: lex descending on
+    the exponent vector (all results share one weight).
     """
-    return [vars.unpack(k) for k in sorted(keys_of_weight(vars.weights, w), reverse=True)]
+    n = len(vars.names)
+    out = []
+
+    def rec(i, rem, acc):
+        if i == n:
+            if rem == 0:
+                out.append(tuple(acc))
+            return
+        wt = vars.weights[i]
+        for e in range(rem // wt, -1, -1):
+            acc.append(e)
+            rec(i + 1, rem - e * wt, acc)
+            acc.pop()
+
+    rec(0, w, [])
+    out.sort(reverse=True)
+    return out
 
 
 def constant_term(poly):
@@ -231,13 +247,13 @@ def back_substitution_kappa_inverse(n):
 
 
 def substituted_phi_kh(n):
-    """psi substituted into the back-substituted kappa^{-1}, renamed p -> q:
-    the earlier composite, an oracle for ``genus.phi_kh_table``."""
+    """t o psi substituted into the back-substituted kappa^{-1}, over
+    Q[q1..q4]: the earlier composite, an oracle for ``genus.phi_kh_table``."""
     kinv = back_substitution_kappa_inverse(n).series
-    psi = genus.psi_table(n).images()
-    pv = p_vars()
-    coeffs = [c.substitute(psi, pv) for c in kinv.coeffs]
-    return genus._p_to_q("phi_kh", genus.GenusTable("phi_kh", Series1(pv, n, coeffs)))
+    t_psi = genus.t_psi_table(n).images()
+    qv = q_vars()
+    coeffs = [c.substitute(t_psi, qv) for c in kinv.coeffs]
+    return genus.GenusTable("phi_kh", Series1(qv, n, coeffs))
 
 
 def perturbed_table(table, i, delta):

@@ -127,7 +127,7 @@ def test_criterion_8_quotient_rings(quotients13):
     # Q_n = L_n / I_n has the free rank of Z[q1..q4] in weight n, and its
     # torsion is (Z/2)^k with k = 1, 1, 2, 3 at n = 6, 8, 10, 12.
     groups, _ = quotients13
-    ranks = [lattice.partitions_at_most_four_parts(n) for n in range(1, 14)]
+    ranks = [len(lattice.partitions(n, 4)) for n in range(1, 14)]
     assert ranks == [1, 2, 3, 5, 6, 9, 11, 15, 18, 23, 27, 34, 39]
     two_torsion = {6: 1, 8: 1, 10: 2, 12: 3}
     for n, r in groups.items():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from krichever import _kernels_py, core, genus
+from krichever import _kernels_py, genus
 from krichever.core import (
     Poly,
     Series1,
@@ -18,10 +18,10 @@ from krichever.core import (
     compose1,
     cp_vars,
     formal_group_law,
-    keys_of_weight,
     p_vars,
     q_vars,
 )
+from krichever.lattice import BasisIndex
 from oracles import (
     add2,
     is_graded,
@@ -782,36 +782,13 @@ def test_weighted_monomials_are_partitions():
         assert ms == sorted(ms, reverse=True)
 
 
-def full_depth_monomials(vars, w):
-    """Every exponent tuple of weight w, each branch recursed over all variables."""
-    n = len(vars.names)
-    out = []
-
-    def rec(i, rem, acc):
-        if i == n:
-            if rem == 0:
-                out.append(tuple(acc))
-            return
-        wt = vars.weights[i]
-        for e in range(rem // wt, -1, -1):
-            acc.append(e)
-            rec(i + 1, rem - e * wt, acc)
-            acc.pop()
-
-    rec(0, w, [])
-    out.sort(reverse=True)
-    return out
-
-
 def test_weighted_monomials_keep_their_order():
     # lattice.BasisIndex rows, and with them the HNF work, follow this order
-    tables = [b_vars(n) for n in range(1, 17)] + [cp_vars(12), p_vars()]
-    for vars in tables:
-        for w in range(len(vars.names) + 1):
-            assert weighted_monomials(vars, w) == full_depth_monomials(vars, w), (vars, w)
-    uneven = VarTable(["u", "v", "z"], [3, 2, 5])
-    for w in range(16):
-        assert weighted_monomials(uneven, w) == full_depth_monomials(uneven, w), w
+    for n in range(1, 17):
+        vars = b_vars(n)
+        for w in range(n + 1):
+            rows = BasisIndex(vars, w).monomials
+            assert sorted(rows, reverse=True) == weighted_monomials(vars, w), (vars, w)
 
 
 LAYOUT_TABLES = [
@@ -883,7 +860,8 @@ class TestKeyLayout:
     @given(monomials_within(p_vars(), p_vars().top))
     @settings(max_examples=100, deadline=None)
     def test_p_and_q_pack_a_monomial_to_the_same_key(self, m):
-        # genus._p_to_q relabels p_i -> q_i without repacking
+        # tables of equal weights pack alike, so psi_table over p and
+        # t_psi_table over q hold the same keys
         key = p_vars().pack(m)
         assert q_vars().pack(m) == key
         assert q_vars().unpack(key) == m
@@ -899,7 +877,8 @@ class TestKeyLayout:
             assert vars.top > genus.ORDER_CEILING
             assert 2 * vars.guard <= 2**30, vars
         for vars in (b_vars(10), b_vars(13), cp_vars(12), p_vars()):
-            top = max(max(keys_of_weight(vars.weights, w)) for w in range(vars.top + 1))
+            monomials = [m for w in range(vars.top + 1) for m in weighted_monomials(vars, w)]
+            top = max(map(vars.pack, monomials))
             assert top < 2**30
 
 
@@ -912,43 +891,10 @@ def test_variable_tables_are_shared():
     assert b_vars(6) is not b_vars(5)
 
 
-def test_keys_of_weight_are_the_packed_monomials():
-    uneven = VarTable(["u", "v", "z"], [3, 2, 5])
-    for vars in (b_vars(8), q_vars(), uneven):
-        for w in range(-2, 14):
-            packed = {vars.pack(m) for m in full_depth_monomials(vars, w)}
-            assert keys_of_weight(vars.weights, w) == packed, (vars, w)
-    # a monomial past the top weight has no key
-    for vars in (b_vars(13), p_vars()):
-        packed = {vars.pack(m) for m in full_depth_monomials(vars, vars.top)}
-        assert keys_of_weight(vars.weights, vars.top) == packed
-        assert full_depth_monomials(vars, vars.top + 1)
-        assert keys_of_weight(vars.weights, vars.top + 1) == frozenset()
-
-
-def test_keys_of_weight_builds_each_level_once(monkeypatch):
-    # with a cold cache, weights 1..13 build levels 0..13 once each, where
-    # refilling every lower level on each call built 104 sets
-    weights = b_vars(13).weights
-    monkeypatch.delitem(core._KEY_LEVELS, weights, raising=False)
-    built = []
-
-    def counted(keys):
-        built.append(1)
-        return frozenset(keys)
-
-    monkeypatch.setattr(core, "frozenset", counted, raising=False)
-    sets = [keys_of_weight(weights, w) for w in range(1, 14)]
-    assert len(built) == 14
-    assert keys_of_weight(weights, 5) is sets[4]
-    assert len(built) == 14
-
-
 def test_weight_gates_take_no_recursion_per_unit_of_weight():
     # both recursed once per unit of weight and overflowed the stack
     x = VarTable(["x"], [1])
     assert Poly.var(x, "x", power=3000).is_homogeneous(3000)
-    assert keys_of_weight(x.weights, x.top) == {x.pack((x.top,))}
 
 
 def test_grading_of_log_family():

@@ -8,6 +8,7 @@ from krichever import genus
 from krichever.core import (
     Poly,
     Series1,
+    Series2,
     VarTable,
     cp_vars,
     formal_group_law,
@@ -431,6 +432,56 @@ class TestLemma2Theorem1:
         assert not sq.coeffs[5] and not sq.coeffs[6]
         assert sq.coeffs[1] == Poly.var(qv, "q1")
         assert sq.coeffs[4] == Poly.var(qv, "q4")
+
+
+def _law_A(table, w):
+    """A = F (x omega(y) - y omega(x)) of the law whose logarithm the table
+    gives, omega_k = [x^k y] F, to total degree w + 1 by one ``Series2.mul``.
+    It shares nothing with ``fgl.compute_A``, whose integrality assert
+    rejects a law over Q[q]."""
+    log = genus._log_from_table(table, w + 1)
+    F = formal_group_law(log.revert(), log)
+    qv = F.vars
+    twist = {}
+    for k in range(w + 1):
+        omega_k = F.coefficient(k, 1)
+        twist[1, k] = twist.get((1, k), Poly.zero(qv)) + omega_k
+        twist[k, 1] = twist.get((k, 1), Poly.zero(qv)) - omega_k
+    return F.mul(Series2(qv, w + 1, twist))
+
+
+def _high_slots(A):
+    """The slots (i, j) with i, j >= 3 where A_ij is nonzero, sorted."""
+    return sorted(slot for slot in A.coeffs if min(slot) >= 3)
+
+
+class TestConclusion:
+    """The paper's conclusion over Q: the phi_KH law is a Krichever law, its
+    A_ij vanish for i, j >= 3, and laws that are not have high A_ij."""
+
+    def test_phi_kh_law_kills_the_high_A_ij(self):
+        for w in (8, 10, 12):
+            assert _high_slots(_law_A(genus.phi_kh_table(w + 1), w)) == [], w
+        # the low A_ij, on rows and columns 1 and 2, are not all zero
+        assert len(_law_A(genus.phi_kh_table(11), 10).coeffs) == 18
+
+    def test_t_psi_law_is_not_a_krichever_law(self):
+        # strictly isomorphic to the phi_KH law, but its high A_ij survive
+        for w, count in ((8, 8), (10, 18), (12, 32)):
+            assert len(_high_slots(_law_A(genus.t_psi_table(w + 1), w))) == count, w
+
+    def test_perturbed_phi_kh_laws_have_high_A_ij(self):
+        # each bump is on an entry at most w = 10, which the law reads
+        qv = q_vars()
+        phi = genus.phi_kh_table(11)
+        bumps = [
+            (3, Poly.var(qv, "q3", coeff=2), 18, (3, 4)),
+            (5, Poly.var(qv, "q1", power=5), 18, (3, 4)),
+            (6, Poly.var(qv, "q2") * Poly.var(qv, "q4"), 16, (3, 5)),
+        ]
+        for i, delta, count, first in bumps:
+            high = _high_slots(_law_A(perturbed_table(phi, i, delta), 10))
+            assert (len(high), high[0]) == (count, first), i
 
 
 def _bad_phi(monkeypatch):

@@ -21,6 +21,7 @@ from krichever.lattice import (
     LazardModel,
     Quotient,
     hnf_columns,
+    partitions,
 )
 from oracles import (
     full_hnf_cokernel,
@@ -568,6 +569,20 @@ class TestRowOrder:
                     for col in x.hnf_basis():
                         poly = Poly(model10.vars, dict(zip(x.basis.monomials, col)))
                         assert len(y.coordinates(y.basis.vector(poly))) == y.rank
+
+
+def test_partitions_count_the_monomials():
+    # p(n; parts <= 4) for n = 0 .. 16, the ranks of Z[q1..q4] by weight
+    at_most_four = [1, 1, 2, 3, 5, 6, 9, 11, 15, 18, 23, 27, 34, 39, 47, 54, 64]
+    for n in range(17):
+        assert len(partitions(n, n)) == partition_count(n), n
+        assert len(partitions(n, 4)) == at_most_four[n], n
+        for largest in (1, 4, n):
+            ps = partitions(n, largest)
+            assert len(set(ps)) == len(ps), (n, largest)
+            for p in ps:
+                assert sum(p) == n and list(p) == sorted(p, reverse=True), p
+                assert all(1 <= k <= largest for k in p), p
 
 
 class TestLazardPieces:

@@ -14,10 +14,13 @@ import io
 import os
 import subprocess
 import sys
+import tempfile
 
 BATTERY = [
     ["reproduce-paper", "--max-weight", "8", "--order", "6"],
     ["verify", "--suite", "all", "--order", "6", "--format", "json"],
+    # a verify report as text
+    ["verify", "--suite", "lemma1", "--order", "4"],
     ["quotient", "--max-weight", "8"],
     ["quotient", "--max-weight", "6", "--format", "json"],
     *(
@@ -80,22 +83,25 @@ def never_run():
             entered.add(frame.f_code)
 
     sink = io.StringIO()
-    sys.setprofile(profile)
-    try:
-        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
-            for argv in BATTERY:
-                if cli.run(argv) != 0:
-                    raise AssertionError(f"{argv} did not exit 0")
-            for argv in USAGE_ERRORS:
-                try:
-                    cli.run(argv)
-                except SystemExit as exc:
-                    if exc.code != 2:
-                        raise
-                else:
-                    raise AssertionError(f"{argv} did not exit 2")
-    finally:
-        sys.setprofile(None)
+    with tempfile.TemporaryDirectory() as tmp:
+        # one run writes its output to a file instead of stdout
+        out = ["psi", "--order", "2", "--out", os.path.join(tmp, "psi.txt")]
+        sys.setprofile(profile)
+        try:
+            with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+                for argv in [*BATTERY, out]:
+                    if cli.run(argv) != 0:
+                        raise AssertionError(f"{argv} did not exit 0")
+                for argv in USAGE_ERRORS:
+                    try:
+                        cli.run(argv)
+                    except SystemExit as exc:
+                        if exc.code != 2:
+                            raise
+                    else:
+                        raise AssertionError(f"{argv} did not exit 2")
+        finally:
+            sys.setprofile(None)
     return {name for code, name in codes.items() if code not in entered}
 
 
