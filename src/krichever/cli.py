@@ -5,6 +5,13 @@ Subcommands cover every table and verification suite plus a
 is deterministic byte-for-byte for a fixed configuration: exit 0 on
 success/pass, 1 on a verification failure, 2 on usage errors.
 
+``COMMANDS`` is the one table of subcommands and their flags.
+``_parse_args`` reads a command line against it as the standard library's
+argument parser of Python 3.11 (the standard parser, below) did, with the
+same error messages: a flag's value follows it or an ``=``, a unique prefix
+names a flag, the last of a repeated flag wins, and a negative number is a
+value.  ``-h`` or ``--help`` prints one usage text.
+
 Every subcommand loads ``core``, ``report`` and ``genus``, which ``TABLES``
 and the ``--order`` default need, so ``quotient`` loads ``genus`` and runs
 none of it.  The FGL suites of ``verify`` add ``fgl`` and build one law;
@@ -13,12 +20,10 @@ only ``proposition-ii`` and ``krichever-form`` read the bilinear series
 ``reproduce-paper`` add ``fgl`` and ``lattice``, which load no ``genus`` on
 their own.  ``json`` is imported only for ``--format json``.  A small genus
 suite costs about as much as starting the interpreter, so an import it does
-not need is time it does not spend.
+not need is time it does not spend: a genus-suite process imports only
+``krichever`` modules and ``gc``.
 """
 
-from __future__ import annotations
-
-import argparse
 import gc
 import sys
 
@@ -26,7 +31,7 @@ from . import genus
 
 
 def _usage_error(message):
-    """One line on stderr and exit code 2, without argparse's usage block."""
+    """One line on stderr and exit code 2."""
     sys.stderr.write(f"krichever: error: {message}\n")
     sys.exit(2)
 
@@ -38,7 +43,7 @@ def _emit(text, out):
             with open(out, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(data)
         except OSError as exc:
-            _usage_error(f"cannot write {out}: {exc.strerror}")
+            _usage_error(f"cannot write {out!r}: {exc.strerror}")
     else:
         sys.stdout.write(data)
 
@@ -49,8 +54,8 @@ def _json_dumps(obj):
     return json.dumps(obj, indent=2, sort_keys=True)
 
 
-def _table_output(table, args):
-    if args.format == "json":
+def _table_output(table, fmt):
+    if fmt == "json":
         payload = {
             "table": table.name,
             "order": table.series.order,
@@ -69,8 +74,8 @@ def _status(passed, what, order=None):
     return f"[{'PASS' if passed else 'FAIL'}] {what}{order}"
 
 
-def _report_output(reports, args, params):
-    if args.format == "json":
+def _report_output(reports, fmt, params):
+    if fmt == "json":
         payload = dict(params)
         payload["reports"] = [r.to_json() for r in reports]
         payload["pass"] = all(r.passed for r in reports)
@@ -104,6 +109,159 @@ FGL_SUITES = {
 VERIFY_SUITES = (*GENUS_SUITES, *FGL_SUITES, "all")
 
 
+TABLES = {
+    "psi": genus.psi_table,
+    "kappa": genus.kappa_table,
+    "kappa-inv": genus.kappa_inverse_table,
+    "phi-kh": genus.phi_kh_table,
+}
+
+
+# The subcommands: each one's help line and flags.  A flag is (option, type,
+# default), where the type is int, a tuple of choices, or None for a path,
+# and every flag takes one value.  A parser's flags are -h and --help and
+# then these, in the order in which an ambiguous prefix lists them.
+_ORDER = ("--order", int, genus.DEFAULT_ORDER)
+_MAX_WEIGHT = ("--max-weight", int, None)
+_FORMAT = ("--format", ("text", "json"), "text")
+_OUT = ("--out", None, None)
+COMMANDS = {
+    **{name: (f"print the {name} genus table", (_ORDER, _FORMAT, _OUT)) for name in TABLES},
+    "verify": (
+        "run identity verification suites",
+        (_ORDER, _FORMAT, _OUT, ("--suite", VERIFY_SUITES, "all")),
+    ),
+    "quotient": ("graded quotient of the coefficient ring", (_MAX_WEIGHT, _FORMAT, _OUT)),
+    "reproduce-paper": ("run the full acceptance battery", (_ORDER, _MAX_WEIGHT, _OUT)),
+}
+_HELP = {"-h": None, "--help": None}
+
+
+def _option(token, flags):
+    """What the standard parser reads ``token`` as, given ``flags``: a flag
+    and its ``=`` value (None when it has none), ``(None, None)`` for an
+    unknown option, or None for a positional."""
+    if token[:1] != "-" or token == "-":
+        return None
+    if token in flags:
+        return token, None
+    name, eq, value = token.partition("=")
+    if eq and name in flags:
+        return name, value
+    if token[1] == "-":
+        matches = [flag for flag in flags if flag.startswith(name)]
+        value = value if eq else None
+    else:  # a short flag with its value joined on, as -hx; -h is the only one
+        matches = [token[:2]] if token[:2] in flags else []
+        value = token[2:]
+    if len(matches) > 1:
+        _usage_error(f"ambiguous option: {token} could match {', '.join(matches)}")
+    if matches:
+        return matches[0], value
+    # a token with a space is a positional, and so is what the standard
+    # parser reads as a negative number, ^-\d+$|^-\d*\.\d+$
+    number = token[1:].removesuffix("\n")
+    if " " in token or number.replace(".", "", 1).isdecimal() and not number.endswith("."):
+        return None
+    return None, None
+
+
+def _value(option, kind, text):
+    """``text`` read as the value of ``option``, or exit 2 as the standard
+    parser does."""
+    if kind is int:
+        try:
+            return int(text)
+        except ValueError:
+            _usage_error(f"argument {option}: invalid int value: {text!r}")
+    if kind is not None and text not in kind:
+        choices = ", ".join(map(repr, kind))
+        _usage_error(f"argument {option}: invalid choice: {text!r} (choose from {choices})")
+    return text
+
+
+def _read(tokens, flags, values, extras, stop=False):
+    """Read ``tokens`` in order, as the standard parser does: each flag's
+    value into ``values`` under the flag's name, and each token no flag
+    takes into ``extras``.  With ``stop``, stop at the first positional.
+    Returns the index it stopped at, or None for help."""
+    # the first "--" ends the options: from it on every token is a
+    # positional, and none is a flag's value
+    cut = tokens.index("--") if "--" in tokens else len(tokens)
+    kinds = [_option(token, flags) for token in tokens[:cut]] + ["--"] * (len(tokens) - cut)
+    i = 0
+    while i < len(tokens):
+        kind = kinds[i]
+        if stop and not isinstance(kind, tuple):
+            return i
+        i += 1
+        if not isinstance(kind, tuple) or kind[0] is None:
+            extras.append(tokens[i - 1])
+            continue
+        flag, value = kind
+        if flag in _HELP:
+            if value is not None:
+                # -hh is -h twice; -hx and --help=x give help a value
+                given = value.lstrip("h") if flag == "-h" else value
+                if given or not value:
+                    _usage_error(f"argument -h/--help: ignored explicit argument {given!r}")
+            return None
+        if value is None:
+            if i == len(tokens) or kinds[i] is not None:
+                _usage_error(f"argument {flag}: expected one argument")
+            value = tokens[i]
+            i += 1
+        values[flag[2:]] = _value(flag, flags[flag], value)
+    return i
+
+
+def _parse_args(argv):
+    """``argv`` read against ``COMMANDS``: a dict of the command and each of
+    its flags' values, keyed by the flag's name, or None for help.  A usage
+    error exits 2 with the standard parser's message."""
+    extras = []
+    i = _read(argv, _HELP, {}, extras, stop=True)
+    if i is None:
+        return None
+    if argv[i:] in ([], ["--"]):
+        _usage_error("the following arguments are required: command")
+    command = _value("command", tuple(COMMANDS), argv[i])
+    flags = COMMANDS[command][1]
+    args = {"command": command, **{flag[2:]: default for flag, _, default in flags}}
+    flag_types = {**_HELP, **{flag: kind for flag, kind, _ in flags}}
+    if _read(argv[i + 1 :], flag_types, args, extras) is None:
+        return None
+    if extras:
+        _usage_error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
+def _usage():
+    """The help text: every subcommand with its flags and their defaults."""
+    from . import lattice
+
+    lines = [
+        "usage: krichever COMMAND [--FLAG VALUE ...]",
+        "",
+        "Exact computations with elliptic genera and the universal formal group law.",
+        "",
+    ]
+    for name, (about, flags) in COMMANDS.items():
+        lines.append(f"  {name:<17}{about}")
+        for flag, kind, default in flags:
+            value = "N" if kind is int else "PATH" if kind is None else "{" + ",".join(kind) + "}"
+            value += "" if default is None else f"  (default {default})"
+            lines.append(f"      {flag} {value}")
+    lines += [
+        "",
+        "A flag's value follows it (--order 4) or an '=' (--order=4), a unique",
+        "prefix names a flag (--ord 4), and the last of a repeated flag wins.",
+        f"--max-weight defaults to {lattice.DEFAULT_MAX_WEIGHT}.  --out writes the output to a",
+        "file instead of stdout.  -h or --help prints this text.",
+    ]
+    return "\n".join(lines) + "\n"
+
+
 def _run_verify_suite(suite, order):
     def wanted(suites):
         return [verify for name, verify in suites.items() if suite in (name, "all")]
@@ -120,12 +278,12 @@ def _run_verify_suite(suite, order):
     return reports
 
 
-def _quotient_output(max_weight, args):
+def _quotient_output(max_weight, fmt):
     from . import lattice
 
     model = lattice.LazardModel(max_weight)
     reports = [model.quotient_report(n) for n in range(1, max_weight + 1)]
-    if args.format == "json":
+    if fmt == "json":
         weights = [r.to_json() for r in reports]
         return _json_dumps({"max_weight": max_weight, "format": "json", "weights": weights})
     return "\n".join(
@@ -166,7 +324,7 @@ EXPECTED_INDEC = {
 }
 
 
-def _reproduce_paper(args):
+def _reproduce_paper(order, max_weight):
     """Tables against golden files, every identity suite, quotient reports."""
     from . import lattice
 
@@ -174,9 +332,9 @@ def _reproduce_paper(args):
         (table(4).text() == golden_table(name), f"{name} table (printed values)")
         for name, table in (("psi", genus.psi_table), ("kappa", genus.kappa_table))
     ]
-    checks += [(rep.passed, rep.suite, rep.order) for rep in _run_verify_suite("all", args.order)]
-    model = lattice.LazardModel(args.max_weight)
-    for n in range(1, args.max_weight + 1):
+    checks += [(rep.passed, rep.suite, rep.order) for rep in _run_verify_suite("all", order)]
+    model = lattice.LazardModel(max_weight)
+    for n in range(1, max_weight + 1):
         ind = model.quotient_report(n).Indec
         expected = lattice.InvariantFactors(*EXPECTED_INDEC[n])
         what = f"quotient weight {n}: Indec = {ind.describe()} (expected {expected.describe()})"
@@ -184,54 +342,6 @@ def _reproduce_paper(args):
     ok = all(check[0] for check in checks)
     lines = [_status(*check) for check in checks] + [f"overall: {'PASS' if ok else 'FAIL'}"]
     return "\n".join(lines), ok
-
-
-class _Parser(argparse.ArgumentParser):
-    """An argument parser whose errors are one line, as ``_usage_error``
-    prints them; its subparsers are of the same class."""
-
-    def error(self, message):
-        _usage_error(message)
-
-
-def build_parser():
-    parser = _Parser(
-        prog="krichever",
-        description="Exact computations with elliptic genera and the universal formal group law",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--order", type=int, default=genus.DEFAULT_ORDER, metavar="N")
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--out", metavar="PATH", default=None)
-
-    for name in ("psi", "kappa", "kappa-inv", "phi-kh"):
-        common(sub.add_parser(name, help=f"print the {name} genus table"))
-
-    pv = sub.add_parser("verify", help="run identity verification suites")
-    common(pv)
-    pv.add_argument("--suite", choices=VERIFY_SUITES, default="all")
-
-    pq = sub.add_parser("quotient", help="graded quotient of the coefficient ring")
-    pq.add_argument("--max-weight", type=int, metavar="W")
-    pq.add_argument("--format", choices=("text", "json"), default="text")
-    pq.add_argument("--out", metavar="PATH", default=None)
-
-    pr = sub.add_parser("reproduce-paper", help="run the full acceptance battery")
-    pr.add_argument("--order", type=int, default=genus.DEFAULT_ORDER, metavar="N")
-    pr.add_argument("--max-weight", type=int, metavar="W")
-    pr.add_argument("--out", metavar="PATH", default=None)
-
-    return parser
-
-
-TABLES = {
-    "psi": genus.psi_table,
-    "kappa": genus.kappa_table,
-    "kappa-inv": genus.kappa_inverse_table,
-    "phi-kh": genus.phi_kh_table,
-}
 
 
 def _check_order(order, least):
@@ -253,37 +363,34 @@ def _check_max_weight(max_weight):
 
 
 def run(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(list(sys.argv[1:] if argv is None else argv))
+    if args is None:
+        sys.stdout.write(_usage())
+        return 0
+    command, out = args["command"], args["out"]
 
-    if args.command in TABLES:
-        _check_order(args.order, 1)
-        table = TABLES[args.command](args.order)
-        _emit(_table_output(table, args), args.out)
+    if command in TABLES:
+        _check_order(args["order"], 1)
+        table = TABLES[command](args["order"])
+        _emit(_table_output(table, args["format"]), out)
         return 0
 
-    if args.command == "verify":
-        _check_order(args.order, 2)
-        reports = _run_verify_suite(args.suite, args.order)
-        _emit(
-            _report_output(reports, args, {"suite": args.suite, "order": args.order}),
-            args.out,
-        )
+    if command == "verify":
+        _check_order(args["order"], 2)
+        reports = _run_verify_suite(args["suite"], args["order"])
+        params = {"suite": args["suite"], "order": args["order"]}
+        _emit(_report_output(reports, args["format"], params), out)
         return 0 if all(r.passed for r in reports) else 1
 
-    if args.command == "quotient":
-        args.max_weight = _check_max_weight(args.max_weight)
-        _emit(_quotient_output(args.max_weight, args), args.out)
+    max_weight = _check_max_weight(args["max-weight"])
+    if command == "quotient":
+        _emit(_quotient_output(max_weight, args["format"]), out)
         return 0
 
-    if args.command == "reproduce-paper":
-        args.max_weight = _check_max_weight(args.max_weight)
-        _check_order(args.order, 2)
-        text, ok = _reproduce_paper(args)
-        _emit(text, args.out)
-        return 0 if ok else 1
-
-    parser.error(f"unknown command {args.command}")
+    _check_order(args["order"], 2)
+    text, ok = _reproduce_paper(args["order"], max_weight)
+    _emit(text, out)
+    return 0 if ok else 1
 
 
 def main():

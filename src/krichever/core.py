@@ -12,8 +12,6 @@ Monomials are packed exponent vectors over a fixed ``VarTable``; univariate
 and bivariate truncated power series carry polynomial coefficients.
 """
 
-from __future__ import annotations
-
 from bisect import bisect_right
 from functools import lru_cache, reduce
 from math import comb, gcd, lcm

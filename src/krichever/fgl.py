@@ -19,8 +19,6 @@ mirror is the right side.  Every suite reports
 through ``report.compare_slots``.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 
 # compose1 has no caller here; the benchmark wraps it under this module's name

@@ -13,8 +13,6 @@ they serve as independent oracles for the tables; these suites and the ones
 in ``fgl`` all report through ``report.compare_slots``.
 """
 
-from __future__ import annotations
-
 from .core import (
     Poly,
     Series1,

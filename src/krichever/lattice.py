@@ -31,8 +31,6 @@ most W, and the free rank of Q_n is the number of weight-n monomials in
 q_1 .. q_4, the partitions of n into parts of at most 4.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 
 from .backend import kernels

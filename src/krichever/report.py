@@ -3,8 +3,6 @@ every suite in ``genus`` and ``fgl`` ends in.  It needs only ``core``, so
 the integer-only Lazard side reports without loading the genus tables.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 
 from .core import Poly

@@ -46,6 +46,9 @@ def _modules_loaded(*args):
 
 # fractions pulls in decimal, _decimal and numbers: 1.5 ms of every CLI process
 NO_FRACTIONS = {"fractions", "decimal", "numbers"}
+# argparse with gettext, and the locale its first message lookup imports,
+# cost 4.4 ms of every CLI process; src has no annotations to defer
+NO_ARGPARSE = {"argparse", "gettext", "locale", "__future__"}
 
 
 def test_import_loads_no_dataclasses():
@@ -55,6 +58,7 @@ def test_import_loads_no_dataclasses():
     assert "krichever.cli" in loaded
     assert not loaded & {"dataclasses", "inspect", "ast", "dis"}
     assert not loaded & NO_FRACTIONS
+    assert not loaded & NO_ARGPARSE
 
 
 @pytest.mark.parametrize("module", ["krichever.lattice", "krichever.fgl"])
@@ -71,9 +75,13 @@ def test_lazard_side_loads_no_genus(module):
         (
             "lemma1",
             {"krichever.genus"},
-            {"krichever.fgl", "krichever.lattice", "json", *NO_FRACTIONS},
+            {"krichever.fgl", "krichever.lattice", "json", *NO_FRACTIONS, *NO_ARGPARSE},
         ),
-        ("proposition-i", {"krichever.fgl"}, {"krichever.lattice", *NO_FRACTIONS}),
+        (
+            "proposition-i",
+            {"krichever.fgl"},
+            {"krichever.lattice", *NO_FRACTIONS, *NO_ARGPARSE},
+        ),
     ],
 )
 def test_verify_imports_only_what_its_suites_run(suite, needed, unneeded):
@@ -98,6 +106,7 @@ def test_lazard_runs_load_no_fractions(argv):
     loaded = _modules_loaded("-m", "krichever.cli", *argv)
     assert {"krichever.fgl", "krichever.lattice"} <= loaded
     assert not loaded & NO_FRACTIONS
+    assert not loaded & NO_ARGPARSE
 
 
 class TestTables:
@@ -218,7 +227,7 @@ class TestUsageErrors:
         ],
     )
     def test_exit_code_two(self, argv, capsys):
-        # argparse's own errors are one line too, with no usage block
+        # a parse error is one line too, with no usage block
         with pytest.raises(SystemExit) as exc:
             cli.run(argv)
         assert exc.value.code == 2
@@ -227,6 +236,88 @@ class TestUsageErrors:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("krichever: error: ")
 
+
+    # The messages argparse gave, byte for byte, and the quoted --out path.
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ([], "the following arguments are required: command"),
+            (
+                ["bogus"],
+                "argument command: invalid choice: 'bogus' (choose from 'psi', 'kappa', "
+                "'kappa-inv', 'phi-kh', 'verify', 'quotient', 'reproduce-paper')",
+            ),
+            (
+                ["verify", "--suite", "nope"],
+                "argument --suite: invalid choice: 'nope' (choose from 'krichever-ode', "
+                "'lemma1', 'lemma2-theorem1', 'proposition-i', 'proposition-ii', "
+                "'krichever-form', 'associativity', 'all')",
+            ),
+            (
+                ["psi", "--format", "xml"],
+                "argument --format: invalid choice: 'xml' (choose from 'text', 'json')",
+            ),
+            (["psi", "--order", "abc"], "argument --order: invalid int value: 'abc'"),
+            (["psi", "--order="], "argument --order: invalid int value: ''"),
+            (["psi", "--order"], "argument --order: expected one argument"),
+            (["psi", "--o", "3"], "ambiguous option: --o could match --order, --out"),
+            (["psi", "--frobnicate"], "unrecognized arguments: --frobnicate"),
+            (["psi", "extra"], "unrecognized arguments: extra"),
+            (["quotient", "--suite", "all"], "unrecognized arguments: --suite all"),
+            (
+                ["reproduce-paper", "--max-weight", "3", "--order", "3", "--format", "json"],
+                "unrecognized arguments: --format json",
+            ),
+            (["psi", "--order", "2", "--out", ""], "cannot write '': No such file or directory"),
+        ],
+    )
+    def test_parse_error_message(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.run(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"krichever: error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv, canonical",
+        [
+            (["psi", "--order=3"], ["psi", "--order", "3"]),
+            (["psi", "--ord", "3"], ["psi", "--order", "3"]),
+            (["psi", "--order", "5", "--order", "3"], ["psi", "--order", "3"]),
+            (
+                ["verify", "--su=lemma1", "--ord", "4"],
+                ["verify", "--suite", "lemma1", "--order", "4"],
+            ),
+            (["quotient", "--max", "3"], ["quotient", "--max-weight", "3"]),
+            (
+                ["quotient", "--max-weight=3", "--f=json"],
+                ["quotient", "--max-weight", "3", "--format", "json"],
+            ),
+        ],
+    )
+    def test_accepted_spellings(self, argv, canonical, capsys):
+        assert run(capsys, *argv) == run(capsys, *canonical)
+        assert run(capsys, *argv)[0] == 0
+
+    def test_negative_order_is_a_value(self, capsys):
+        # -3 reads as a number, not a flag, and reaches the range check
+        with pytest.raises(SystemExit) as exc:
+            cli.run(["reproduce-paper", "--order", "-3"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == "krichever: error: --order must be >= 2\n"
+
+    @pytest.mark.parametrize(
+        "argv", [["--help"], ["psi", "-h"], ["verify", "--order", "3", "--he"]]
+    )
+    def test_help_names_every_subcommand(self, argv, capsys):
+        code, out = run(capsys, *argv)
+        assert code == 0
+        for command, (_, flags) in cli.COMMANDS.items():
+            assert f"  {command} " in out
+            for flag, _, _ in flags:
+                assert flag in out
+        assert out == run(capsys, "-h")[1]
 
     # A generated id embeds the expected message, so the cases whose message
     # names a ceiling get explicit ids: raising a ceiling renames no test.

@@ -23,6 +23,9 @@ BATTERY = [
     ["verify", "--suite", "lemma1", "--order", "4"],
     ["quotient", "--max-weight", "8"],
     ["quotient", "--max-weight", "6", "--format", "json"],
+    # the usage text, and a flag's value after an "="
+    ["--help"],
+    ["verify", "--suite=krichever-ode", "--order=4"],
     *(
         [table, "--order", "6", *fmt]
         for table in ("psi", "kappa", "kappa-inv", "phi-kh")
