@@ -1,3 +1,4 @@
+import errno
 import gc
 import hashlib
 import json
@@ -21,16 +22,51 @@ def run(capsys, *argv):
     return code, capsys.readouterr().out
 
 
-def _fresh(*args, **kwargs):
-    """``python *args`` in a fresh interpreter that imports this krichever."""
+def _fresh(*args, env=(), **kwargs):
+    """``python *args`` in a fresh interpreter that imports this krichever,
+    with the variables ``env`` added.  Its stdout is block-buffered, as a
+    CLI's is when it writes to a pipe or a file."""
     src = os.path.dirname(os.path.dirname(krichever.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, *args],
-        env=dict(os.environ, PYTHONPATH=path),
-        capture_output=True,
-        **kwargs,
-    )
+    env = dict(os.environ, PYTHONPATH=path, **dict(env))
+    env.pop("PYTHONUNBUFFERED", None)
+    kwargs.setdefault("stdout", subprocess.PIPE)
+    kwargs.setdefault("stderr", subprocess.PIPE)
+    return subprocess.run([sys.executable, *args], env=env, **kwargs)
+
+
+# Scripts for ``python -c SCRIPT ARGS``, whose ``sys.argv[1:]`` is ARGS, as
+# ``cli.run`` reads it.  A marker that only the normal exit writes:
+ATEXIT_MAIN = """
+import atexit, sys
+from krichever import cli
+
+atexit.register(sys.stderr.write, "atexit ran\\n")
+cli.main()
+"""
+
+# stdout a pipe whose reader has gone:
+BROKEN_PIPE_MAIN = """
+import os
+from krichever import cli
+
+read, write = os.pipe()
+os.close(read)
+os.dup2(write, 1)
+cli.main()
+"""
+
+# phi_KH perturbed as in TestFailurePath, run from the tests directory:
+PERTURBED_PHI_KH_MAIN = """
+from krichever import cli, genus
+from krichever.core import Poly, q_vars
+from oracles import perturbed_table
+
+real = genus.phi_kh_table
+q1 = Poly.var(q_vars(), "q1")
+genus.phi_kh_table = lambda n: perturbed_table(real(n), 1, q1)
+cli.main()
+"""
 
 
 def _modules_loaded(*args):
@@ -483,9 +519,10 @@ class TestKeyLayoutReach:
 
 
 class TestGcPolicy:
-    """``main`` runs the process without cyclic GC; ``run``, which tests and
-    the benchmark's traced pass call in a long-lived process, leaves GC as
-    it found it."""
+    """``main`` runs the process without cyclic GC, then flushes stdout and
+    stderr and ends it with ``os._exit``, skipping the interpreter's
+    teardown; ``run``, which tests and the benchmark's traced pass call in a
+    long-lived process, leaves GC as it found it."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -504,17 +541,95 @@ class TestGcPolicy:
         assert proc.stdout == out.encode("utf-8")
 
     def test_main_runs_without_gc(self, monkeypatch):
+        class Exited(Exception):
+            pass
+
+        class Stream:
+            def __init__(self, name):
+                self.name = name
+
+            def flush(self):
+                seen.append(("flush", self.name))
+
+        def hard_exit(code):
+            seen.append(("exit", code))
+            raise Exited
+
         enabled = gc.isenabled()
         seen = []
-        monkeypatch.setattr(cli, "run", lambda: seen.append(gc.isenabled()) or 0)
+        monkeypatch.setattr(cli, "run", lambda: seen.append(("gc", gc.isenabled())) or 0)
+        monkeypatch.setattr(sys, "stdout", Stream("stdout"))
+        monkeypatch.setattr(sys, "stderr", Stream("stderr"))
+        monkeypatch.setattr(os, "_exit", hard_exit)
         try:
-            with pytest.raises(SystemExit) as exc:
+            with pytest.raises(Exited):
                 cli.main()
         finally:
             if enabled:
                 gc.enable()
-        assert exc.value.code == 0
-        assert seen == [False]
+        assert seen == [("gc", False), ("flush", "stdout"), ("flush", "stderr"), ("exit", 0)]
+
+
+class TestProcessExit:
+    """A fresh CLI process writes everything ``run`` wrote before its fast
+    exit; a usage error and a failed flush leave through the normal one."""
+
+    # 3 KB, which stays in the 8 KB stdout buffer, and 62 KB, which spans it
+    OUTPUTS = [["psi", "--order", "12"], ["kappa", "--order", "12", "--format", "json"]]
+
+    @pytest.mark.parametrize("argv", OUTPUTS, ids=["psi", "kappa-json"])
+    def test_stdout_to_a_file(self, argv, tmp_path, capsys):
+        code, out = run(capsys, *argv)
+        path = tmp_path / "stdout"
+        with open(path, "wb") as fh:
+            proc = _fresh("-m", "krichever.cli", *argv, stdout=fh)
+        assert proc.returncode == code == 0
+        assert proc.stderr == b""
+        assert path.read_bytes() == out.encode("utf-8")
+
+    @pytest.mark.parametrize("argv", OUTPUTS, ids=["psi", "kappa-json"])
+    def test_out_file(self, argv, tmp_path, capsys):
+        code, out = run(capsys, *argv)
+        path = tmp_path / "out"
+        proc = _fresh("-m", "krichever.cli", *argv, "--out", str(path))
+        assert proc.returncode == code == 0
+        assert proc.stdout == proc.stderr == b""
+        assert path.read_bytes() == out.encode("utf-8")
+
+    def test_out_file_with_stdout_closed(self, tmp_path, capsys):
+        # a process started with descriptor 1 closed has sys.stdout None
+        code, out = run(capsys, "psi", "--order", "3")
+        path = tmp_path / "out"
+        proc = _fresh(
+            "-m", "krichever.cli", "psi", "--order", "3", "--out", str(path),
+            preexec_fn=lambda: os.close(1),
+        )
+        assert proc.returncode == code == 0
+        assert proc.stderr == b""
+        assert path.read_bytes() == out.encode("utf-8")
+
+    def test_atexit_runs_only_after_a_usage_error(self, capsys):
+        _, out = run(capsys, "psi", "--order", "3")
+        proc = _fresh("-c", ATEXIT_MAIN, "psi", "--order", "3")
+        assert proc.returncode == 0
+        assert proc.stdout == out.encode("utf-8")
+        assert proc.stderr == b""
+        proc = _fresh("-c", ATEXIT_MAIN, "psi", "--order", "0")
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert proc.stderr == b"krichever: error: --order must be >= 1\natexit ran\n"
+
+    def test_flush_to_a_closed_pipe(self):
+        # what the interpreter's own exit reports: the report is lost, status 120
+        proc = _fresh(
+            "-c", BROKEN_PIPE_MAIN, "verify", "--suite", "lemma1", "--order", "2",
+            env={"PYTHONIOENCODING": "utf-8"},
+        )
+        assert proc.returncode == 120
+        assert proc.stderr == (
+            b"Exception ignored in: <_io.TextIOWrapper name='<stdout>' mode='w' encoding='utf-8'>\n"
+            + f"BrokenPipeError: [Errno {errno.EPIPE}] Broken pipe\n".encode()
+        )
 
 
 class TestDeterminism:
@@ -611,6 +726,16 @@ class TestFailurePath:
                 "first_failure": {"monomial": "x^1", "lhs": "3*q1", "rhs": "q1"},
             }
         ]
+
+    def test_process_writes_the_report(self, capsys):
+        argv = ["verify", "--suite", "krichever-ode", "--order", "4"]
+        code, out = run(capsys, *argv)
+        proc = _fresh(
+            "-c", PERTURBED_PHI_KH_MAIN, *argv, cwd=os.path.dirname(os.path.abspath(__file__))
+        )
+        assert proc.returncode == code == 1
+        assert proc.stdout == out.encode("utf-8")
+        assert out.startswith("[FAIL] krichever-ode (order 4)\n")
 
     def test_reproduce_paper_fails(self, capsys):
         code, out = run(capsys, "reproduce-paper", "--order", "4", "--max-weight", "2")
