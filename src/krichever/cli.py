@@ -24,14 +24,15 @@ not need is time it does not spend: a genus-suite process imports only
 ``krichever`` modules and ``gc``.
 
 ``main`` runs ``run`` with the cyclic garbage collector off and, once it
-returns an exit code, flushes stdout and stderr and ends the process with
+returns an exit code, flushes stderr and ends the process with
 ``os._exit``: the interpreter's teardown, one full collection and then the
 clearing of every loaded module, is time a finished process does not need.
-An ``--out`` file is closed before ``run`` returns.  A run that raises (a
-usage error exits 2 through ``sys.exit``) and a flush that fails, such as
-on a pipe whose reader has gone, leave through the normal exit, so the
-interpreter reports them as it always has.  ``atexit`` handlers do not run
-after a successful ``main``.
+``_emit`` flushes stdout, and an ``--out`` file is closed, before ``run``
+returns.  A run that raises (a usage error exits 2 through ``sys.exit``)
+leaves through the normal exit, so the interpreter reports it as it always
+has.  A stdout that cannot be written (a pipe whose reader has gone, a
+closed descriptor, a full device) is a usage error like an unwritable
+``--out``.  ``atexit`` handlers do not run after a successful ``main``.
 """
 
 import gc
@@ -55,8 +56,21 @@ def _emit(text, out):
                 fh.write(data)
         except OSError as exc:
             _usage_error(f"cannot write {out!r}: {exc.strerror}")
-    else:
+        return
+    try:
+        if sys.stdout is None:  # the process started with descriptor 1 closed
+            from errno import EBADF
+
+            raise OSError(EBADF, os.strerror(EBADF))
         sys.stdout.write(data)
+        sys.stdout.flush()
+    except OSError as exc:
+        # what is left in the buffer would fail again in the exit's flush:
+        # point descriptor 1 at the null device (the signal docs' "Note on
+        # SIGPIPE")
+        with open(os.devnull, "wb") as null:
+            os.dup2(null.fileno(), 1)
+        _usage_error(f"cannot write stdout: {exc.strerror}")
 
 
 def _json_dumps(obj):
@@ -376,7 +390,7 @@ def _check_max_weight(max_weight):
 def run(argv=None):
     args = _parse_args(list(sys.argv[1:] if argv is None else argv))
     if args is None:
-        sys.stdout.write(_usage())
+        _emit(_usage(), None)
         return 0
     command, out = args["command"], args["out"]
 
@@ -408,14 +422,9 @@ def main():
     # one short run whose data lives to exit and forms no cycles worth collecting
     gc.disable()
     code = run()
-    try:
-        for stream in (sys.stdout, sys.stderr):
-            # None when the process started with that descriptor closed
-            if stream is not None:
-                stream.flush()
-    except OSError:
-        # a reader that went away: the normal exit reports it, status 120
-        sys.exit(code)
+    # None when the process started with descriptor 2 closed
+    if sys.stderr is not None:
+        sys.stderr.flush()
     # skip the teardown: a full collection, then clearing every module
     os._exit(code)
 

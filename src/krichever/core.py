@@ -12,7 +12,6 @@ Monomials are packed exponent vectors over a fixed ``VarTable``; univariate
 and bivariate truncated power series carry polynomial coefficients.
 """
 
-from bisect import bisect_right
 from functools import lru_cache, reduce
 from math import comb, gcd, lcm
 from operator import mul
@@ -41,8 +40,7 @@ class VarTable:
     logarithm family are graded with the coefficient of x^k homogeneous of
     weight k.  ``pack`` and ``unpack`` convert between exponent vectors and
     the packed keys that ``Poly`` stores, ``unit(i)`` is the key of variable
-    i, ``last_var(key)`` the variable of its lowest nonzero field and
-    ``key_weight(key)`` the weight of its monomial.  Keys add as their
+    i and ``key_weight(key)`` the weight of its monomial.  Keys add as their
     monomials multiply and sort in graded lex order.  Only monomials of
     weight at most ``top`` have a key; a product key past it has the
     ``guard`` bit set.  The layout of a key is chosen here, from the
@@ -50,9 +48,7 @@ class VarTable:
     by ``pack`` or ``unit`` or as a sum of keys.
     """
 
-    __slots__ = (
-        "names", "weights", "index", "top", "guard", "_shift", "_fields", "_starts", "_units"
-    )
+    __slots__ = ("names", "weights", "index", "top", "guard", "_shift", "_fields", "_units")
 
     def __init__(self, names, weights):
         names = tuple(names)
@@ -77,7 +73,6 @@ class VarTable:
         for width in reversed(widths(b)):
             starts.append(starts[-1] + width)
         self._shift = shift = starts.pop()
-        self._starts = starts
         shifts = starts[::-1]
         self._fields = [(s, (1 << width) - 1) for s, width in zip(shifts, widths(b))]
         self._units = [(w << shift) + (1 << s) for w, s in zip(weights, shifts)]
@@ -117,11 +112,6 @@ class VarTable:
     def key_weight(self, key):
         """The weight of the monomial of a key: its top field."""
         return key >> self._shift
-
-    def last_var(self, key):
-        """The variable of the lowest nonzero exponent field of a key of
-        weight above 0: the last variable of the monomial."""
-        return len(self.names) - bisect_right(self._starts, (key & -key).bit_length() - 1)
 
     def __eq__(self, other):
         return (

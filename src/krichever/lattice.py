@@ -27,8 +27,10 @@ arithmetic is exact.
 
 One enumerator, ``partitions``, lists the monomials of both sides: the
 weight-n monomials in b_1 .. b_W are the partitions of n into parts of at
-most W, and the free rank of Q_n is the number of weight-n monomials in
-q_1 .. q_4, the partitions of n into parts of at most 4.
+most W, each row of a weight-n matrix is one partition lambda, and g_lambda
+is built from lambda: its other parts times g of its largest.  The free
+rank of Q_n is the number of weight-n monomials in q_1 .. q_4, the
+partitions of n into parts of at most 4.
 """
 
 from collections import namedtuple
@@ -93,33 +95,34 @@ class BasisIndex:
     It serves tables whose variable i has weight i + 1, which is every
     ``b_vars(W)``: a monomial of weight n is a partition of n (``partitions``),
     part k the variable b_k, and its key is the sum of the parts' unit keys.
-    Row i of every lattice matrix is the coefficient of ``monomials[i]``:
-    of the b-monomial in b-coordinates, of the g-monomial with the same
-    exponents in g-coordinates.  ``keys[i]`` is its packed key and ``pos``
-    maps a key back to its row.  Rows are sorted by their number of factors,
-    ascending, and by key descending within one count, so row 0 is b_n and
-    the last row b_1^n.  The HNF of the ideal's columns takes fewer row
-    operations in this order.  Ranks, invariant factors and the
-    g-coordinate solve do not depend on the row order.
+    Row i of every lattice matrix is the coefficient of the partition
+    ``parts[i]``, largest part first: of the b-monomial b_parts in
+    b-coordinates, of the g-monomial g_parts in g-coordinates.  ``keys[i]``
+    is the packed key of b_parts and ``pos`` maps a key back to its row.
+    Rows are sorted by their number of parts, ascending, and by key
+    descending within one count, so row 0 is b_n and the last row b_1^n.
+    The HNF of the ideal's columns takes fewer row operations in this
+    order.  Ranks, invariant factors and the g-coordinate solve do not
+    depend on the row order.
     """
 
     def __init__(self, vars, weight):
         units = [0] + [vars.unit(i) for i in range(len(vars.names))]  # part k is b_k
         rows = sorted(
-            (len(p), -sum(units[k] for k in p)) for p in partitions(weight, len(vars.names))
+            (len(p), -sum(units[k] for k in p), p) for p in partitions(weight, len(vars.names))
         )
-        self.keys = [-key for _, key in rows]
-        self.monomials = [vars.unpack(k) for k in self.keys]
+        self.parts = [p for _, _, p in rows]
+        self.keys = [-key for _, key, _ in rows]
         self.pos = {key: i for i, key in enumerate(self.keys)}
 
     def __len__(self):
-        return len(self.monomials)
+        return len(self.keys)
 
     def vector(self, poly):
         """Integer coordinates of a homogeneous integral polynomial."""
         if poly.den != 1:
             raise ValueError("non-integral coefficient in lattice vector")
-        v = [0] * len(self.monomials)
+        v = [0] * len(self.keys)
         for e, c in poly.terms.items():
             v[self.pos[e]] = c
         return v
@@ -222,7 +225,7 @@ class LazardModel:
         self.fgl = fgl
         self.vars = fgl.vars
         self._basis = {}
-        self._g = {}  # packed exponent vector -> g-monomial
+        self._g = {(): Poly.one(self.vars)}  # partition -> g-monomial
         # a_ij (1 <= i <= j) of weight i + j - 1, A_ij (3 <= i <= j) of i + j - 2
         self._law_gens = _generators(fgl.F, 1, 1, max_weight)
         self._ideal_gens = _generators(fgl.A, 3, 2, max_weight)
@@ -238,37 +241,32 @@ class LazardModel:
             self._basis[n] = BasisIndex(self.vars, n)
         return self._basis[n]
 
-    def _g_monomial(self, key):
-        """g_1^e_1 g_2^e_2 ... for the packed key of (e_1, e_2, ...), as the
-        g-monomial without its largest part k times g_k: one polynomial
-        product per monomial of two or more parts.  The largest part is the
-        monomial's last variable (``VarTable.last_var``): g_k is variable
-        k - 1."""
-        if key not in self._g:
-            if not key:
-                g = Poly.one(self.vars)
+    def _g_monomial(self, parts):
+        """g_parts = g_parts[0] g_parts[1] ... for a partition, largest part
+        first: 1 for no parts, g_k for one part k, and otherwise the
+        g-monomial of the other parts times g of the largest, one polynomial
+        product per monomial of two or more parts."""
+        if parts not in self._g:
+            if len(parts) == 1:
+                k = parts[0]
+                g = _gcd_combination(self._law_gens[k], self.vars.unit(k - 1))
             else:
-                i = self.vars.last_var(key)
-                unit = self.vars.unit(i)
-                if key == unit:
-                    g = _gcd_combination(self._law_gens[i + 1], key)
-                else:
-                    g = self._g_monomial(key - unit) * self._g_monomial(unit)
-            self._g[key] = g
-        return self._g[key]
+                g = self._g_monomial(parts[1:]) * self._g_monomial(parts[:1])
+            self._g[parts] = g
+        return self._g[parts]
 
     def lazard_piece(self, n):
         """L_n in b-coordinates, with the weight-n g-monomials as its basis.
 
-        Column i is the g-monomial of ``monomials[i]``; it pivots on row i and
-        is eliminated with the other monomials of its factor count, fewest
-        factors first, whatever the row order.  Raises ValueError if a
+        Column i is the g-monomial of the partition ``parts[i]``; it pivots on
+        row i and is eliminated with the other monomials of its number of
+        parts, fewest first, whatever the row order.  Raises ValueError if a
         weight-n a_ij is not an integral combination of the g-monomials.
         """
         if n not in self._lazard:
             bi = self.basis_index(n)
-            cols = [bi.vector(self._g_monomial(key)) for key in bi.keys]
-            order = sorted(range(len(bi)), key=lambda i: sum(bi.monomials[i]))
+            cols = [bi.vector(self._g_monomial(p)) for p in bi.parts]
+            order = sorted(range(len(bi)), key=lambda i: len(bi.parts[i]))
             lat = Lattice(bi, cols, [(i, i) for i in order])
             for a in self._law_gens.get(n, []):
                 _solve(lat, a, f"a weight-{n} a_ij")
@@ -313,7 +311,7 @@ class LazardModel:
         """D_n in g-coordinates: the g-monomials with two or more parts."""
         if n not in self._square:
             bi = self.basis_index(n)
-            rows = [i for i, m in enumerate(bi.monomials) if sum(m) >= 2]
+            rows = [i for i, p in enumerate(bi.parts) if len(p) >= 2]
             cols = [[int(i == r) for i in range(len(bi))] for r in rows]
             self._square[n] = Lattice(bi, cols, list(enumerate(rows)))
         return self._square[n]
@@ -334,7 +332,7 @@ class LazardModel:
         # is free on the one-part row: g_n alone.  The shifts A_ij g_mu with
         # mu nonempty lie in D_n, so only the weight-n A_ij present
         # Indec_n = L_n / (I_n + D_n).
-        one_part = [i for i, m in enumerate(self.basis_index(n).monomials) if sum(m) == 1]
+        one_part = [i for i, p in enumerate(self.basis_index(n).parts) if len(p) == 1]
         relations = [[x[r] for r in one_part] for x in self._ideal_coordinates(n)]
         indec = InvariantFactors.from_presentation(len(one_part), relations)
         return Quotient(n, self.lazard_piece(n).rank, self.ideal_piece(n).rank, q, indec)

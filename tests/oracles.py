@@ -4,8 +4,10 @@ and ``ref_to_json``) as the reference for its text and JSON, weight, power, the
 monomials of one weight, constant term, the grading test of a univariate
 series, the sum, swap and symmetry test of bivariate series, and the
 independent rank, partition, lattice-span and closed-form Indec_n oracles
-the tests check the package against, the earlier grading gate, quotient path, associativity
-check, ideal piece (every shift of every A_ij), omega (exp_b' composed
+the tests check the package against, the exponent vectors of a lattice's
+rows, the earlier grading gate, quotient path, associativity check, ideal
+piece (every shift of every A_ij), the new ideal generators each weight
+needs beyond the shifts of the lower ones, omega (exp_b' composed
 with log_b) and ``Series2.subs_xy`` (two series, powers by repeated
 multiplication), the earlier kappa^{-1} and phi_KH tables (back-substitution
 weight by weight, then psi substituted into it), omega_hat = (omega' -
@@ -376,17 +378,15 @@ def shift_ideal_piece(model, n):
     the exponents of every g-monomial, so each column is a reindexed
     coordinate vector."""
     bi = model.basis_index(n)
-    pack = model.vars.pack
     cols = []
     for k in model._ideal_gens:
         if k > n:
             continue
-        keys = [pack(m) for m in model.basis_index(k).monomials]
+        keys = model.basis_index(k).keys
         terms = [
             [(key, c) for key, c in zip(keys, x) if c] for x in model._ideal_coordinates(k)
         ]
-        for mu in model.basis_index(n - k).monomials:
-            shift = pack(mu)
+        for shift in model.basis_index(n - k).keys:
             for t in terms:
                 col = [0] * len(bi)
                 # packed keys add like exponent vectors
@@ -394,6 +394,35 @@ def shift_ideal_piece(model, n):
                     col[bi.pos[key + shift]] = c
                 cols.append(col)
     return Lattice(bi, cols)
+
+
+def new_generators(model, n):
+    """I_n / S_n as InvariantFactors, S_n = sum_m g_m I_(n-m) for m = 1 ..
+    n-1: what the weight-n A_ij add to the shifts of the ideal below, so a
+    minimal presentation of the ideal needs ``free_rank`` generators of
+    weight n plus one more per torsion factor.  S_n is spanned by g_m times
+    the reduced HNF basis of each I_(n-m), the columns ``ideal_piece``
+    builds, and the quotient is the Smith form of their coordinates in the
+    HNF basis of I_n."""
+    ideal = model.ideal_piece(n)
+    bi = ideal.basis
+    shifts = []
+    for m in range(1, n):
+        lower = model.ideal_piece(n - m)
+        # multiplying by g_m adds its unit key to every packed key
+        rows = [bi.pos[key + model.vars.unit(m - 1)] for key in lower.basis.keys]
+        for x in lower.hnf_basis():
+            col = [0] * len(bi)
+            for i, c in zip(rows, x):
+                col[i] = c
+            shifts.append(ideal.coordinates(col))
+    return InvariantFactors.from_presentation(ideal.rank, shifts)
+
+
+def row_exponents(vars, basis_index):
+    """The exponent vector of each row of ``basis_index``, unpacked from its
+    key: row i is b^e in b-coordinates and g^e in g-coordinates."""
+    return [vars.unpack(key) for key in basis_index.keys]
 
 
 def full_hnf_cokernel(lattice):
@@ -458,7 +487,8 @@ def products_spans(model, max_weight):
     """{n: (L_n, I_n, D_n)} as b-coordinate generator columns, from the
     definitions alone: L_n is spanned by a_ij v, I_n by A_ij v and D_n by
     u v, with u and v running over HNF bases of the L_k of lower weight,
-    computed the same way.  Row i is ``model.basis_index(n).monomials[i]``.
+    computed the same way.  Row i is the partition
+    ``model.basis_index(n).parts[i]``.
     """
     bases = {0: [Poly.one(model.vars)]}
     out = {}
@@ -481,7 +511,8 @@ def products_spans(model, max_weight):
         ]
         out[n] = (lazard, ideal, square)
         basis, _ = hnf_columns(lazard, len(bi))
-        bases[n] = [Poly(model.vars, dict(zip(bi.monomials, c))) for c in basis]
+        rows = row_exponents(model.vars, bi)
+        bases[n] = [Poly(model.vars, dict(zip(rows, c))) for c in basis]
     return out
 
 

@@ -69,6 +69,11 @@ cli.main()
 """
 
 
+def unwritable_stdout(error):
+    """The one line a CLI process prints when stdout fails with ``error``."""
+    return f"krichever: error: cannot write stdout: {os.strerror(error)}\n".encode()
+
+
 def _modules_loaded(*args):
     """The modules a fresh ``python -X importtime *args`` imports."""
     proc = _fresh("-X", "importtime", *args, text=True, check=True)
@@ -421,25 +426,30 @@ class TestGoldenDigests:
     @pytest.mark.parametrize(
         "argv, digest",
         [
-            (
+            pytest.param(
                 ["kappa-inv", "--order", "10", "--format", "json"],
                 "556e271261af8294ca026e09690992e6425ba51b725997681557488caa0ee6d7",
+                id="kappa-inv-10-json",
             ),
-            (
+            pytest.param(
                 ["phi-kh", "--order", "10", "--format", "json"],
                 "6c315c0706a6b27c4d41740c8663ba26c3f8c428fa307f581dad56ac685ee3fb",
+                id="phi-kh-10-json",
             ),
-            (
+            pytest.param(
                 ["verify", "--suite", "all", "--order", "8", "--format", "json"],
                 "4464901558ed29bfc9bd550b2cd2fb3ed5c6e99822e172cc1afe4a83f47cdac1",
+                id="verify-all-8-json",
             ),
-            (
+            pytest.param(
                 ["quotient", "--max-weight", "11", "--format", "json"],
                 "8d35de9cd20dab50ffd29670a8ff14c6b2f89653d68ea1acea31e8f90a113d86",
+                id="quotient-11-json",
             ),
-            (
+            pytest.param(
                 ["verify", "--suite", "all", "--order", "12", "--format", "json"],
                 "a13e7e53f602ff821a0c8f08eab373c472065ec106f60cb6a55f7e71ffbe91c6",
+                id="verify-all-12-json",
             ),
             # psi carries the largest denominators, powers of 2 up to 2^31 here
             pytest.param(
@@ -448,19 +458,22 @@ class TestGoldenDigests:
                 id="psi-16-json",
             ),
             # the ceiling before weight 16: Q_14 = Z^47 + (Z/2)^5, Q_15 = Z^54
-            (
+            pytest.param(
                 ["quotient", "--max-weight", "15", "--format", "json"],
                 "b577fad8f52f8c03b69f88c3e660c97246ff5e1424fb773e6dfc08e175e65850",
+                id="quotient-15-json",
             ),
             # both ceilings at once: the only pin at weight 16 and order 18
-            (
+            pytest.param(
                 ["reproduce-paper", "--max-weight", "16", "--order", "18"],
                 "70de4cd8e68efa93b127248889aef622a93d13ce0c74f1af9012b67ed59578af",
+                id="reproduce-paper-16-18",
             ),
             # the weight ceiling in full: Q_16 = Z^64 + (Z/2)^6 and every rank_I
-            (
+            pytest.param(
                 ["quotient", "--max-weight", "16", "--format", "json"],
                 "6d7c52164e3813d69e54eb275d179d1b8cbac625bbc4aca47b08da7a5273e1ba",
+                id="quotient-16-json",
             ),
             # the genus substitutions at the order ceiling, which reproduce-paper
             # reports only as PASS lines
@@ -519,10 +532,10 @@ class TestKeyLayoutReach:
 
 
 class TestGcPolicy:
-    """``main`` runs the process without cyclic GC, then flushes stdout and
-    stderr and ends it with ``os._exit``, skipping the interpreter's
-    teardown; ``run``, which tests and the benchmark's traced pass call in a
-    long-lived process, leaves GC as it found it."""
+    """``main`` runs the process without cyclic GC, then flushes stderr (the
+    run flushed stdout) and ends it with ``os._exit``, skipping the
+    interpreter's teardown; ``run``, which tests and the benchmark's traced
+    pass call in a long-lived process, leaves GC as it found it."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -567,12 +580,13 @@ class TestGcPolicy:
         finally:
             if enabled:
                 gc.enable()
-        assert seen == [("gc", False), ("flush", "stdout"), ("flush", "stderr"), ("exit", 0)]
+        assert seen == [("gc", False), ("flush", "stderr"), ("exit", 0)]
 
 
 class TestProcessExit:
     """A fresh CLI process writes everything ``run`` wrote before its fast
-    exit; a usage error and a failed flush leave through the normal one."""
+    exit; a usage error leaves through the normal one, and so does a stdout
+    that cannot be written, as one line and exit 2."""
 
     # 3 KB, which stays in the 8 KB stdout buffer, and 62 KB, which spans it
     OUTPUTS = [["psi", "--order", "12"], ["kappa", "--order", "12", "--format", "json"]]
@@ -620,16 +634,30 @@ class TestProcessExit:
         assert proc.stderr == b"krichever: error: --order must be >= 1\natexit ran\n"
 
     def test_flush_to_a_closed_pipe(self):
-        # what the interpreter's own exit reports: the report is lost, status 120
-        proc = _fresh(
-            "-c", BROKEN_PIPE_MAIN, "verify", "--suite", "lemma1", "--order", "2",
-            env={"PYTHONIOENCODING": "utf-8"},
-        )
-        assert proc.returncode == 120
-        assert proc.stderr == (
-            b"Exception ignored in: <_io.TextIOWrapper name='<stdout>' mode='w' encoding='utf-8'>\n"
-            + f"BrokenPipeError: [Errno {errno.EPIPE}] Broken pipe\n".encode()
-        )
+        # the report fits the buffer, so the flush is what fails
+        proc = _fresh("-c", BROKEN_PIPE_MAIN, "verify", "--suite", "lemma1", "--order", "2")
+        assert proc.returncode == 2
+        assert proc.stderr == unwritable_stdout(errno.EPIPE)
+
+    def test_write_to_a_closed_pipe(self):
+        # the report spans the buffer, so the write itself fails
+        proc = _fresh("-c", BROKEN_PIPE_MAIN, *self.OUTPUTS[1])
+        assert proc.returncode == 2
+        assert proc.stderr == unwritable_stdout(errno.EPIPE)
+
+    @pytest.mark.parametrize("argv", [OUTPUTS[0], ["--help"]], ids=["psi", "help"])
+    def test_stdout_closed(self, argv):
+        # a process started with descriptor 1 closed has sys.stdout None
+        proc = _fresh("-m", "krichever.cli", *argv, preexec_fn=lambda: os.close(1))
+        assert proc.returncode == 2
+        assert proc.stderr == unwritable_stdout(errno.EBADF)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_stdout_on_a_full_device(self):
+        with open("/dev/full", "wb") as full:
+            proc = _fresh("-m", "krichever.cli", *self.OUTPUTS[0], stdout=full)
+        assert proc.returncode == 2
+        assert proc.stderr == unwritable_stdout(errno.ENOSPC)
 
 
 class TestDeterminism:

@@ -33,6 +33,7 @@ from oracles import (
     poly_weight,
     ref_text,
     ref_to_json,
+    row_exponents,
     swap,
     two_series_subs_xy,
     unpacked_is_homogeneous,
@@ -787,7 +788,7 @@ def test_weighted_monomials_keep_their_order():
     for n in range(1, 17):
         vars = b_vars(n)
         for w in range(n + 1):
-            rows = BasisIndex(vars, w).monomials
+            rows = row_exponents(vars, BasisIndex(vars, w))
             assert sorted(rows, reverse=True) == weighted_monomials(vars, w), (vars, w)
 
 
@@ -848,14 +849,6 @@ class TestKeyLayout:
             assert key & vars.guard
             with pytest.raises(OverflowError):
                 vars.pack(ab)
-
-    @given(tables_and_monomials(1))
-    @settings(max_examples=200, deadline=None)
-    def test_last_var_is_the_last_variable_of_the_monomial(self, case):
-        vars, m = case
-        if any(m):
-            last = max(i for i, e in enumerate(m) if e)
-            assert vars.last_var(vars.pack(m)) == last
 
     @given(monomials_within(p_vars(), p_vars().top))
     @settings(max_examples=100, deadline=None)

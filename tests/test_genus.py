@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from krichever import genus
+from krichever import fgl, genus
 from krichever.core import (
     Poly,
     Series1,
@@ -450,6 +450,23 @@ def _law_A(table, w):
     return F.mul(Series2(qv, w + 1, twist))
 
 
+def _slot_A(F, w):
+    """{(i, j): A_ij} for i < j and i + j <= w + 2, by the slot formula of
+    ``fgl.compute_A``, A_ij = sum_k omega_k (F_(i-1,j-k) - F_(i-k,j-1)) with
+    omega_k = [x^k y] F, but with no integrality assert, so that it takes a
+    law over Q[q]."""
+    F, vars = F.coeffs, F.vars
+    omega = [F[k, 1] for k in range(w + 1)]
+    out = {}
+    for j in range(1, w + 3):
+        for i in range(min(j, w + 3 - j)):
+            pairs = [(omega[k], F[i - 1, j - k]) for k in range(j + 1) if (i - 1, j - k) in F]
+            pairs += [(-omega[k], F[i - k, j - 1]) for k in range(i + 1) if (i - k, j - 1) in F]
+            if pairs:
+                out[i, j] = Poly.dot(vars, pairs)
+    return out
+
+
 def _high_slots(A):
     """The slots (i, j) with i, j >= 3 where A_ij is nonzero, sorted."""
     return sorted(slot for slot in A.coeffs if min(slot) >= 3)
@@ -469,6 +486,33 @@ class TestConclusion:
         # strictly isomorphic to the phi_KH law, but its high A_ij survive
         for w, count in ((8, 8), (10, 18), (12, 32)):
             assert len(_high_slots(_law_A(genus.t_psi_table(w + 1), w))) == count, w
+
+    def test_b_model_A_ij_map_onto_the_A_ij_of_the_phi_kh_law(self):
+        # beta: b_i -> [x^(i+1)] exp_phi is the ring map that sends the
+        # universal law to the phi_KH law, so by naturality it sends each
+        # b-model A_ij to the A_ij of the phi_KH law
+        qv, zero = q_vars(), Poly.zero(q_vars())
+
+        def mismatches(b_model, images, A_phi):
+            slots = {s for s, a in b_model.A.coeffs.items() if s[0] < s[1] and a}
+            assert {s for s, a in A_phi.items() if a} <= slots
+            bad = [
+                s for s in slots if b_model.A.coeffs[s].substitute(images, qv) != A_phi.get(s, zero)
+            ]
+            return len(slots), len(bad)
+
+        for w in range(2, 11):
+            log_phi = genus._log_from_table(genus.phi_kh_table(w), w + 1)
+            exp_phi = log_phi.revert()
+            A_phi = _slot_A(formal_group_law(exp_phi, log_phi), w)
+            b_model = fgl.compute_A(fgl.build_universal_fgl(w))
+            beta = {f"b{i}": exp_phi.coeffs[i + 1] for i in range(1, w + 1)}
+            slots, bad = mismatches(b_model, beta, A_phi)
+            assert bad == 0, w
+        assert slots == 22  # at w = 10
+        # a bumped image of b_3 is not the ring map of the phi_KH law
+        bumped = {**beta, "b3": beta["b3"] + Poly.var(qv, "q1", power=3)}
+        assert mismatches(b_model, bumped, A_phi) == (22, 20)
 
     def test_perturbed_phi_kh_laws_have_high_A_ij(self):
         # each bump is on an entry at most w = 10, which the law reads

@@ -26,10 +26,12 @@ from krichever.lattice import (
 from oracles import (
     full_hnf_cokernel,
     indecomposables_closed_form,
+    new_generators,
     partition_count,
     poly_pow,
     products_spans,
     rational_rank,
+    row_exponents,
     shift_ideal_piece,
     weighted_monomials,
 )
@@ -505,6 +507,11 @@ def model():
 
 
 @pytest.fixture(scope="module")
+def ceiling_model():
+    return LazardModel(WEIGHT_CEILING)
+
+
+@pytest.fixture(scope="module")
 def spans(model):
     return products_spans(model, 8)
 
@@ -534,8 +541,12 @@ class LexBasisIndex(BasisIndex):
 
     def __init__(self, vars, weight):
         super().__init__(vars, weight)
-        self.monomials = weighted_monomials(vars, weight)
-        self.keys = [vars.pack(m) for m in self.monomials]
+        monomials = weighted_monomials(vars, weight)
+        self.keys = [vars.pack(m) for m in monomials]
+        # part k is b_k, largest part first
+        self.parts = [
+            tuple(k for k in range(len(m), 0, -1) for _ in range(m[k - 1])) for m in monomials
+        ]
         self.pos = {key: i for i, key in enumerate(self.keys)}
 
 
@@ -543,13 +554,15 @@ class TestRowOrder:
     def test_fewest_factors_first(self):
         for n in range(1, 11):
             bi = BasisIndex(b_vars(n), n)
-            monomials = bi.monomials
-            assert bi.keys == [b_vars(n).pack(m) for m in monomials]
+            monomials = row_exponents(b_vars(n), bi)
+            # row i is b^e for the partition parts[i]: e_k parts equal to k
+            assert monomials == [tuple(p.count(k) for k in range(1, n + 1)) for p in bi.parts]
+            assert sorted(bi.parts, reverse=True) == partitions(n, n)
             lex = weighted_monomials(b_vars(n), n)
             assert sorted(monomials, reverse=True) == lex
-            factors = [sum(m) for m in monomials]
+            factors = [len(p) for p in bi.parts]
             assert factors == sorted(factors)
-            assert monomials[0] == (0,) * (n - 1) + (1,) and monomials[-1] == (n,) + (0,) * (n - 1)
+            assert bi.parts[0] == (n,) and bi.parts[-1] == (1,) * n
 
     def test_lex_order_gives_the_same_groups_and_lattices(self, monkeypatch):
         pieces = ("lazard_piece", "ideal_piece", "decomposables_piece")
@@ -559,15 +572,16 @@ class TestRowOrder:
         monkeypatch.setattr(lattice, "BasisIndex", LexBasisIndex)
         lex10 = LazardModel(10, fgl=model10.fgl)
         for n in range(1, 11):
-            assert lex10.basis_index(n).monomials[0] == (n,) + (0,) * 9
+            assert lex10.basis_index(n).parts[0] == (1,) * n
             assert lex10.quotient_report(n) == ours[n - 1]
             for a, piece in zip(ours_pieces[n - 1], pieces):
                 b = getattr(lex10, piece)(n)
                 assert a.rank == b.rank
                 # the same lattice: each HNF basis lies in the other piece
                 for x, y in ((a, b), (b, a)):
+                    rows = row_exponents(model10.vars, x.basis)
                     for col in x.hnf_basis():
-                        poly = Poly(model10.vars, dict(zip(x.basis.monomials, col)))
+                        poly = Poly(model10.vars, dict(zip(rows, col)))
                         assert len(y.coordinates(y.basis.vector(poly))) == y.rank
 
 
@@ -681,25 +695,25 @@ class TestIdealPiece:
         ]
         for n in range(11):
             bi = model10.basis_index(n)
-            for key, exps in zip(bi.keys, bi.monomials):
+            for parts, exps in zip(bi.parts, row_exponents(model10.vars, bi)):
                 expected = Poly.one(model10.vars)
                 for k, e in enumerate(exps, start=1):
                     expected = expected * poly_pow(g[k], e)
-                assert model10._g_monomial(key) == expected
+                assert model10._g_monomial(parts) == expected
 
 
 class TestGBasis:
     def test_triangular_against_the_b_monomials(self, model):
         # g_k has b_k coefficient c_k = gcd_i C(k+1, i), the gcd over the
-        # weight-k a_ij, so column i is prod c_k^e_k b^e (e = monomials[i])
-        # plus monomials with more factors
+        # weight-k a_ij, so column i is prod c_lambda_j b_lambda (lambda =
+        # parts[i]) plus monomials with more factors
         c = [0] + [math.gcd(*(math.comb(k + 1, i) for i in range(1, k + 1))) for k in range(1, 9)]
         assert c[1:] == [2, 3, 2, 5, 1, 7, 2, 3]
         for n in range(9):
             L = model.lazard_piece(n)
-            factors = [sum(m) for m in L.basis.monomials]
-            for i, (e, col) in enumerate(zip(L.basis.monomials, L.columns)):
-                assert col[i] == math.prod(c[k + 1] ** p for k, p in enumerate(e))
+            factors = [len(p) for p in L.basis.parts]
+            for i, (parts, col) in enumerate(zip(L.basis.parts, L.columns)):
+                assert col[i] == math.prod(c[k] for k in parts)
                 others = [x for j, x in enumerate(col) if j != i and factors[j] <= factors[i]]
                 assert not any(others)
 
@@ -788,7 +802,7 @@ class TestQuotient:
             broken.quotient_report(5)
         assert LazardModel(5).quotient_report(5).Q == InvariantFactors((), 6)
 
-    def test_quotient_rings_to_the_weight_ceiling(self):
+    def test_quotient_rings_to_the_weight_ceiling(self, ceiling_model):
         # Q_n = Z^p(n; parts <= 4) + (Z/2)^k, with k = p((n - 6)/2; parts <= 4)
         # for even n >= 6 and k = 0 otherwise
         def parts_at_most_four(n):
@@ -804,10 +818,27 @@ class TestQuotient:
             return parts_at_most_four((n - 6) // 2) if n >= 6 and n % 2 == 0 else 0
 
         assert [two_rank(n) for n in range(6, 17, 2)] == [1, 1, 2, 3, 5, 6]
-        model = LazardModel(WEIGHT_CEILING)
         for n in range(1, WEIGHT_CEILING + 1):
             expected = InvariantFactors((2,) * two_rank(n), parts_at_most_four(n))
-            assert model.quotient_report(n).Q == expected, n
+            assert ceiling_model.quotient_report(n).Q == expected, n
+
+    def test_minimal_presentation_of_the_ideal(self, ceiling_model):
+        # I_n modulo the shifts g_m I_(n-m): one new generator at every
+        # weight from 5 on, and a second, needed only mod 2, at n = 7, 9, 15
+        for n in range(1, 5):
+            assert new_generators(ceiling_model, n) == InvariantFactors((), 0), n
+        for n in range(5, WEIGHT_CEILING + 1):
+            torsion = (2,) if n in (7, 9, 15) else ()
+            assert new_generators(ceiling_model, n) == InvariantFactors(torsion, 1), n
+        # of the weight-9 A_ij, A_47 lies in the span of the others and the
+        # shifts, and A_38 and A_56 do not
+        data = ceiling_model.fgl
+        ideal_9 = ceiling_model.ideal_piece(9).hnf_basis()
+        for slot, kept in (((4, 7), True), ((3, 8), False), ((5, 6), False)):
+            coeffs = {k: v for k, v in data.A.coeffs.items() if k not in (slot, slot[::-1])}
+            A = Series2(data.vars, data.A.order, coeffs)
+            dropped = LazardModel(WEIGHT_CEILING, fgl=data._replace(A=A))
+            assert (dropped.ideal_piece(9).hnf_basis() == ideal_9) == kept, slot
 
     def test_weight_zero(self):
         # L_0 = Z holds no A_ij and no one-part monomial
