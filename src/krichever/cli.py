@@ -319,12 +319,15 @@ def _quotient_output(max_weight, fmt):
 
 
 def golden_table(name):
-    """Golden text for the printed psi/kappa tables shipped with the package."""
-    from importlib import resources
+    """Golden text for the printed psi/kappa tables shipped with the package.
 
-    return (
-        resources.files("krichever.data").joinpath(f"{name}_table.txt").read_text()
-    ).strip()
+    The files sit next to this module (``package-data`` in pyproject.toml);
+    ``importlib.resources`` would import zipfile, tempfile and about 60
+    other modules into a process that runs with ``python -S``.
+    """
+    path = os.path.join(os.path.dirname(__file__), "data", f"{name}_table.txt")
+    with open(path, encoding="utf-8") as fh:
+        return fh.read().strip()
 
 
 # Indec_n as (torsion, free rank) for n = 1..WEIGHT_CEILING: Z up to weight 4,

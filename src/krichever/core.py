@@ -432,11 +432,25 @@ class Series1:
         )
 
     def mul(self, other):
-        """Exact truncated product, to the lower of the two orders."""
+        """Exact truncated product, to the lower of the two orders.
+
+        Coefficient k is one ``Poly.dot`` of the pairs f_i g_(k-i).  A square
+        (``other is self``) forms each unordered pair once:
+        [x^k] f^2 = sum_{2i < k} (2 f_i) f_(k-i) + f_(k/2)^2.
+        """
         self._check(other)
         n = min(self.order, other.order)
         a = [(i, c) for i, c in enumerate(self.coeffs) if c]
         b = other.coeffs
+        if other is self:
+            two = {i: c.scale(2) for i, c in a if 2 * i < n}
+            out = []
+            for k in range(n + 1):
+                pairs = [(two[i], b[k - i]) for i, _ in a if 2 * i < k and b[k - i]]
+                if k % 2 == 0 and b[k // 2]:
+                    pairs.append((b[k // 2], b[k // 2]))
+                out.append(Poly.dot(self.vars, pairs))
+            return Series1(self.vars, n, out)
         top = other.order
         out = [
             Poly.dot(self.vars, [(c, b[k - i]) for i, c in a if 0 <= k - i <= top and b[k - i]])
@@ -455,23 +469,36 @@ class Series1:
             [c.scale(k) for k, c in enumerate(self.coeffs)][1:],
         )
 
-    def reciprocal(self):
-        """Inverse of a series with constant coefficient 1."""
-        if self.coeffs[0] != Poly.one(self.vars):
-            raise ValueError("reciprocal needs constant term 1")
-        f = self.coeffs
-        inv = [Poly.one(self.vars)]
-        for k in range(1, self.order + 1):
-            pairs = [(f[i], inv[k - i]) for i in range(1, k + 1) if f[i] and inv[k - i]]
-            inv.append(-Poly.dot(self.vars, pairs))
-        return Series1(self.vars, self.order, inv)
+    def div(self, g):
+        """self / g for g with constant coefficient 1, to the lower of the two orders.
 
-    def compose(self, g):
+        h = self / g solves h * g = self, so h_k = self_k - sum_{i=1}^k g_i h_(k-i):
+        one ``Poly.dot`` per coefficient, with no reciprocal and no product.
+        """
+        self._check(g)
+        if g.coeffs[0] != Poly.one(self.vars):
+            raise ValueError("division needs a divisor with constant term 1")
+        n = min(self.order, g.order)
+        d = g.coeffs
+        h = []
+        for k, f_k in enumerate(self.coeffs[: n + 1]):
+            pairs = [(d[i], h[k - i]) for i in range(1, k + 1) if d[i] and h[k - i]]
+            dot = Poly.dot(self.vars, pairs)
+            h.append(f_k - dot if f_k else -dot)
+        return Series1(self.vars, n, h)
+
+    def reciprocal(self):
+        """Inverse of a series with constant coefficient 1: ``1.div(self)``."""
+        return Series1.one(self.vars, self.order).div(self)
+
+    def compose(self, g, P=None):
         """(self o g) for g with zero constant term, as sum_j f_j g^j.
 
         The powers g^j are read off the table ``_powers`` fills from the
         known g, up to the degree d of f, so
         [x^k] (self o g) = sum_{j <= min(k, d)} f_j [x^k] g^j is one ``Poly.dot``.
+        A caller that already holds ``_powers`` of g to rows d and columns n
+        passes it as ``P``, and no table is built.
         """
         self._check(g)
         if g.coeffs[0]:
@@ -479,7 +506,8 @@ class Series1:
         n = min(self.order, g.order)
         f = self.coeffs
         d = max((j for j in range(n + 1) if f[j]), default=0)
-        P = _powers(self.vars, g.coeffs, n, d)
+        if P is None:
+            P = _powers(self.vars, g.coeffs, n, d)
         out = [f[0]] + [
             Poly.dot(
                 self.vars, [(f[j], P[j][k]) for j in range(1, min(k, d) + 1) if f[j] and P[j][k]]
@@ -488,29 +516,32 @@ class Series1:
         ]
         return Series1(self.vars, n, out)
 
-    def compose_inverse(self, g):
+    def compose_inverse(self, g, P=None):
         """h = self o g^{-1} for g = x + O(x^2), solved from h o g = self.
 
         With ``P = _powers(g)`` the table of the known g, [x^k] (h o g) is
         sum_{j <= k} h_j P[j][k] and P[k][k] = 1, so each coefficient is one
         ``Poly.dot``: h_k = self_k - sum_{j < k} h_j P[j][k].  Both series
-        are taken to the lower of their orders.
+        are taken to the lower of their orders, n.  A caller that already
+        holds that table to row and column n passes it as ``P``.
         """
         self._check(g)
         if g.order < 1 or g.coeffs[0] or g.coeffs[1] != Poly.one(self.vars):
             raise ValueError("reversion needs f = x + higher order")
         n = min(self.order, g.order)
-        P = _powers(self.vars, g.coeffs, n, n)
+        if P is None:
+            P = _powers(self.vars, g.coeffs, n, n)
         h = []
         for k, f_k in enumerate(self.coeffs[: n + 1]):
             pairs = [(h[j], P[j][k]) for j in range(k) if h[j] and P[j][k]]
             h.append(f_k - Poly.dot(self.vars, pairs))
         return Series1(self.vars, n, h)
 
-    def revert(self):
+    def revert(self, P=None):
         """Compositional inverse of f = x + O(x^2): x o f^{-1}, solved
-        against the table of powers of the known f (``compose_inverse``)."""
-        return Series1.identity(self.vars, self.order).compose_inverse(self)
+        against the table of powers of the known f (``compose_inverse``),
+        or against ``P`` when the caller holds that table already."""
+        return Series1.identity(self.vars, self.order).compose_inverse(self, P)
 
     def inv_sqrt(self):
         """Series r with r^2 * f = 1, for f with constant coefficient 1.
@@ -637,7 +668,9 @@ def _powers(vars, g, n, top):
     ``P[j][k] = sum_{i=1}^{k-j+1} g_i P[j-1][k-i]`` (Brent & Kung, JACM 1978),
     about n^3/6 coefficient products when top = n, and fewer when the caller
     needs only the low powers.  ``compose``, ``compose_inverse`` and
-    ``Series2.subs_xy``, and so every law, read it.
+    ``Series2.subs_xy``, and so every law, read it.  A table lives only as
+    long as the call that built it: ``genus.kappa_inverse_table`` builds one
+    and passes it to both ``revert`` and ``compose``, and no series keeps one.
     """
     zero = Poly.zero(vars)
     P = [[Poly.one(vars)] + [zero] * n, g[: n + 1]]

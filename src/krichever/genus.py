@@ -16,6 +16,7 @@ in ``fgl`` all report through ``report.compare_slots``.
 from .core import (
     Poly,
     Series1,
+    _powers,
     compose1,
     cp_vars,
     formal_group_law,
@@ -125,8 +126,15 @@ def kappa_inverse_table(n=DEFAULT_ORDER, rho=None):
     kappa^{-1} applied to kappa(log) = log o nu^{-1} gives L = log o N, where
     N = x + sum kappa^{-1}(CP_i) x^(i+1) and L' = N/x.  So N^{-1} = x * E with
     E = exp(sum CP_i x^i / i).  A ring map rho commutes with exp and reversion,
-    so rho o kappa^{-1}(CP_i) = [x^(i+1)] revert(x * rho(E)).  ``rho`` is a
-    table on CP_1 .. CP_n; None is the identity of Q[CP_1..CP_n].
+    so rho o kappa^{-1}(CP_i) = [x^(i+1)] revert(M) for M = x * rho(E).  ``rho``
+    is a table on CP_1 .. CP_n; None is the identity of Q[CP_1..CP_n].
+
+    The gate is rho(L) o M = rho(log), with rho(L) the logarithm of the
+    result: the identity rho(L) = rho(log) o N with M = N^{-1} applied on the
+    right, which revert does not solve.  For rho = id it holds exactly when
+    kappa o kappa^{-1} = id.  M = x + O(x^2), so composing with it is
+    triangular and both forms first fail at the same weight.  The reversion
+    and the gate read one table of powers of M.
     """
     if rho is None:
         rho = _cp_table(cp_vars(n), n)
@@ -136,10 +144,11 @@ def kappa_inverse_table(n=DEFAULT_ORDER, rho=None):
     for k in range(1, n + 1):
         pairs = [(rho[i], e[k - i]) for i in range(1, k + 1) if rho[i] and e[k - i]]
         e.append(Poly.dot(vars, pairs).scale(1, k))
-    N = Series1(vars, n + 1, [Poly.zero(vars)] + e).revert()
+    M = Series1(vars, n + 1, [Poly.zero(vars)] + e)
+    P = _powers(vars, M.coeffs, n + 1, n + 1)
+    N = M.revert(P)
     table = GenusTable("kappa_inv", Series1(vars, n, N.coeffs[1:]))
-    # rho(L) = rho(log) o N, which revert does not solve; for rho = id, kappa o table = id
-    lhs, rhs = _log_from_table(rho, n + 1).compose(N), _log_from_table(table, n + 1)
+    lhs, rhs = _log_from_table(table, n + 1).compose(M, P), _log_from_table(rho, n + 1)
     w = next((k - 1 for k in range(2, n + 2) if lhs.coeffs[k] != rhs.coeffs[k]), None)
     if w is not None:
         raise AssertionError(f"kappa o kappa^-1 failed at weight {w}")
@@ -161,27 +170,26 @@ def t_psi_table(n=DEFAULT_ORDER):
     return GenusTable("t_psi", _psi(q_vars(), n))
 
 
-def _u(log, n):
-    """The paper's u = f / f' to order n, with f the reversion of ``log``."""
-    f = log.revert()
-    return f.truncate(n).mul(f.derivative().reciprocal())
-
-
 def verify_krichever_ode(n=DEFAULT_ORDER, table=None):
-    """Check (u')^2 = 1 + q1 u + q2 u^2 + q3 u^3 + q4 u^4 for u = f/f'.
+    """Check (du/dx)^2 = 1 + q1 u + q2 u^2 + q3 u^3 + q4 u^4 for u = f/f'.
 
-    f is the exponential of the law with logarithm built from the phi_KH
-    table; this is the defining ODE of the genus (written pole-free in
+    f is the exponential of the law whose logarithm L is built from the
+    phi_KH table; this is the defining ODE of the genus (written pole-free in
     u = 1/h) and never uses the composite formula, so it is an independent
-    oracle for phi_kh_table.
+    oracle for phi_kh_table.  It is checked in t = f(x), with no reversion:
+    f'(x) = 1/L'(t), so u(x) = U(t) := t L'(t) and du/dx = U'(t)/L'(t), and
+    the check is (U'/L')^2 = Q(U) as series in t.  Each side in x is its
+    side in t composed with f = x + O(x^2), which is triangular, so both
+    forms first fail at the same degree.  To order n the check reads the
+    table up to CP_(n-1).
     """
     if table is None:
         table = phi_kh_table(n)
-    qv = table.series.vars
-    u = _u(_log_from_table(table, n + 1), n)
-    du = u.derivative()
+    qv, logd = table.series.vars, table.series
+    u_t = Series1(qv, n, [Poly.zero(qv)] + logd.coeffs[:n])
+    du = u_t.derivative().div(logd.truncate(n - 1))
     lhs = du.mul(du)
-    rhs = quartic_series(qv, n - 1).compose(u.truncate(n - 1))
+    rhs = quartic_series(qv, n - 1).compose(u_t.truncate(n - 1))
     return compare_slots("krichever-ode", n, lhs.coeffs, rhs.coeffs)
 
 
@@ -191,7 +199,9 @@ def verify_lemma1(n=DEFAULT_ORDER):
     The right side is ``mog_series``, the series ``kappa_table`` runs.
     """
     cv = cp_vars(n)
-    lhs = _u(mishchenko_log(cv, n + 1), n).revert()
+    # the paper's u = f/f', f the reversion of the logarithm
+    f = mishchenko_log(cv, n + 1).revert()
+    lhs = f.truncate(n).div(f.derivative()).revert()
     rhs = mog_series(cv, n + 1).truncate(n)
     return compare_slots("lemma1", n, lhs.coeffs, rhs.coeffs)
 
@@ -199,8 +209,9 @@ def verify_lemma1(n=DEFAULT_ORDER):
 def verify_lemma2_theorem1(n=DEFAULT_ORDER):
     """Quartic square of the twisted invariant form, and the strict iso.
 
-    (a) pushing 1/mog' through phi_KH gives a series whose square is the
-        monic-quartic 1 + q1 x + ... + q4 x^4 (all higher coefficients 0);
+    (a) pushing mog' through phi_KH and taking the reciprocal, over
+        Q[q1..q4], gives phi_KH(1/mog'), whose square is the monic quartic
+        1 + q1 x + ... + q4 x^4 (all higher coefficients 0);
     (b) s(x) = x log_phi'(x) = sum phi_KH(CP_i) x^(i+1) intertwines the law
         with logarithm from the phi_KH table and the one from t o psi, to
         total degree min(n, 6).  Part (b) composes two laws, so it stops at
@@ -212,11 +223,11 @@ def verify_lemma2_theorem1(n=DEFAULT_ORDER):
     qv = q_vars()
     kappa = kappa_table(n)
     phi = phi_kh_table(n)
-    # (a) the kappa table's series is mog', so omega_t = 1/mog'
-    omega_t = kappa.series.reciprocal()
+    # (a) the kappa table's series is mog', and phi(1/mog') = 1/phi(mog')
     images = phi.images()
-    pushed = Series1(qv, omega_t.order, [c.substitute(images, qv) for c in omega_t.coeffs])
-    lhs = pushed.mul(pushed)
+    pushed = Series1(qv, n, [c.substitute(images, qv) for c in kappa.series.coeffs])
+    omega_t = pushed.reciprocal()
+    lhs = omega_t.mul(omega_t)
     rhs = quartic_series(qv, n)
     rep = compare_slots("lemma2-quartic", n, lhs.coeffs, rhs.coeffs)
     if not rep.passed:

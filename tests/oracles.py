@@ -13,8 +13,9 @@ multiplication), the earlier kappa^{-1} and phi_KH tables (back-substitution
 weight by weight, then psi substituted into it), omega_hat = (omega' -
 omega'(0)) / 2x and the Proposition II numerator as the paper writes it (a
 sum of bivariate products, against the row-2 map read off omega^2), a
-counter of the kernel's term products, and a genus table with one entry
-perturbed.
+counter of the kernel's term products, a genus table with one entry
+perturbed, the earlier reciprocal recurrence of ``Series1.reciprocal`` and
+the earlier Krichever ODE check in x (u = f/f' from the reversion).
 """
 
 import re
@@ -263,6 +264,32 @@ def perturbed_table(table, i, delta):
     coeffs = list(table.series.coeffs)
     coeffs[i] = coeffs[i] + delta
     return genus.GenusTable(table.name, Series1(table.series.vars, table.series.order, coeffs))
+
+
+def recurrence_reciprocal(g):
+    """1/g for g with constant term 1, by the recurrence
+    inv_k = -sum_{i=1}^k g_i inv_(k-i): the earlier ``Series1.reciprocal``,
+    an oracle for ``Series1.div``."""
+    if g.coeffs[0] != Poly.one(g.vars):
+        raise ValueError("reciprocal needs constant term 1")
+    f = g.coeffs
+    inv = [Poly.one(g.vars)]
+    for k in range(1, g.order + 1):
+        pairs = [(f[i], inv[k - i]) for i in range(1, k + 1) if f[i] and inv[k - i]]
+        inv.append(-Poly.dot(g.vars, pairs))
+    return Series1(g.vars, g.order, inv)
+
+
+def krichever_ode_in_x(n, table):
+    """The Krichever ODE checked in x, as ``genus.verify_krichever_ode`` did
+    before it moved to t = f(x): u = f/f' with f the reversion of the table's
+    logarithm, then (u')^2 against 1 + q1 u + ... + q4 u^4 to x^(n-1)."""
+    qv = table.series.vars
+    f = genus._log_from_table(table, n + 1).revert()
+    u = f.truncate(n).mul(recurrence_reciprocal(f.derivative()))
+    du = u.derivative()
+    rhs = genus.quartic_series(qv, n - 1).compose(u.truncate(n - 1))
+    return compare_slots("krichever-ode", n, du.mul(du).coeffs, rhs.coeffs)
 
 
 def poly_weight(poly):

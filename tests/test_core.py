@@ -1,4 +1,5 @@
 import math
+from copy import copy
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -31,6 +32,7 @@ from oracles import (
     poly_from_json,
     poly_pow,
     poly_weight,
+    recurrence_reciprocal,
     ref_text,
     ref_to_json,
     row_exponents,
@@ -415,6 +417,23 @@ class TestSeries1:
         with pytest.raises(ValueError):
             scalar_series([2, 1]).reciprocal()
 
+    def test_div_needs_unit(self):
+        f = scalar_series([1, 2, 3])
+        for g in ([2, 1, 0], [0, 1, 1], [-1, 0, 0]):
+            with pytest.raises(ValueError, match="constant term 1"):
+                f.div(scalar_series(g))
+
+    def test_div_hand_expansion(self):
+        # (1 + x) / (1 - x) = 1 + 2x + 2x^2 + ..., to the lower order
+        assert scalar_series([1, 1, 0, 0]).div(scalar_series([1, -1, 0])) == scalar_series(
+            [1, 2, 2]
+        )
+
+    def test_square_hand_expansion(self):
+        f = scalar_series([3, 0, 2, -1])
+        assert f.mul(f) == scalar_series([9, 0, 12, -6])
+        assert scalar_series([5]).mul(scalar_series([5])) == scalar_series([25])
+
     def test_compose_identity(self):
         f = scalar_series([5, 1, 7], 2)
         assert f.compose(Series1.identity(SCALARS, 2)) == f
@@ -717,6 +736,36 @@ class TestSeriesAgainstReference:
             assert r.mul(r).mul(f) == one
             if ring.startswith("Z"):
                 assert _all_int(inv.coeffs)
+
+        check()
+
+    @pytest.mark.parametrize("ring", RINGS)
+    def test_div_round_trip(self, ring):
+        vars, scalars = RINGS[ring]
+
+        @given(series(vars, scalars, []), series(vars, scalars, [1]))
+        @settings(max_examples=40, deadline=None)
+        def check(f, g):
+            n = min(f.order, g.order)
+            h = f.div(g)
+            assert h.order == n
+            assert h.mul(g) == f.truncate(n)
+            assert g.reciprocal() == recurrence_reciprocal(g)
+
+        check()
+
+    @pytest.mark.parametrize("ring", RINGS)
+    def test_square_is_the_product_with_a_copy(self, ring):
+        # the head [] draws orders from 0, any constant term, and zero
+        # coefficients; a copy is not ``self``, so it takes the general product
+        vars, scalars = RINGS[ring]
+
+        @given(series(vars, scalars, [], max_tail=6))
+        @settings(max_examples=60, deadline=None)
+        def check(f):
+            twin = copy(f)
+            assert twin is not f and twin == f
+            assert f.mul(f) == f.mul(twin)
 
         check()
 

@@ -18,6 +18,7 @@ from krichever.core import (
 from oracles import (
     back_substitution_kappa_inverse,
     gauss_jordan,
+    krichever_ode_in_x,
     parse_poly,
     perturbed_table,
     products_formed,
@@ -206,11 +207,11 @@ class TestKappaInverse:
 )
 def test_gate_catches_a_wrong_reversion(build, monkeypatch):
     # the x^4 coefficient doubled keeps every entry homogeneous, so only the
-    # rho(L) = rho(log) o N check can see it
+    # gate rho(L) o M = rho(log), M = N^{-1}, can see it
     revert = Series1.revert
 
-    def perturbed(self):
-        g = revert(self)
+    def perturbed(self, P=None):
+        g = revert(self, P)
         g.coeffs[4] = g.coeffs[4].scale(2)
         return g
 
@@ -387,6 +388,39 @@ class TestOde:
         assert rep.first_failure["monomial"] == "x^1"
 
 
+def _ode_bumps():
+    """(i, delta): a monomial of weight i to add to phi_KH(CP_i)."""
+    qv = q_vars()
+    q1, q3, q4 = (Poly.var(qv, f"q{i}") for i in (1, 3, 4))
+    return [(3, q3), (5, q1 * q4), (7, q3 * q4), (11, q3 * q4 * q4), (12, q4 * q4 * q4)]
+
+
+class TestOdeInT:
+    """``verify_krichever_ode`` checks the ODE in t = f(x), and
+    ``oracles.krichever_ode_in_x`` in x from the reversion; each side in x is
+    its side in t composed with f = x + O(x^2), so they fail at one degree.
+    The ODE to order n reads phi_KH only up to CP_(n-1), so a bump on CP_i
+    fails both at x^i when i < n and passes both when i >= n: the q4^3 bump
+    on CP_12 passes at order 12.
+    """
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_both_forms_pass_on_phi_kh(self, n):
+        phi = genus.phi_kh_table(n)
+        assert genus.verify_krichever_ode(n, phi).passed
+        assert krichever_ode_in_x(n, phi).passed
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_both_forms_fail_at_the_same_degree(self, n):
+        phi = genus.phi_kh_table(12)
+        for i, delta in _ode_bumps():
+            bad = perturbed_table(phi, i, delta)
+            reports = genus.verify_krichever_ode(n, bad), krichever_ode_in_x(n, bad)
+            first = [r.first_failure and r.first_failure["monomial"] for r in reports]
+            expected = f"x^{i}" if i < n else None
+            assert first == [expected, expected], i
+
+
 class TestLemma1:
     @pytest.mark.parametrize("n", [2, 8])
     def test_passes(self, n):
@@ -432,6 +466,19 @@ class TestLemma2Theorem1:
         assert not sq.coeffs[5] and not sq.coeffs[6]
         assert sq.coeffs[1] == Poly.var(qv, "q1")
         assert sq.coeffs[4] == Poly.var(qv, "q4")
+
+    @pytest.mark.parametrize("n", [2, 7, 12])
+    def test_reciprocal_commutes_with_the_push(self, n):
+        # part (a) pushes mog' through phi_KH and then takes the reciprocal
+        # over Q[q1..q4]; the reciprocal over Q[CP] pushed after gives the same
+        qv = q_vars()
+        phi = genus.phi_kh_table(n).images()
+        mog_d = genus.kappa_table(n).series
+
+        def push(s):
+            return Series1(qv, s.order, [c.substitute(phi, qv) for c in s.coeffs])
+
+        assert push(mog_d).reciprocal() == push(mog_d.reciprocal())
 
 
 def _law_A(table, w):
@@ -535,25 +582,40 @@ def _bad_phi(monkeypatch):
 
 
 def test_work_of_the_phi_kh_table(monkeypatch):
-    # 13,944 term products; 31,411 when psi was substituted into kappa^{-1}
-    # from the back-substitution, and 38,983 when each image power was built
-    # by binary powering and p_i -> q_i was a substitution
-    assert 0 < products_formed(monkeypatch, lambda: genus.phi_kh_table(12)) <= 15_500
+    # 10,132 term products with one table of powers for the reversion and its
+    # gate; 13,944 when the gate built a second table, 31,411 when psi was
+    # substituted into kappa^{-1} from the back-substitution, and 38,983 when
+    # each image power was built by binary powering and p_i -> q_i was a
+    # substitution
+    assert 0 < products_formed(monkeypatch, lambda: genus.phi_kh_table(12)) <= 10_500
 
 
 def test_work_of_the_kappa_inverse_table(monkeypatch):
-    # 197,537 term products at the order ceiling; the back-substitution with
-    # a kappa o kappa^{-1} substitution per weight formed 569,365
+    # 154,239 term products at the order ceiling; 197,537 when the gate built
+    # a second table of powers, and the back-substitution with a
+    # kappa o kappa^{-1} substitution per weight formed 569,365
     work = products_formed(monkeypatch, lambda: genus.kappa_inverse_table(18))
-    assert 0 < work <= 220_000
+    assert 0 < work <= 160_000
 
 
 def test_work_of_lemma2_theorem1(monkeypatch):
-    # 31,198 term products; 31,496 when part (b) built the t o psi table at
-    # order 12 to read it to degree 6, 46,504 with the back-substituted phi_KH
-    # table and 69,583 when the kappa table was built twice per run
+    # 25,498 term products; 31,198 when part (a) took the reciprocal over
+    # Q[CP_1..CP_n] before the push through phi_KH, a square formed every
+    # pair twice and the phi_KH table's gate built a second table of powers;
+    # 31,496 when part (b) built the t o psi table at order 12 to read it to
+    # degree 6, 46,504 with the back-substituted phi_KH table and 69,583 when
+    # the kappa table was built twice per run
     work = products_formed(monkeypatch, lambda: genus.verify_lemma2_theorem1(12))
-    assert 0 < work <= 31_300
+    assert 0 < work <= 26_000
+
+
+@pytest.mark.parametrize("n, most", [(12, 14_000), (18, 125_000)])
+def test_work_of_the_krichever_ode(n, most, monkeypatch):
+    # 13,620 and 118,423 term products with the ODE checked in t = f(x);
+    # 23,725 and 210,811 when u = f/f' was formed from the reversion of the
+    # logarithm, by a reciprocal and a product
+    work = products_formed(monkeypatch, lambda: genus.verify_krichever_ode(n))
+    assert 0 < work <= most
 
 
 def test_work_of_the_inverse_square_root(monkeypatch):
@@ -564,9 +626,10 @@ def test_work_of_the_inverse_square_root(monkeypatch):
 
 
 def test_work_of_the_ode_quartic(monkeypatch):
-    # 1 + q1 u + ... + q4 u^4 at order 18, for the u of the krichever-ode
-    # suite: 6,718 term products with the table of powers cut at row 4;
-    # 10,460 when all 18 rows were filled and 6,918 by four Series1.mul
+    # 1 + q1 u + ... + q4 u^4 at order 18, for u = f/f' in x (the ODE suite
+    # now composes with u in t = f(x)): 6,718 term products with the table
+    # of powers cut at row 4; 10,460 when all 18 rows were filled and 6,918
+    # by four Series1.mul
     n = 18
     f = genus._log_from_table(genus.phi_kh_table(n), n + 1).revert()
     u = f.truncate(n).mul(f.derivative().reciprocal()).truncate(n - 1)
