@@ -80,29 +80,36 @@ def compute_A(fgl):
 
     The product is valid to total degree W+2 because the second factor has
     no constant term, so it holds A_ij for every i + j <= W+2.  Only the
-    slots with i < j are formed, each as one ``Poly.dot`` of
-    A_ij = sum_k omega_k (F_{i-1,j-k} - F_{i-k,j-1}).  F is built mirrored,
-    so A_ji = -A_ij and the diagonal is 0.  Integrality and homogeneity
-    (weight i + j - 2) are asserted on the whole of A.
+    slots with i < j are formed, by ``A_coefficients``.  F is built
+    mirrored, so A_ji = -A_ij and the diagonal is 0.  Integrality and
+    homogeneity (weight i + j - 2) are asserted on the whole of A.
     """
-    w, bv, F = fgl.weight, fgl.vars, fgl.F.coeffs
-    omega = fgl.omega.coeffs
-    minus = [-c for c in omega]
-    coeffs = {}
-    for j in range(1, w + 3):
-        for i in range(min(j, w + 3 - j)):
-            # F has no constant term, so a pair's k is at most i + j - 2 <= W
-            pairs = [(omega[k], F[i - 1, j - k]) for k in range(j + 1) if (i - 1, j - k) in F]
-            pairs += [(minus[k], F[i - k, j - 1]) for k in range(i + 1) if (i - k, j - 1) in F]
-            if pairs:
-                coeffs[i, j] = Poly.dot(bv, pairs)
-                coeffs[j, i] = -coeffs[i, j]
-    A = Series2(bv, w + 2, coeffs)
+    w, bv = fgl.weight, fgl.vars
+    slots = [(i, j) for j in range(1, w + 3) for i in range(min(j, w + 3 - j))]
+    A = A_coefficients(bv, fgl.F.coeffs, slots)
+    A = Series2(bv, w + 2, A | {(j, i): -c for (i, j), c in A.items()})
     if not A.is_integral():
         raise AssertionError("A is not integral")
     if not A.is_graded(-2):
         raise AssertionError("A is not graded")
     return fgl._replace(A=A)
+
+
+def A_coefficients(vars, F, slots):
+    """{(i, j): A_ij} on the ``slots`` with a pair, each one ``Poly.dot`` of
+    A_ij = sum_k omega_k (F_{i-1,j-k} - F_{i-k,j-1}), omega_k = F[k, 1], for
+    a law's coefficients F with its zeros left out, like ``Series2.coeffs``.
+    F has no constant term, so a pair's k is at most i + j - 2."""
+    zero, top = Poly.zero(vars), max((i + j - 2 for i, j in slots), default=-1)
+    omega = [F.get((k, 1), zero) for k in range(top + 1)]
+    minus = [-c for c in omega]
+    out = {}
+    for i, j in slots:
+        pairs = [(omega[k], F[i - 1, j - k]) for k in range(j + 1) if (i - 1, j - k) in F]
+        pairs += [(minus[k], F[i - k, j - 1]) for k in range(i + 1) if (i - k, j - 1) in F]
+        if pairs:
+            out[i, j] = Poly.dot(vars, pairs)
+    return out
 
 
 def verify_proposition_i(fgl):

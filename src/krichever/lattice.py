@@ -10,8 +10,9 @@ g_lambda = g_lambda_1 g_lambda_2 ... is (prod c_lambda_i) b_lambda plus
 monomials with more factors.  The g-monomials are therefore triangular
 against the b-monomials: a polynomial solves into g-coordinates by
 elimination, fewest factors first, with no Hermite form.  Every weight-n
-a_ij must solve integrally, which proves L_n = Z[g]_n, and every A_ij is
-solved once, which proves that it lies in the ring.
+a_ij must solve integrally, which proves L_n = Z[g]_n, and each A_ij is
+formed in Z[g] from the solved a_ij (``fgl.A_coefficients``), so it lies
+in the ring by construction.
 
 In g-coordinates the rest is reindexing.  The ideal piece I_n is spanned by
 the weight-n A_ij and g_m I_(n-m) for m = 1 .. n-1, since every shift
@@ -37,7 +38,8 @@ from collections import namedtuple
 
 from .backend import kernels
 from .core import Poly
-from .fgl import build_universal_fgl, compute_A
+# compute_A has no caller here; the benchmark wraps it under this module's name
+from .fgl import A_coefficients, build_universal_fgl, compute_A
 
 DEFAULT_MAX_WEIGHT = 8
 WEIGHT_CEILING = 16
@@ -163,7 +165,8 @@ class Lattice:
         return len(self._reduce()[1])
 
     def hnf_basis(self):
-        return [list(c) for c in self._reduce()[0]]
+        """The reduced HNF columns, cached: read them, do not modify them."""
+        return self._reduce()[0]
 
     def cokernel(self):
         """Z^(ambient dim) / lattice as InvariantFactors, from the HNF basis.
@@ -207,11 +210,12 @@ class LazardModel:
     """Graded lattice computations for one b-model truncation.
 
     ``max_weight`` bounds the weights that can be asked for; the underlying
-    law is built once at that truncation.  ``lazard_piece(n)`` is L_n in
-    b-coordinates with the g-monomials as its basis; ``ideal_piece(n)`` and
-    ``decomposables_piece(n)`` are in g-coordinates, the coordinates that
-    ``lazard_piece(n).coordinates`` returns.  Pieces, g-monomials and the
-    g-coordinates of the A_ij are cached.
+    law is built once at that truncation, or ``fgl``, built at that weight or
+    above, is read.  ``lazard_piece(n)`` is L_n in b-coordinates with the
+    g-monomials as its basis; ``ideal_piece(n)`` and ``decomposables_piece(n)``
+    are in g-coordinates, the coordinates that ``lazard_piece(n).coordinates``
+    returns.  The solved a_ij are the law over Z[g], mirrored like ``F.coeffs``
+    over the b-variables read as g_k; pieces, g-monomials and A_ij are cached.
     """
 
     def __init__(self, max_weight=DEFAULT_MAX_WEIGHT, fgl=None):
@@ -219,16 +223,17 @@ class LazardModel:
             raise ValueError(
                 f"weight {max_weight} beyond the configured ceiling {WEIGHT_CEILING}"
             )
-        self.max_weight = max_weight
         if fgl is None:
-            fgl = compute_A(build_universal_fgl(max_weight))
+            fgl = build_universal_fgl(max_weight)
+        elif fgl.weight < max_weight:
+            raise ValueError(f"a law of weight {fgl.weight} cannot serve weight {max_weight}")
+        self.max_weight = max_weight
         self.fgl = fgl
         self.vars = fgl.vars
         self._basis = {}
-        self._g = {(): Poly.one(self.vars)}  # partition -> g-monomial
-        # a_ij (1 <= i <= j) of weight i + j - 1, A_ij (3 <= i <= j) of i + j - 2
-        self._law_gens = _generators(fgl.F, 1, 1, max_weight)
-        self._ideal_gens = _generators(fgl.A, 3, 2, max_weight)
+        one = Poly.one(self.vars)
+        self._g = {(): one}  # partition -> g-monomial
+        self._law = {(0, 1): one, (1, 0): one}  # a_ij in g-coordinates
         self._ideal_coords = {}
         self._lazard = {}
         self._ideal = {}
@@ -243,42 +248,50 @@ class LazardModel:
 
     def _g_monomial(self, parts):
         """g_parts = g_parts[0] g_parts[1] ... for a partition, largest part
-        first: 1 for no parts, g_k for one part k, and otherwise the
-        g-monomial of the other parts times g of the largest, one polynomial
-        product per monomial of two or more parts."""
+        first, with g_k set by ``lazard_piece(k)``: the g-monomial of the other
+        parts times g of the largest, one product per monomial of two or more."""
         if parts not in self._g:
-            if len(parts) == 1:
-                k = parts[0]
-                g = _gcd_combination(self._law_gens[k], self.vars.unit(k - 1))
-            else:
-                g = self._g_monomial(parts[1:]) * self._g_monomial(parts[:1])
-            self._g[parts] = g
+            self._g[parts] = self._g_monomial(parts[1:]) * self._g_monomial(parts[:1])
         return self._g[parts]
 
     def lazard_piece(self, n):
         """L_n in b-coordinates, with the weight-n g-monomials as its basis.
 
-        Column i is the g-monomial of the partition ``parts[i]``; it pivots on
-        row i and is eliminated with the other monomials of its number of
-        parts, fewest first, whatever the row order.  Raises ValueError if a
-        weight-n a_ij is not an integral combination of the g-monomials.
+        L_(n-1) comes first, and g_n is the gcd combination of the weight-n
+        a_ij (1 <= i <= j, i ascending).  Column i is the g-monomial of the
+        partition ``parts[i]``; it pivots on row i and is eliminated with the
+        other monomials of its number of parts, fewest first, whatever the row
+        order.  Each a_ij is solved into the law over Z[g]; raises ValueError
+        if one is not an integral combination of the g-monomials.
         """
         if n not in self._lazard:
-            bi = self.basis_index(n)
+            bi, F = self.basis_index(n), self.fgl.F.coeffs
+            law = {(i, n + 1 - i): F[i, n + 1 - i] for i in range(1, (n + 3) // 2)}
+            if n:
+                self.lazard_piece(n - 1)
+                self._g[n,] = _gcd_combination(list(law.values()), self.vars.unit(n - 1))
             cols = [bi.vector(self._g_monomial(p)) for p in bi.parts]
             order = sorted(range(len(bi)), key=lambda i: len(bi.parts[i]))
             lat = Lattice(bi, cols, [(i, i) for i in order])
-            for a in self._law_gens.get(n, []):
-                _solve(lat, a, f"a weight-{n} a_ij")
+            for (i, j), a in law.items():
+                try:
+                    x = lat.coordinates(bi.vector(a))
+                except ValueError:
+                    raise ValueError(f"a weight-{n} a_ij has no integral g-coordinates") from None
+                # g_parts[r] has the key of b_parts[r]
+                terms = {key: c for key, c in zip(bi.keys, x) if c}
+                self._law[i, j] = self._law[j, i] = Poly._canonical(self.vars, terms, 1)
             self._lazard[n] = lat
         return self._lazard[n]
 
     def _ideal_coordinates(self, k):
-        """g-coordinates of the weight-k A_ij, each solved once."""
+        """g-coordinates of the nonzero weight-k A_ij, 3 <= i < j, i
+        ascending, formed in Z[g] from the a_ij of weight <= k (A_ii = 0)."""
         if k not in self._ideal_coords:
-            lat = self.lazard_piece(k)
-            gens = self._ideal_gens.get(k, [])
-            self._ideal_coords[k] = [_solve(lat, a, f"a weight-{k} A_ij") for a in gens]
+            bi = self.lazard_piece(k).basis
+            slots = [(i, k + 2 - i) for i in range(3, (k + 1) // 2 + 1)]
+            ideal = A_coefficients(self.vars, self._law, slots).values()
+            self._ideal_coords[k] = [bi.vector(a) for a in ideal if a]
         return self._ideal_coords[k]
 
     def ideal_piece(self, n):
@@ -348,29 +361,6 @@ def _gcd_combination(polys, key):
             q = c // d
             c, g, d, h = d, h, c - q * d, g - h.scale(q)
     return g if c >= 0 else -g
-
-
-def _solve(lattice, poly, what):
-    """g-coordinates of ``poly`` in ``lattice``; ValueError names ``what``."""
-    try:
-        return lattice.coordinates(lattice.basis.vector(poly))
-    except ValueError:
-        raise ValueError(f"{what} is not an integral combination of g-monomials") from None
-
-
-def _generators(series, first, shift, max_weight):
-    """[x^i y^j] series for first <= i <= j, grouped by weight i + j - shift.
-
-    Only weights up to ``max_weight`` are read; zero coefficients are
-    skipped and empty weights left out.
-    """
-    gens = {}
-    for s in range(2 * first, max_weight + shift + 1):
-        lst = [series.coefficient(i, s - i) for i in range(first, s // 2 + 1)]
-        lst = [a for a in lst if a]
-        if lst:
-            gens[s - shift] = lst
-    return gens
 
 
 def partitions(n, largest):

@@ -5,8 +5,9 @@ monomials of one weight, constant term, the grading test of a univariate
 series, the sum, swap and symmetry test of bivariate series, and the
 independent rank, partition, lattice-span and closed-form Indec_n oracles
 the tests check the package against, the exponent vectors of a lattice's
-rows, the earlier grading gate, quotient path, associativity check, ideal
-piece (every shift of every A_ij), the new ideal generators each weight
+rows, the a_ij or A_ij of a series grouped by weight, the earlier grading
+gate, quotient path, associativity check, ideal piece (every shift of every
+b-model A_ij, solved into g-coordinates), the new ideal generators each weight
 needs beyond the shifts of the lower ones, omega (exp_b' composed
 with log_b) and ``Series2.subs_xy`` (two series, powers by repeated
 multiplication), the earlier kappa^{-1} and phi_KH tables (back-substitution
@@ -23,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd
 
-from krichever import _kernels_py, genus
+from krichever import _kernels_py, fgl, genus
 from krichever.core import Poly, Series1, Series2, q_vars
 from krichever.lattice import InvariantFactors, Lattice, hnf_columns
 from krichever.report import compare_slots
@@ -398,20 +399,21 @@ def proposition_ii_numerator(omega):
     return add2(sym.mul(add2(xwy, ywx, -1)), diff.mul(x2y2))
 
 
-def shift_ideal_piece(model, n):
+def shift_ideal_piece(model, A, n):
     """I_n in g-coordinates as the span of every shift A_ij g_mu, A_ij of
     weight k <= n and mu of weight n - k: the earlier construction, an
-    oracle for ``LazardModel.ideal_piece``.  Multiplying by g_mu adds mu to
-    the exponents of every g-monomial, so each column is a reindexed
-    coordinate vector."""
+    oracle for ``LazardModel.ideal_piece``.  The A_ij are the b-model's,
+    the series ``A`` of ``fgl.compute_A``, each solved into g-coordinates in
+    ``model.lazard_piece(k)``.  Multiplying by g_mu adds mu to the exponents
+    of every g-monomial, so each column is a reindexed coordinate vector."""
     bi = model.basis_index(n)
     cols = []
-    for k in model._ideal_gens:
-        if k > n:
-            continue
-        keys = model.basis_index(k).keys
+    for k, gens in generators(A, 3, 2, n).items():
+        lazard = model.lazard_piece(k)
+        keys = lazard.basis.keys
         terms = [
-            [(key, c) for key, c in zip(keys, x) if c] for x in model._ideal_coordinates(k)
+            [(key, c) for key, c in zip(keys, lazard.coordinates(lazard.basis.vector(a))) if c]
+            for a in gens
         ]
         for shift in model.basis_index(n - k).keys:
             for t in terms:
@@ -510,13 +512,32 @@ def partition_count(n):
     return total
 
 
+def generators(series, first, shift, max_weight):
+    """[x^i y^j] series for first <= i <= j, grouped by weight i + j - shift.
+
+    Only weights up to ``max_weight`` are read; zero coefficients are
+    skipped and empty weights left out.
+    """
+    gens = {}
+    for s in range(2 * first, max_weight + shift + 1):
+        lst = [series.coefficient(i, s - i) for i in range(first, s // 2 + 1)]
+        lst = [a for a in lst if a]
+        if lst:
+            gens[s - shift] = lst
+    return gens
+
+
 def products_spans(model, max_weight):
     """{n: (L_n, I_n, D_n)} as b-coordinate generator columns, from the
     definitions alone: L_n is spanned by a_ij v, I_n by A_ij v and D_n by
     u v, with u and v running over HNF bases of the L_k of lower weight,
-    computed the same way.  Row i is the partition
+    computed the same way.  The a_ij and A_ij are the b-model's, from
+    ``fgl.compute_A`` of the model's law.  Row i is the partition
     ``model.basis_index(n).parts[i]``.
     """
+    data = fgl.compute_A(model.fgl)
+    law_gens = generators(data.F, 1, 1, max_weight)
+    ideal_gens = generators(data.A, 3, 2, max_weight)
     bases = {0: [Poly.one(model.vars)]}
     out = {}
     for n in range(1, max_weight + 1):
@@ -531,8 +552,8 @@ def products_spans(model, max_weight):
                 for v in bases[n - k]
             ]
 
-        lazard = span(model._law_gens)
-        ideal = span(model._ideal_gens)
+        lazard = span(law_gens)
+        ideal = span(ideal_gens)
         square = [
             bi.vector(u * v) for k in range(1, n // 2 + 1) for u in bases[k] for v in bases[n - k]
         ]

@@ -170,6 +170,13 @@ class TestA:
         data = fgl.build_universal_fgl(13)
         assert 0 < products_formed(monkeypatch, lambda: fgl.compute_A(data)) <= 30_000
 
+    def test_A_coefficients_read_a_left_out_omega_as_zero(self, data):
+        # the additive law x + y leaves out every omega_k with k >= 1
+        one = Poly.one(data.vars)
+        slots = [(i, j) for j in range(5) for i in range(j)]
+        A = fgl.A_coefficients(data.vars, {(1, 0): one, (0, 1): one}, slots)
+        assert {s: c for s, c in A.items() if c} == {(0, 2): -one}
+
     def test_compute_A_leaves_its_argument(self):
         data = fgl.build_universal_fgl(4)
         out = fgl.compute_A(data)

@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from krichever import _kernels_py, fgl, lattice
+from krichever import _kernels_py, cli, fgl, lattice
 from krichever.backend import kernels
 from krichever.cli import EXPECTED_INDEC
-from krichever.core import Poly, Series2, b_vars
+from krichever.core import Poly, b_vars
 from krichever.lattice import (
     BasisIndex,
     InvariantFactors,
@@ -25,10 +25,12 @@ from krichever.lattice import (
 )
 from oracles import (
     full_hnf_cokernel,
+    generators,
     indecomposables_closed_form,
     new_generators,
     partition_count,
     poly_pow,
+    products_formed,
     products_spans,
     rational_rank,
     row_exponents,
@@ -536,6 +538,36 @@ def g_piece_matches_span(lazard, piece, columns):
     assert span.rank == piece.rank
 
 
+def drop_ideal_generator(monkeypatch, slot):
+    """Leave the A_ij of ``slot`` out of the ideal that ``LazardModel`` forms."""
+    form = lattice.A_coefficients
+
+    def dropped(vars, F, slots):
+        return {s: a for s, a in form(vars, F, slots).items() if s != slot}
+
+    monkeypatch.setattr(lattice, "A_coefficients", dropped)
+
+
+def ideal_mismatches(model, w):
+    """The slots (i, j), 3 <= i <= j and i + j - 2 <= w, where the A_ij formed
+    in Z[g] from the model's law, mapped back to b-coordinates through the
+    g-monomials, differ from the b-model's ``fgl.compute_A``.  The model's
+    ideal generators of each weight must be the nonzero ones, i ascending."""
+    A = fgl.compute_A(fgl.build_universal_fgl(w)).A
+    bad = []
+    for k in range(1, w + 1):
+        ours = model._ideal_coordinates(k)
+        lazard = model.lazard_piece(k)
+        slots = [(i, k + 2 - i) for i in range(3, k // 2 + 2)]
+        formed = lattice.A_coefficients(model.vars, model._law, slots)
+        formed = {s: lazard.basis.vector(a) for s, a in formed.items()}
+        for slot in slots:
+            if from_g(lazard, formed[slot]) != lazard.basis.vector(A.coefficient(*slot)):
+                bad.append(slot)
+        assert ours == [x for x in formed.values() if any(x)], k
+    return bad
+
+
 class LexBasisIndex(BasisIndex):
     """The lex-descending row order, b_1^n first: an oracle for the default."""
 
@@ -625,7 +657,7 @@ class TestLazardPieces:
 
     def test_ideal_vanishes_below_weight_five(self, model):
         # A_33 = 0 by antisymmetry, so nothing survives below A_34 (weight 5)
-        assert not model.fgl.A.coefficient(3, 3)
+        assert not fgl.compute_A(model.fgl).A.coefficient(3, 3)
         for n in range(5):
             assert model.ideal_piece(n).rank == 0
 
@@ -681,17 +713,19 @@ class TestIdealPiece:
         bits = [max(abs(x).bit_length() for x in col) for col in cols]
         assert (len(cols), max(bits[:top])) == (122, 74)
         assert max(bits[top:]) <= 26
+        A = fgl.compute_A(model13.fgl).A
         for n in range(1, 14):
             ours = model13.ideal_piece(n).hnf_basis()
-            assert ours == shift_ideal_piece(model13, n).hnf_basis()
+            assert ours == shift_ideal_piece(model13, A, n).hnf_basis()
         assert len(ours) == 62
 
     def test_g_monomial_is_the_product_of_powers(self):
         model10 = LazardModel(10)
-        # row 0 of weight k is the one-part monomial, g_k
+        model10.lazard_piece(10)  # sets g_1 .. g_10
+        # row 0 of weight k is the one-part monomial, g_k, from the b-model a_ij
+        law = generators(model10.fgl.F, 1, 1, 10)
         g = [None] + [
-            lattice._gcd_combination(model10._law_gens[k], model10.basis_index(k).keys[0])
-            for k in range(1, 11)
+            lattice._gcd_combination(law[k], model10.basis_index(k).keys[0]) for k in range(1, 11)
         ]
         for n in range(11):
             bi = model10.basis_index(n)
@@ -727,18 +761,6 @@ class TestGBasis:
         with pytest.raises(ValueError, match="weight-3 a_ij"):
             model3.lazard_piece(3)
 
-    def test_an_ideal_generator_outside_the_ring_fails_the_solve(self):
-        # c_7 = 2, and b_7 added to A_36 makes its b_7 coefficient odd
-        data = fgl.compute_A(fgl.build_universal_fgl(7))
-        coeffs = dict(data.A.coeffs)
-        coeffs[3, 6] = coeffs[3, 6] + Poly.var(data.vars, "b7")
-        A = Series2(data.vars, data.A.order, coeffs)
-        broken = LazardModel(7, fgl=data._replace(A=A))
-        for n in range(1, 7):
-            broken.quotient_report(n)
-        with pytest.raises(ValueError, match="weight-7 A_ij"):
-            broken.quotient_report(7)
-
     def test_work_guard(self, monkeypatch):
         # One Poly product per g-monomial of two or more parts (128 here);
         # one HNF of I_n and the Smith passes per weight (24 kernel calls).
@@ -761,6 +783,24 @@ class TestGBasis:
             model10.quotient_report(n)
         assert 0 < counts["mul"] <= 200
         assert 0 < counts["hnf"] <= 30
+
+
+class TestIdealInZg:
+    """The A_ij formed in Z[g] from the law's g-coordinates are the b-model's."""
+
+    @pytest.mark.parametrize("w", [10, 13])
+    def test_matches_the_b_model_A(self, w):
+        assert ideal_mismatches(LazardModel(w), w) == []
+
+    def test_a_bumped_law_coordinate_fails_at_a_slot(self):
+        model10 = LazardModel(10)
+        model10.lazard_piece(4)
+        # one more g_4 in a_23: the law over Z[g] reads b_k as g_k
+        bumped = model10._law[2, 3] + Poly.var(model10.vars, "b4")
+        model10._law[2, 3] = model10._law[3, 2] = bumped
+        # A_34 reads a_23 twice, times omega_1 with both signs, so the first
+        # A_ij the bump reaches is A_35
+        assert ideal_mismatches(model10, 10)[0] == (3, 5)
 
 
 class TestQuotient:
@@ -790,16 +830,15 @@ class TestQuotient:
             closed = indecomposables_closed_form(n)
             assert (closed.torsion, closed.free_rank) == group, n
 
-    def test_report_checks_the_free_rank_closed_form(self):
+    def test_report_checks_the_free_rank_closed_form(self, monkeypatch):
         # A_34 is the only weight-5 ideal generator; without it Q_5 = Z^7,
         # where p(5; parts <= 4) = 6
-        data = fgl.compute_A(fgl.build_universal_fgl(5))
-        coeffs = {k: v for k, v in data.A.coeffs.items() if k not in ((3, 4), (4, 3))}
-        A = Series2(data.vars, data.A.order, coeffs)
-        broken = LazardModel(5, fgl=data._replace(A=A))
+        drop_ideal_generator(monkeypatch, (3, 4))
+        broken = LazardModel(5)
         assert broken.ideal_piece(5).cokernel() == InvariantFactors((), 7)
         with pytest.raises(AssertionError, match="free rank 7"):
             broken.quotient_report(5)
+        monkeypatch.undo()
         assert LazardModel(5).quotient_report(5).Q == InvariantFactors((), 6)
 
     def test_quotient_rings_to_the_weight_ceiling(self, ceiling_model):
@@ -822,7 +861,7 @@ class TestQuotient:
             expected = InvariantFactors((2,) * two_rank(n), parts_at_most_four(n))
             assert ceiling_model.quotient_report(n).Q == expected, n
 
-    def test_minimal_presentation_of_the_ideal(self, ceiling_model):
+    def test_minimal_presentation_of_the_ideal(self, ceiling_model, monkeypatch):
         # I_n modulo the shifts g_m I_(n-m): one new generator at every
         # weight from 5 on, and a second, needed only mod 2, at n = 7, 9, 15
         for n in range(1, 5):
@@ -832,13 +871,34 @@ class TestQuotient:
             assert new_generators(ceiling_model, n) == InvariantFactors(torsion, 1), n
         # of the weight-9 A_ij, A_47 lies in the span of the others and the
         # shifts, and A_38 and A_56 do not
-        data = ceiling_model.fgl
         ideal_9 = ceiling_model.ideal_piece(9).hnf_basis()
         for slot, kept in (((4, 7), True), ((3, 8), False), ((5, 6), False)):
-            coeffs = {k: v for k, v in data.A.coeffs.items() if k not in (slot, slot[::-1])}
-            A = Series2(data.vars, data.A.order, coeffs)
-            dropped = LazardModel(WEIGHT_CEILING, fgl=data._replace(A=A))
-            assert (dropped.ideal_piece(9).hnf_basis() == ideal_9) == kept, slot
+            with monkeypatch.context() as patch:
+                drop_ideal_generator(patch, slot)
+                dropped = LazardModel(WEIGHT_CEILING, fgl=ceiling_model.fgl)
+                assert (dropped.ideal_piece(9).hnf_basis() == ideal_9) == kept, slot
+
+    def test_quotient_forms_no_b_model_A(self, monkeypatch):
+        # One coordinate solve per nonzero a_ij of weight n = 1 .. 13, (n + 1) // 2
+        # of them at weight n; at the b-model A the A_ij took 25 more solves,
+        # and the run formed 66,487 term products.
+        def refuse(data):
+            raise AssertionError("compute_A called")
+
+        solve = Lattice.coordinates
+        solves = [0]
+
+        def counted(self, vector):
+            solves[0] += 1
+            return solve(self, vector)
+
+        monkeypatch.setattr(fgl, "compute_A", refuse)
+        monkeypatch.setattr(lattice, "compute_A", refuse)
+        monkeypatch.setattr(Lattice, "coordinates", counted)
+        argv = ["quotient", "--max-weight", "13"]
+        products = products_formed(monkeypatch, lambda: cli.run(argv))
+        assert 0 < products <= 52_300
+        assert solves[0] == sum((n + 1) // 2 for n in range(1, 14)) == 49
 
     def test_weight_zero(self):
         # L_0 = Z holds no A_ij and no one-part monomial
@@ -856,3 +916,12 @@ class TestQuotient:
             LazardModel(WEIGHT_CEILING + 1)
         with pytest.raises(ValueError):
             LazardModel(4).lazard_piece(5)
+
+    def test_a_law_below_the_model_weight_is_refused(self):
+        with pytest.raises(ValueError, match="weight 8 cannot serve weight 10"):
+            LazardModel(10, fgl=fgl.build_universal_fgl(8))
+
+    def test_a_law_without_A_serves_the_model(self):
+        model7 = LazardModel(7, fgl=fgl.build_universal_fgl(7))
+        for n in range(1, 8):
+            assert model7.quotient_report(n).Indec == InvariantFactors(*EXPECTED_INDEC[n]), n
